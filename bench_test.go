@@ -258,13 +258,6 @@ func BenchmarkFPGrowthVsFPClose(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Apriori", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mining.Apriori(tx, mining.Options{MinSupport: 600}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkSVMTrainBreast(b *testing.B) {
@@ -310,10 +303,10 @@ func BenchmarkEndToEndPatFS(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineParallel runs the BENCH_pipeline.json configuration
-// (3-fold CV, Pat_FS+SVM, min_sup 0.15, austral) at several worker
-// counts. Folds, per-class mining, the MMRFS gain scan, and the
-// one-vs-one SVM subproblems all schedule through internal/parallel, so
+// BenchmarkPipelineParallel runs 3-fold CV of Pat_FS+SVM at min_sup
+// 0.15 on austral at several worker counts. Folds, per-class mining,
+// the MMRFS gain scan, and the one-vs-one SVM subproblems all schedule
+// through internal/parallel, so
 // on a multi-core machine the workers=GOMAXPROCS variant should
 // approach fold-level speedup; on one core every variant collapses to
 // the same sequential path. Results are identical at every count —

@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -48,7 +47,6 @@ func main() {
 	verbose := flag.Bool("verbose", false, "print a stage-timing tree after the run")
 	reportTo := flag.String("report", "", "write a JSON RunReport of the run here")
 	traceTo := flag.String("tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
-	benchJSON := flag.String("benchjson", "", "run the instrumented pipeline benchmark and write per-stage reports here (e.g. BENCH_pipeline.json)")
 	timeout := flag.Duration("timeout", 0, "whole-run wall-clock bound (0 = unbounded)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage wall-clock bound within each fit (0 = unbounded)")
 	onBudget := flag.String("on-budget", "fail", "pattern-budget policy: fail, or degrade (escalate min_sup and re-mine)")
@@ -127,12 +125,6 @@ func main() {
 	cfg.ctx, stopSignals = telemetry.HandleSignals(cfg.ctx, ses.Log)
 	defer stopSignals()
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, ses, &tf, cfg.workers); err != nil {
-			fail(err)
-		}
-		return
-	}
 	if cfg.csvDir != "" {
 		if err := os.MkdirAll(cfg.csvDir, 0o755); err != nil {
 			fail(err)
@@ -240,151 +232,6 @@ func (c runConfig) protocol() experiments.Protocol {
 		Workers:         c.workers,
 		Log:             c.log,
 	}
-}
-
-// benchDatasets are the generated datasets profiled by -benchjson,
-// chosen to cover a small, a medium, and a pattern-dense input.
-var benchDatasets = []string{"austral", "breast", "heart"}
-
-// runBenchJSON fits the full Pat_FS+SVM pipeline once per benchmark
-// dataset with an observer installed and writes the per-stage reports
-// (one RunReport per dataset) as a single JSON document. The output
-// seeds the repo's performance trajectory: the check.sh bench gate
-// diffs a fresh BENCH_pipeline.json against the committed one. With
-// the drift flags set, each dataset also gets its own tracker and a
-// journal record of kind "drift" (the benchmark's CV folds score
-// against the first fold's baseline — a self-drift smoke, not a
-// shifted-split measurement).
-func runBenchJSON(path string, ses *telemetry.Session, tf *telemetry.Flags, workers parallel.Workers) error {
-	type doc struct {
-		Benchmark string            `json:"benchmark"`
-		Folds     int               `json:"folds"`
-		MinSup    float64           `json:"min_sup"`
-		Workers   int               `json:"workers,omitempty"`
-		Runs      []*dfpc.RunReport `json:"runs"`
-		// Predict is the compiled predict path's throughput/tail-latency
-		// section (added with the patmatch trie); benchdiff gates
-		// rows_per_sec when the baseline document carries it too.
-		Predict []telemetry.PredictBench `json:"predict,omitempty"`
-	}
-	const minSup = 0.15
-	out := doc{Benchmark: "pipeline-stages", Folds: 3, MinSup: minSup,
-		Workers: workers.Resolve()}
-	for _, name := range benchDatasets {
-		d, err := dfpc.Generate(name, 1)
-		if err != nil {
-			return err
-		}
-		o := dfpc.NewObserver()
-		clf := dfpc.NewClassifier(dfpc.PatFS, dfpc.SVM,
-			dfpc.WithMinSupport(minSup), dfpc.WithWorkers(int(workers)))
-		drift := tf.NewDriftTracker(o, ses.Log)
-		if drift != nil {
-			clf.SetDriftTracker(drift)
-			ses.EnableDrift(drift)
-		}
-		res, err := dfpc.CrossValidateContext(context.Background(), clf, d, out.Folds, 1,
-			dfpc.CVOptions{Obs: o, Workers: workers})
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if drep, derr := drift.Report(); derr == nil && drep != nil && drep.Bound {
-			ses.Journal(telemetry.Record{Kind: "drift", Dataset: name, Drift: drep})
-		}
-		rep := o.Report(name)
-		out.Runs = append(out.Runs, rep)
-		ses.AddRun(rep)
-		ses.Journal(telemetry.Record{
-			Kind:        "cv",
-			Dataset:     name,
-			Config:      map[string]any{"benchmark": out.Benchmark, "min_sup": minSup},
-			Folds:       out.Folds,
-			Accuracy:    res.Mean,
-			AccuracyStd: res.Std,
-			WallNS:      rep.WallNS,
-			Stages:      telemetry.StagesFromReport(rep),
-		})
-		fmt.Printf("%-10s accuracy %.2f%% ± %.2f  wall %v\n",
-			name, 100*res.Mean, 100*res.Std, time.Duration(rep.WallNS).Round(time.Millisecond))
-		pb, err := measurePredict(name, d, minSup, workers)
-		if err != nil {
-			return fmt.Errorf("%s: predict bench: %w", name, err)
-		}
-		for _, m := range pb {
-			fmt.Printf("%-10s predict batch=%-5d %11.0f rows/s  p99 %v/row\n",
-				name, m.Batch, m.RowsPerSec, time.Duration(m.P99NSPerRow))
-		}
-		out.Predict = append(out.Predict, pb...)
-	}
-	if err := durable.WriteAtomic(path, nil, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	}); err != nil {
-		return err
-	}
-	fmt.Printf("per-stage benchmark written to %s\n", path)
-	return nil
-}
-
-// predictBatchSizes are the batch sizes profiled by the predict
-// throughput section of -benchjson: interactive (1), a typical
-// serving request (64), and bulk scoring (1024).
-var predictBatchSizes = []int{1, 64, 1024}
-
-// measurePredict fits a fresh Pat_FS+SVM classifier on the whole
-// dataset and measures the compiled predict path: rows/sec and
-// 99th-percentile per-row latency through PredictBatch at each batch
-// size. Row indices cycle through the dataset when a batch exceeds it.
-func measurePredict(name string, d *dfpc.Dataset, minSup float64, workers parallel.Workers) ([]telemetry.PredictBench, error) {
-	rows := make([]int, d.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	clf := dfpc.NewClassifier(dfpc.PatFS, dfpc.SVM,
-		dfpc.WithMinSupport(minSup), dfpc.WithWorkers(int(workers)))
-	if err := clf.Fit(d, rows); err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	var out []telemetry.PredictBench
-	for _, batch := range predictBatchSizes {
-		in := make([]int, batch)
-		pred := make([]int, batch)
-		// Warm once so one-time costs (scorer scratch, page-in) stay out
-		// of the samples, then measure enough batches for a stable p99
-		// without letting large batches run away on slow machines. The
-		// batch window slides across the dataset between samples so even
-		// batch=1 scores every row, not row 0 over and over; the index
-		// refill happens outside the timed region.
-		if err := clf.PredictBatch(ctx, d, in, pred); err != nil {
-			return nil, err
-		}
-		const targetBatches = 256
-		samples := make([]int64, 0, targetBatches)
-		var totalNS int64
-		for len(samples) < targetBatches && totalNS < int64(500*time.Millisecond) {
-			off := len(samples) * batch
-			for i := range in {
-				in[i] = (off + i) % d.NumRows()
-			}
-			start := time.Now()
-			if err := clf.PredictBatch(ctx, d, in, pred); err != nil {
-				return nil, err
-			}
-			el := time.Since(start).Nanoseconds()
-			samples = append(samples, el/int64(batch))
-			totalNS += el
-		}
-		out = append(out, telemetry.PredictBench{
-			Dataset:     name,
-			Batch:       batch,
-			Rows:        len(samples) * batch,
-			RowsPerSec:  float64(len(samples)*batch) / (float64(totalNS) / 1e9),
-			P99NSPerRow: telemetry.P99(samples),
-		})
-	}
-	return out, nil
 }
 
 // emitCSV atomically writes one result file when -csv is set, so an

@@ -75,8 +75,6 @@ var determinismRoots = map[string]bool{
 	"MinePerClassAdaptive":  true,
 	"FPClose":               true,
 	"FPGrowth":              true,
-	"Eclat":                 true,
-	"Apriori":               true,
 }
 
 // hotPathRoots seed the predict/serving cone. Match and

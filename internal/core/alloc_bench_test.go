@@ -113,9 +113,9 @@ func BenchmarkPredictAllocs(b *testing.B) {
 }
 
 // BenchmarkPredictDriftOn is the drift-enabled twin of
-// BenchmarkPredictAllocs; benchdiff compares the pair so a regression
-// in the tracker's ObserveRow path (which should be allocation-free)
-// shows up as a widening gap.
+// BenchmarkPredictAllocs; a regression in the tracker's ObserveRow path
+// (which should be allocation-free) shows up as a widening gap between
+// the pair, and TestPredictDriftAllocBudget fails on it.
 func BenchmarkPredictDriftOn(b *testing.B) {
 	p, rows, _ := fitXORPipeline(b)
 	d := xorDataset(80)

@@ -253,7 +253,7 @@ type Pipeline struct {
 	disc     *discretize.Discretizer
 	space    *dataset.Space
 	numItems int
-	patterns []mining.Pattern // selected pattern features, id = numItems + index
+	patterns []mining.Pattern  // selected pattern features, id = numItems + index
 	matcher  *patmatch.Matcher // compiled trie over p.patterns; nil iff no patterns
 	model    predictor
 	itemKept []bool // non-nil for Item_FS: which items stay in the space
@@ -890,46 +890,6 @@ func (p *Pipeline) featureVectorInto(dst []int32, tx []int32, ms *patmatch.Scrat
 		dst = p.matcher.MatchAppend(dst, tx, int32(p.numItems), ms)
 	}
 	return dst
-}
-
-// featureVectorNaive is the reference implementation of the feature
-// mapping: an O(|patterns|·|tx|) per-pattern subset test with no
-// shared structure. It exists solely as the differential-test oracle
-// for the compiled matcher path — production code must go through
-// featureVectorInto.
-func (p *Pipeline) featureVectorNaive(tx []int32) []int32 {
-	out := make([]int32, 0, len(tx)+len(p.patterns))
-	if p.itemKept != nil {
-		for _, it := range tx {
-			if p.itemKept[it] {
-				out = append(out, it)
-			}
-		}
-	} else {
-		out = append(out, tx...)
-	}
-	for j := range p.patterns {
-		if containsAll(tx, p.patterns[j].Items) {
-			out = append(out, int32(p.numItems+j))
-		}
-	}
-	return out
-}
-
-// containsAll reports whether sorted transaction tx contains every item
-// of sorted pattern items.
-func containsAll(tx, items []int32) bool {
-	i := 0
-	for _, it := range items {
-		for i < len(tx) && tx[i] < it {
-			i++
-		}
-		if i >= len(tx) || tx[i] != it {
-			return false
-		}
-		i++
-	}
-	return true
 }
 
 // PredictProb returns per-class probability estimates for the given

@@ -18,6 +18,45 @@ import (
 // randomized datasets, and on adversarial pattern sets (empty,
 // single-item, duplicate, unmatched) that a fit would rarely select.
 
+// featureVectorNaive is the reference implementation of the feature
+// mapping: an O(|patterns|·|tx|) per-pattern subset test with no
+// shared structure: the differential-test oracle for the compiled
+// matcher path in featureVectorInto.
+func (p *Pipeline) featureVectorNaive(tx []int32) []int32 {
+	out := make([]int32, 0, len(tx)+len(p.patterns))
+	if p.itemKept != nil {
+		for _, it := range tx {
+			if p.itemKept[it] {
+				out = append(out, it)
+			}
+		}
+	} else {
+		out = append(out, tx...)
+	}
+	for j := range p.patterns {
+		if containsAll(tx, p.patterns[j].Items) {
+			out = append(out, int32(p.numItems+j))
+		}
+	}
+	return out
+}
+
+// containsAll reports whether sorted transaction tx contains every item
+// of sorted pattern items.
+func containsAll(tx, items []int32) bool {
+	i := 0
+	for _, it := range items {
+		for i < len(tx) && tx[i] < it {
+			i++
+		}
+		if i >= len(tx) || tx[i] != it {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
 // assertCompiledMatchesNaive compares the two feature-vector
 // implementations on every row of d through p's fitted coder.
 func assertCompiledMatchesNaive(t *testing.T, p *Pipeline, d *dataset.Dataset) {

@@ -39,9 +39,8 @@ func BenchmarkPredictThroughput(b *testing.B) {
 }
 
 // BenchmarkFeaturize pits the compiled trie walk against the naive
-// per-pattern containsAll oracle on a bundled dataset: the CI
-// bench-speedup job asserts compiled wins (non-blocking — shared
-// runners are noisy), and the differential tests assert they agree.
+// per-pattern containsAll oracle on a bundled dataset; the
+// differential tests assert the two agree byte for byte.
 func BenchmarkFeaturize(b *testing.B) {
 	d, err := datagen.ByName("austral", 1)
 	if err != nil {

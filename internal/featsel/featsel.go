@@ -468,27 +468,6 @@ func TopK(cands []Candidate, classMasks []*bitset.Bitset, rel Relevance, k int) 
 	return res
 }
 
-// AboveThreshold returns the indices of candidates whose relevance is
-// at least t, in descending relevance order — the IG0-threshold filter
-// the paper's Section 3.1.3 equivalence argument is built on.
-func AboveThreshold(cands []Candidate, classMasks []*bitset.Bitset, rel Relevance, t float64) *Result {
-	res := &Result{Relevance: scoreAll(cands, classMasks, rel, 1)}
-	idx := make([]int, 0, len(cands))
-	for i := range cands {
-		if res.Relevance[i] >= t {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if res.Relevance[idx[a]] != res.Relevance[idx[b]] {
-			return res.Relevance[idx[a]] > res.Relevance[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	res.Selected = idx
-	return res
-}
-
 // FireRates returns, per candidate, the fraction of the n training
 // rows its coverage bitset fires on. This is the fit-time reference
 // the modelobs drift layer compares live pattern fire rates against:

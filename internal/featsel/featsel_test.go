@@ -253,22 +253,6 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestAboveThreshold(t *testing.T) {
-	labels, masks := fixture()
-	_ = labels
-	cands := []Candidate{
-		cand(8, 0, 4),
-		cand(8, 0, 1, 2, 3),
-	}
-	res := AboveThreshold(cands, masks, InfoGain, 0.5)
-	if len(res.Selected) != 1 || res.Selected[0] != 1 {
-		t.Fatalf("AboveThreshold = %v", res.Selected)
-	}
-	if res := AboveThreshold(cands, masks, InfoGain, 0); len(res.Selected) != 2 {
-		t.Fatalf("threshold 0 = %v", res.Selected)
-	}
-}
-
 // Property: MMRFS never selects the same candidate twice, selections are
 // within range, and every selected feature has non-negative gain
 // ordering (first has max relevance).

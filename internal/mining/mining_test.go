@@ -75,6 +75,42 @@ func bruteForce(tx [][]int32, minSup, maxLen int) []Pattern {
 	return out
 }
 
+// containsAll reports whether sorted transaction t contains every item
+// of sorted candidate cand (merge scan).
+func containsAll(t, cand []int32) bool {
+	i := 0
+	for _, c := range cand {
+		for i < len(t) && t[i] < c {
+			i++
+		}
+		if i >= len(t) || t[i] != c {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
+// filterClosed is the closed-pattern reference FPClose is checked
+// against: it keeps the patterns with no strict superset of equal
+// support. Quadratic; only for small test inputs.
+func filterClosed(ps []Pattern) []Pattern {
+	var closed []Pattern
+	for i, p := range ps {
+		isClosed := true
+		for j, q := range ps {
+			if i != j && q.Support == p.Support && q.Len() > p.Len() && containsAll(q.Items, p.Items) {
+				isClosed = false
+				break
+			}
+		}
+		if isClosed {
+			closed = append(closed, p)
+		}
+	}
+	return closed
+}
+
 func patternsEqual(a, b []Pattern) bool {
 	if len(a) != len(b) {
 		return false
@@ -167,23 +203,6 @@ func TestFPGrowthMaxLen(t *testing.T) {
 	}
 }
 
-func TestAprioriMatchesFPGrowth(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		tx := randomTx(r)
-		minSup := 1 + r.Intn(4)
-		ap, err1 := Apriori(tx, Options{MinSupport: minSup})
-		fp, err2 := FPGrowth(tx, Options{MinSupport: minSup})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return patternsEqual(ap, fp)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFPCloseMatchesFilterClosed(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -193,15 +212,7 @@ func TestFPCloseMatchesFilterClosed(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		numItems := 0
-		for _, t := range tx {
-			for _, it := range t {
-				if int(it) >= numItems {
-					numItems = int(it) + 1
-				}
-			}
-		}
-		want := FilterClosed(all, numItems)
+		want := filterClosed(all)
 		got, err := FPClose(tx, Options{MinSupport: minSup})
 		if err != nil {
 			return false
@@ -220,7 +231,7 @@ func TestFPCloseClassicExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	all, _ := FPGrowth(tx, Options{MinSupport: 3})
-	want := FilterClosed(all, 16)
+	want := filterClosed(all)
 	if !patternsEqual(got, want) {
 		SortPatterns(got)
 		SortPatterns(want)
@@ -260,9 +271,6 @@ func TestPatternBudget(t *testing.T) {
 	if _, err := FPClose(tx, Options{MinSupport: 1, MaxPatterns: 3}); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("FPClose err = %v, want ErrPatternBudget", err)
 	}
-	if _, err := Apriori(tx, Options{MinSupport: 1, MaxPatterns: 3}); !errors.Is(err, ErrPatternBudget) {
-		t.Fatalf("Apriori err = %v, want ErrPatternBudget", err)
-	}
 }
 
 func TestOptionsValidation(t *testing.T) {
@@ -272,7 +280,7 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := FPClose(nil, Options{MinSupport: -1}); err == nil {
 		t.Fatal("negative MinSupport should error")
 	}
-	if _, err := Apriori(nil, Options{MinSupport: 1, MaxLen: -1}); err == nil {
+	if _, err := FPGrowth(nil, Options{MinSupport: 1, MaxLen: -1}); err == nil {
 		t.Fatal("negative MaxLen should error")
 	}
 }
@@ -333,7 +341,7 @@ func TestFilterClosedReference(t *testing.T) {
 		{Items: []int32{1}, Support: 4},
 		{Items: []int32{2}, Support: 3}, // same support as {0,1} but not subset
 	}
-	closed := FilterClosed(ps, 3)
+	closed := filterClosed(ps)
 	SortPatterns(closed)
 	if len(closed) != 3 {
 		t.Fatalf("closed = %v", closed)
@@ -383,7 +391,6 @@ func TestMiningDeadline(t *testing.T) {
 	for name, run := range map[string]func() error{
 		"fpgrowth": func() error { _, err := FPGrowth(tx, Options{MinSupport: 1, Deadline: past}); return err },
 		"fpclose":  func() error { _, err := FPClose(tx, Options{MinSupport: 1, Deadline: past}); return err },
-		"eclat":    func() error { _, err := Eclat(tx, Options{MinSupport: 1, Deadline: past}); return err },
 	} {
 		err := run()
 		// The classic example has fewer than checkEvery patterns, so the

@@ -1,9 +1,9 @@
 // Package mining implements the frequent-itemset miners the paper's
-// feature-generation step depends on: FP-Growth for all frequent
-// patterns, an FPClose-style closed-pattern miner (the paper uses
-// FPClose [Grahne & Zhu, FIMI'03] to generate closed patterns), and a
-// classic Apriori baseline. All miners consume transactions of dense
-// int32 item IDs as produced by dataset.Encode.
+// feature-generation step depends on: an FPClose-style closed-pattern
+// miner (the paper uses FPClose [Grahne & Zhu, FIMI'03] to generate
+// closed patterns) and FP-Growth for all frequent patterns, which the
+// closed-vs-all ablation compares against. Both consume transactions of
+// dense int32 item IDs as produced by dataset.Encode.
 package mining
 
 import (
@@ -78,8 +78,8 @@ type Options struct {
 	// exceeding it aborts the run with guard.ErrMemoryLimit.
 	MemLimit uint64
 	// Obs, when non-nil, receives mining vitals: patterns emitted,
-	// FP-tree nodes built, subsumption prunes, Eclat intersections,
-	// Apriori candidates. Nil disables recording at no cost.
+	// FP-tree nodes built, subsumption prunes, per-depth search-space
+	// counters. Nil disables recording at no cost.
 	Obs *obs.Observer
 	// Log, when non-nil, receives one structured DEBUG record per
 	// mining run (algorithm, min_sup, patterns found). Nil — the
@@ -100,7 +100,7 @@ func (o Options) hitEntry(algo string) error {
 	return nil
 }
 
-// logDone emits the run-completion record shared by the four miners.
+// logDone emits the run-completion record shared by both miners.
 func (o Options) logDone(algo string, patterns int, err error) {
 	if o.Log == nil {
 		return
@@ -180,68 +180,4 @@ func (m itemMask) subsetOf(o itemMask) bool {
 		}
 	}
 	return true
-}
-
-// FilterClosed returns only the closed patterns: those with no strict
-// superset of equal support. It is the reference implementation used to
-// validate FPClose and for small ad-hoc analyses; complexity is
-// quadratic within each support group.
-func FilterClosed(ps []Pattern, numItems int) []Pattern {
-	bySupport := map[int][]int{}
-	for i, p := range ps {
-		bySupport[p.Support] = append(bySupport[p.Support], i)
-	}
-	masks := make([]itemMask, len(ps))
-	for i, p := range ps {
-		masks[i] = maskOf(p.Items, numItems)
-	}
-	closed := make([]Pattern, 0, len(ps))
-	for _, group := range bySupport {
-		for _, i := range group {
-			isClosed := true
-			for _, j := range group {
-				if i == j || len(ps[j].Items) <= len(ps[i].Items) {
-					continue
-				}
-				if masks[i].subsetOf(masks[j]) {
-					isClosed = false
-					break
-				}
-			}
-			if isClosed {
-				closed = append(closed, ps[i])
-			}
-		}
-	}
-	return closed
-}
-
-// FilterMaximal returns only the maximal frequent patterns: those with
-// no frequent strict superset at all (regardless of support). The
-// maximal set is a subset of the closed set and gives the most compact
-// summary of the frequent-pattern border; it is provided for analyses
-// and ablations (the classification framework itself uses closed
-// patterns, which preserve supports exactly).
-func FilterMaximal(ps []Pattern, numItems int) []Pattern {
-	masks := make([]itemMask, len(ps))
-	for i, p := range ps {
-		masks[i] = maskOf(p.Items, numItems)
-	}
-	maximal := make([]Pattern, 0, len(ps))
-	for i, p := range ps {
-		isMax := true
-		for j, q := range ps {
-			if i == j || len(q.Items) <= len(p.Items) {
-				continue
-			}
-			if masks[i].subsetOf(masks[j]) {
-				isMax = false
-				break
-			}
-		}
-		if isMax {
-			maximal = append(maximal, p)
-		}
-	}
-	return maximal
 }

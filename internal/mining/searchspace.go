@@ -79,10 +79,6 @@ type searchSpace struct {
 	// subsumed counts candidates pruned by closed-pattern subsumption
 	// (FPClose only); their entire subtrees are skipped.
 	subsumed *depthCounters
-	// infrequent counts candidates pruned for failing min_sup (Eclat
-	// tid-list intersections below threshold, Apriori candidates with an
-	// infrequent subset or a failed support count).
-	infrequent *depthCounters
 	// budget counts candidates refused because MaxPatterns tripped.
 	budget *depthCounters
 }
@@ -95,7 +91,6 @@ func newSearchSpace(o *obs.Observer) searchSpace {
 		candidates: newDepthCounters(o, "candidates"),
 		emitted:    newDepthCounters(o, "emitted"),
 		subsumed:   newDepthCounters(o, "pruned_subsumed"),
-		infrequent: newDepthCounters(o, "pruned_infrequent"),
 		budget:     newDepthCounters(o, "pruned_budget"),
 	}
 }

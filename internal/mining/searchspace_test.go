@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -39,8 +40,6 @@ func TestSearchSpaceCountersPerMiner(t *testing.T) {
 	}{
 		{"fpclose", FPClose},
 		{"fpgrowth", FPGrowth},
-		{"eclat", Eclat},
-		{"apriori", Apriori},
 	}
 	tx := classicTx()
 	for _, m := range miners {
@@ -83,35 +82,35 @@ func TestSearchSpaceCountersPerMiner(t *testing.T) {
 	}
 }
 
-// TestSearchSpacePruneCounters: a tight MaxLen forces depth pruning to
-// be visible, and apriori's subset check must record its own counter.
+// TestSearchSpacePruneCounters: FPClose's subsumption prune must be
+// visible on the classic dataset, and a pattern budget must record the
+// candidates it refused.
 func TestSearchSpacePruneCounters(t *testing.T) {
 	tx := classicTx()
 	o := obs.New()
-	if _, err := Apriori(tx, Options{MinSupport: 2, Obs: o}); err != nil {
+	if _, err := FPClose(tx, Options{MinSupport: 2, Obs: o}); err != nil {
 		t.Fatal(err)
 	}
-	r := o.Report("apriori")
-	pruned, _ := sumDepthCounters(r.Counters, "pruned_infrequent")
-	if pruned == 0 {
-		t.Fatal("apriori recorded no infrequent prunes on the classic dataset")
+	r := o.Report("fpclose")
+	if sub, _ := sumDepthCounters(r.Counters, "pruned_subsumed"); sub == 0 {
+		t.Fatal("fpclose recorded no subsumption prunes on the classic dataset")
 	}
 
 	o2 := obs.New()
-	if _, err := FPClose(tx, Options{MinSupport: 2, Obs: o2}); err != nil {
-		t.Fatal(err)
+	if _, err := FPGrowth(tx, Options{MinSupport: 1, MaxPatterns: 3, Obs: o2}); !errors.Is(err, ErrPatternBudget) {
+		t.Fatalf("err = %v, want ErrPatternBudget", err)
 	}
-	r2 := o2.Report("fpclose")
-	if sub, _ := sumDepthCounters(r2.Counters, "pruned_subsumed"); sub == 0 {
-		t.Fatal("fpclose recorded no subsumption prunes on the classic dataset")
+	r2 := o2.Report("fpgrowth")
+	if refused, _ := sumDepthCounters(r2.Counters, "pruned_budget"); refused == 0 {
+		t.Fatal("fpgrowth recorded no budget prunes after tripping MaxPatterns")
 	}
 }
 
-// TestSearchSpaceNilObserver: all four miners with no observer must
+// TestSearchSpaceNilObserver: both miners with no observer must
 // neither panic nor change their output.
 func TestSearchSpaceNilObserver(t *testing.T) {
 	tx := classicTx()
-	for _, run := range []func([][]int32, Options) ([]Pattern, error){FPClose, FPGrowth, Eclat, Apriori} {
+	for _, run := range []func([][]int32, Options) ([]Pattern, error){FPClose, FPGrowth} {
 		withObs, err := run(tx, Options{MinSupport: 2, MaxLen: 4, Obs: obs.New()})
 		if err != nil {
 			t.Fatal(err)
