@@ -196,9 +196,9 @@ func main() {
 	qr := measures.NewQualityRecorder(o, b.ClassMasks)
 	rows := make([]scored, len(ps))
 	for i, p := range ps {
-		cover := b.Cover(p.Items)
+		cover := p.Cover()
 		ig := measures.InfoGain(cover, b.ClassMasks)
-		qr.Observe(ig, cover.Count(), p.Len())
+		qr.Observe(ig, p.Support, p.Len())
 		rows[i] = scored{
 			p:  p,
 			ig: ig,

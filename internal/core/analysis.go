@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dfpc/internal/bitset"
 	"dfpc/internal/dataset"
 	"dfpc/internal/discretize"
 	"dfpc/internal/measures"
@@ -78,8 +79,7 @@ func AnalyzePatterns(d *dataset.Dataset, opt AnalyzeOptions) ([]PatternStat, *da
 
 	n := float64(b.NumRows())
 	var stats []PatternStat
-	add := func(items []int32) {
-		cover := b.Cover(items)
+	add := func(items []int32, cover *bitset.Bitset) {
 		sup := cover.Count()
 		stats = append(stats, PatternStat{
 			Items:      items,
@@ -92,11 +92,11 @@ func AnalyzePatterns(d *dataset.Dataset, opt AnalyzeOptions) ([]PatternStat, *da
 	}
 	if opt.IncludeSingles {
 		for i := 0; i < b.NumItems(); i++ {
-			add([]int32{int32(i)})
+			add([]int32{int32(i)}, b.Columns[i])
 		}
 	}
 	for _, p := range mined {
-		add(p.Items)
+		add(p.Items, p.Cover())
 	}
 	return stats, b, nil
 }

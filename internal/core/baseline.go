@@ -43,7 +43,7 @@ func (p *Pipeline) computeBaseline(b *dataset.Binary, x [][]int32) {
 	if len(p.patterns) > 0 {
 		cands := make([]featsel.Candidate, len(p.patterns))
 		for i, pt := range p.patterns {
-			cands[i] = featsel.Candidate{Items: pt.Items, Cover: b.Cover(pt.Items)}
+			cands[i] = featsel.Candidate{Items: pt.Items, Cover: pt.Cover()}
 		}
 		bl.FireRate = featsel.FireRates(cands, n)
 	}
@@ -82,4 +82,3 @@ func (p *Pipeline) computeBaseline(b *dataset.Binary, x [][]int32) {
 		o.Gauge("baseline.low_conf_rate").Set(bl.LowConfRate)
 	}
 }
-

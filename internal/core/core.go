@@ -427,6 +427,9 @@ func (p *Pipeline) FitContext(ctx context.Context, d *dataset.Dataset, rows []in
 	o.Gauge("parallel.workers").Set(float64(p.cfg.Workers.Resolve()))
 	fit := o.Start("fit").Attr("rows", len(rows)).Attr("learner", p.cfg.Learner)
 	defer fit.End()
+	// The mined coverage bitmaps serve selection, the report, and the
+	// baseline; they are training-row state, not model state.
+	defer func() { mining.ReleaseCovers(p.patterns) }()
 	train := d.Subset(rows)
 
 	sp := o.Start("discretize")
@@ -541,8 +544,7 @@ func (p *Pipeline) buildReport(b *dataset.Binary) {
 	n := float64(b.NumRows())
 	p.report = make([]FeatureReport, 0, len(p.patterns))
 	for _, pt := range p.patterns {
-		cover := b.Cover(pt.Items)
-		sup := cover.Count()
+		cover, sup := pt.Cover(), pt.Support
 		best, bestCount := 0, 0
 		for c, mask := range b.ClassMasks {
 			if hits := cover.AndCount(mask); hits > bestCount {
@@ -789,8 +791,7 @@ func (p *Pipeline) generatePatterns(ctx context.Context, b *dataset.Binary) erro
 		qs := o.Start("score-space").Attr("patterns", len(mined))
 		rec := measures.NewQualityRecorder(o, b.ClassMasks)
 		for _, pt := range mined {
-			cover := b.Cover(pt.Items)
-			rec.Observe(measures.InfoGain(cover, b.ClassMasks), cover.Count(), pt.Len())
+			rec.Observe(measures.InfoGain(pt.Cover(), b.ClassMasks), pt.Support, pt.Len())
 		}
 		qs.End()
 	}
@@ -807,7 +808,7 @@ func (p *Pipeline) generatePatterns(ctx context.Context, b *dataset.Binary) erro
 	sp = o.Start("select").Attr("candidates", len(mined))
 	cands := make([]featsel.Candidate, len(mined))
 	for i, pt := range mined {
-		cands[i] = featsel.Candidate{Items: pt.Items, Cover: b.Cover(pt.Items)}
+		cands[i] = featsel.Candidate{Items: pt.Items, Cover: pt.Cover()}
 	}
 	res, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{
 		Relevance: p.cfg.Relevance,

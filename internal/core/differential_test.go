@@ -81,9 +81,11 @@ func assertCompiledMatchesNaive(t *testing.T, p *Pipeline, d *dataset.Dataset) {
 	}
 }
 
-// TestDifferentialBundledDatasets fits the full pipeline on bundled
-// UCI stand-ins and checks compiled-vs-naive equivalence over every
-// row the model can be asked to score.
+// TestDifferentialBundledDatasets fits the full pipeline (Pat_FS and
+// Pat_All) on bundled UCI stand-ins and checks compiled-vs-naive
+// equivalence over every row the model can be asked to score. It also
+// checks that Fit released the mined coverage bitmaps: they are
+// training-row state, not model state.
 func TestDifferentialBundledDatasets(t *testing.T) {
 	for _, name := range []string{"austral", "breast", "zoo"} {
 		t.Run(name, func(t *testing.T) {
@@ -91,14 +93,20 @@ func TestDifferentialBundledDatasets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := NewPatFS(SVMLinear, 0.15)
-			if err := p.Fit(d, allRows(d.NumRows())); err != nil {
-				t.Fatal(err)
+			for _, p := range []*Pipeline{NewPatFS(SVMLinear, 0.15), NewPatAll(SVMLinear, 0.3)} {
+				if err := p.Fit(d, allRows(d.NumRows())); err != nil {
+					t.Fatal(err)
+				}
+				if len(p.patterns) == 0 {
+					t.Fatal("no patterns selected; differential test would be vacuous")
+				}
+				for _, pt := range p.patterns {
+					if pt.Cover() != nil {
+						t.Fatalf("pattern %v still holds its coverage bitmap after Fit", pt.Items)
+					}
+				}
+				assertCompiledMatchesNaive(t, p, d)
 			}
-			if len(p.patterns) == 0 {
-				t.Fatal("no patterns selected; differential test would be vacuous")
-			}
-			assertCompiledMatchesNaive(t, p, d)
 		})
 	}
 }

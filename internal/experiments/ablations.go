@@ -20,6 +20,7 @@ type AblationRow struct {
 	Variant  string
 	Features int     // pattern pool / selected features, variant-specific
 	Accuracy float64 // percent
+	Pool     int     // mined pattern pool of the last CV fold
 }
 
 // WriteAblation renders an ablation result set.
@@ -29,6 +30,17 @@ func WriteAblation(w io.Writer, title string, rows []AblationRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %-28s %9d %9.2f\n", r.Dataset, r.Variant, r.Features, r.Accuracy)
 	}
+}
+
+// runPatFS cross-validates core Pat_FS, the reference row of the
+// pool-kind and selector ablations.
+func runPatFS(d *dataset.Dataset, minSup float64, folds int) (*core.Pipeline, *eval.CVResult, error) {
+	p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: minSup, Coverage: 3}.withDefaults())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := eval.CrossValidate(p, d, folds, Seed)
+	return p, res, err
 }
 
 // RunAblationClosedVsAll compares closed patterns against all frequent
@@ -43,110 +55,21 @@ func RunAblationClosedVsAll(name string, minSup float64, folds int) ([]AblationR
 	if folds <= 0 {
 		folds = 5
 	}
-	var rows []AblationRow
-	for _, closed := range []bool{true, false} {
-		variant := "closed (FPClose)"
-		if !closed {
-			variant = "all frequent (FPGrowth)"
-		}
-		p := &poolPipeline{minSup: minSup, closed: closed, coverage: 3}
-		res, err := eval.CrossValidate(p, d, folds, Seed)
-		if err != nil {
-			return rows, fmt.Errorf("closed-vs-all %s/%s: %w", name, variant, err)
-		}
-		rows = append(rows, AblationRow{Dataset: name, Variant: variant, Features: p.lastPool, Accuracy: 100 * res.Mean})
+	const closed = "closed (FPClose)"
+	ref, res, err := runPatFS(d, minSup, folds)
+	if err != nil {
+		return nil, fmt.Errorf("closed-vs-all %s/%s: %w", name, closed, err)
 	}
-	return rows, nil
-}
+	pool := ref.Stats.MinedCount
+	rows := []AblationRow{{Dataset: name, Variant: closed, Features: pool, Accuracy: 100 * res.Mean, Pool: pool}}
 
-// poolPipeline is a Pat_FS pipeline variant exposing the pool kind
-// (closed vs. all) — used only by the ablation.
-type poolPipeline struct {
-	minSup   float64
-	closed   bool
-	coverage int
-
-	disc     *discretize.Discretizer
-	numItems int
-	patterns []mining.Pattern
-	model    *svm.Model
-	lastPool int
-}
-
-func (p *poolPipeline) Fit(d *dataset.Dataset, rows []int) error {
-	train := d.Subset(rows)
-	var err error
-	p.disc, err = discretize.Fit(train, discretize.Options{})
+	const all = "all frequent (FPGrowth)"
+	v := &variantPipeline{minSup: minSup, allFrequent: true}
+	res, err = eval.CrossValidate(v, d, folds, Seed)
 	if err != nil {
-		return err
+		return rows, fmt.Errorf("closed-vs-all %s/%s: %w", name, all, err)
 	}
-	cat, err := p.disc.Apply(train)
-	if err != nil {
-		return err
-	}
-	b, err := dataset.Encode(cat)
-	if err != nil {
-		return err
-	}
-	p.numItems = b.NumItems()
-	mined, err := mining.MinePerClass(b, mining.PerClassOptions{
-		MinSupport:  p.minSup,
-		Closed:      p.closed,
-		MaxPatterns: 2_000_000,
-		MaxLen:      5,
-		MinLen:      2,
-	})
-	if err != nil {
-		return err
-	}
-	p.lastPool = len(mined)
-	cands := make([]featsel.Candidate, len(mined))
-	for i, pt := range mined {
-		cands[i] = featsel.Candidate{Items: pt.Items, Cover: b.Cover(pt.Items)}
-	}
-	sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: p.coverage})
-	if err != nil {
-		return err
-	}
-	p.patterns = make([]mining.Pattern, len(sel.Selected))
-	for i, idx := range sel.Selected {
-		p.patterns[i] = mined[idx]
-	}
-	mining.SortPatterns(p.patterns)
-
-	x := make([][]int32, b.NumRows())
-	for i := range x {
-		x[i] = p.fv(b.Rows[i])
-	}
-	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(p.patterns)})
-	return err
-}
-
-func (p *poolPipeline) fv(tx []int32) []int32 {
-	out := make([]int32, 0, len(tx)+len(p.patterns))
-	out = append(out, tx...)
-	for j := range p.patterns {
-		if patternMatches(tx, p.patterns[j].Items) {
-			out = append(out, int32(p.numItems+j))
-		}
-	}
-	return out
-}
-
-func (p *poolPipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	cat, err := p.disc.Apply(d.Subset(rows))
-	if err != nil {
-		return nil, err
-	}
-	b, err := dataset.Encode(cat)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(rows))
-	for i := range rows {
-		out[i] = p.model.Predict(p.fv(b.Rows[i]))
-	}
-	return out, nil
+	return append(rows, AblationRow{Dataset: name, Variant: all, Features: v.pool, Accuracy: 100 * res.Mean, Pool: v.pool}), nil
 }
 
 // RunAblationRedundancy compares MMRFS against pure relevance top-k
@@ -162,69 +85,79 @@ func RunAblationRedundancy(name string, minSup float64, folds int) ([]AblationRo
 	}
 	// First, find how many features MMRFS selects so top-k gets the
 	// same budget.
-	mmrfs, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: minSup, Coverage: 3}.withDefaults())
-	if err != nil {
-		return nil, fmt.Errorf("redundancy ablation %s: %w", name, err)
-	}
-	res, err := eval.CrossValidate(mmrfs, d, folds, Seed)
+	ref, res, err := runPatFS(d, minSup, folds)
 	if err != nil {
 		return nil, fmt.Errorf("redundancy ablation %s mmrfs: %w", name, err)
 	}
-	rows := []AblationRow{{Dataset: name, Variant: "MMRFS (relevance+redundancy)", Features: mmrfs.Stats.FeatureCount, Accuracy: 100 * res.Mean}}
+	rows := []AblationRow{{Dataset: name, Variant: "MMRFS (relevance+redundancy)",
+		Features: ref.Stats.FeatureCount, Accuracy: 100 * res.Mean, Pool: ref.Stats.MinedCount}}
 
-	topk := &topKPipeline{minSup: minSup, k: mmrfs.Stats.FeatureCount}
-	res2, err := eval.CrossValidate(topk, d, folds, Seed)
+	v := &variantPipeline{minSup: minSup, topK: ref.Stats.FeatureCount}
+	res, err = eval.CrossValidate(v, d, folds, Seed)
 	if err != nil {
 		return rows, fmt.Errorf("redundancy ablation %s topk: %w", name, err)
 	}
-	rows = append(rows, AblationRow{Dataset: name, Variant: "top-k relevance only", Features: topk.k, Accuracy: 100 * res2.Mean})
-	return rows, nil
+	return append(rows, AblationRow{Dataset: name, Variant: "top-k relevance only",
+		Features: v.topK, Accuracy: 100 * res.Mean, Pool: v.pool}), nil
 }
 
-// topKPipeline is Pat_FS with plain top-k information-gain selection
-// instead of MMRFS.
-type topKPipeline struct {
-	minSup float64
-	k      int
+// variantPipeline is core Pat_FS with one stage swapped: allFrequent
+// mines all frequent patterns (FPGrowth) instead of the closed ones,
+// and topK > 0 keeps the topK most informative patterns instead of
+// running MMRFS. Everything else is core's default: entropy-MDL
+// discretization, the full item space, patterns of length 2..6 under a
+// 2,000,000-pattern budget, δ = 3, and a linear SVM with C = 1.
+type variantPipeline struct {
+	minSup      float64
+	allFrequent bool
+	topK        int
 
 	disc     *discretize.Discretizer
 	numItems int
 	patterns []mining.Pattern
 	model    *svm.Model
+	pool     int // mined pool size of the last Fit
 }
 
-func (p *topKPipeline) Fit(d *dataset.Dataset, rows []int) error {
+func (p *variantPipeline) Fit(d *dataset.Dataset, rows []int) error {
 	train := d.Subset(rows)
 	var err error
 	p.disc, err = discretize.Fit(train, discretize.Options{})
 	if err != nil {
 		return err
 	}
-	cat, err := p.disc.Apply(train)
-	if err != nil {
-		return err
-	}
-	b, err := dataset.Encode(cat)
+	b, err := p.encode(train)
 	if err != nil {
 		return err
 	}
 	p.numItems = b.NumItems()
 	mined, err := mining.MinePerClass(b, mining.PerClassOptions{
-		MinSupport: p.minSup, Closed: true, MaxPatterns: 2_000_000, MaxLen: 5, MinLen: 2,
+		MinSupport:  p.minSup,
+		Closed:      !p.allFrequent,
+		MaxPatterns: 2_000_000,
+		MaxLen:      6,
+		MinLen:      2,
 	})
 	if err != nil {
 		return err
 	}
+	p.pool = len(mined)
 	cands := make([]featsel.Candidate, len(mined))
 	for i, pt := range mined {
-		cands[i] = featsel.Candidate{Items: pt.Items, Cover: b.Cover(pt.Items)}
+		cands[i] = featsel.Candidate{Items: pt.Items, Cover: pt.Cover()}
 	}
-	sel := featsel.TopK(cands, b.ClassMasks, featsel.InfoGain, p.k)
+	var sel *featsel.Result
+	if p.topK > 0 {
+		sel = featsel.TopK(cands, b.ClassMasks, featsel.InfoGain, p.topK)
+	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3}); err != nil {
+		return err
+	}
 	p.patterns = make([]mining.Pattern, len(sel.Selected))
 	for i, idx := range sel.Selected {
 		p.patterns[i] = mined[idx]
 	}
 	mining.SortPatterns(p.patterns)
+	mining.ReleaseCovers(p.patterns)
 
 	x := make([][]int32, b.NumRows())
 	for i := range x {
@@ -234,7 +167,15 @@ func (p *topKPipeline) Fit(d *dataset.Dataset, rows []int) error {
 	return err
 }
 
-func (p *topKPipeline) fv(tx []int32) []int32 {
+func (p *variantPipeline) encode(d *dataset.Dataset) (*dataset.Binary, error) {
+	cat, err := p.disc.Apply(d)
+	if err != nil {
+		return nil, err
+	}
+	return dataset.Encode(cat)
+}
+
+func (p *variantPipeline) fv(tx []int32) []int32 {
 	out := make([]int32, 0, len(tx)+len(p.patterns))
 	out = append(out, tx...)
 	for j := range p.patterns {
@@ -245,12 +186,8 @@ func (p *topKPipeline) fv(tx []int32) []int32 {
 	return out
 }
 
-func (p *topKPipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	cat, err := p.disc.Apply(d.Subset(rows))
-	if err != nil {
-		return nil, err
-	}
-	b, err := dataset.Encode(cat)
+func (p *variantPipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
+	b, err := p.encode(d.Subset(rows))
 	if err != nil {
 		return nil, err
 	}

@@ -216,6 +216,20 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
+// The redundancy ablation isolates the selector, so its MMRFS and
+// top-k rows must select from the same mined pool. heart at 0.2 mines
+// patterns longer than five items, so a shorter length cap on either
+// row shows up as a pool mismatch.
+func TestAblationRedundancySamePool(t *testing.T) {
+	rows, err := RunAblationRedundancy("heart", 0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].Pool == 0 || rows[0].Pool != rows[1].Pool {
+		t.Fatalf("mined pools differ: %s %d vs %s %d", rows[0].Variant, rows[0].Pool, rows[1].Variant, rows[1].Pool)
+	}
+}
+
 func TestCSVEmitters(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Table1CSV(&buf, []Table1Row{{Dataset: "x", ItemAll: 80, PatFS: 90}}); err != nil {

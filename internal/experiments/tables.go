@@ -388,7 +388,7 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 
 		cands := make([]featsel.Candidate, len(mined))
 		for i, pt := range mined {
-			cands[i] = featsel.Candidate{Items: pt.Items, Cover: b.Cover(pt.Items)}
+			cands[i] = featsel.Candidate{Items: pt.Items, Cover: pt.Cover()}
 		}
 		sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: cfg.Coverage})
 		if err != nil {

@@ -470,9 +470,10 @@ func TopK(cands []Candidate, classMasks []*bitset.Bitset, rel Relevance, k int) 
 
 // FireRates returns, per candidate, the fraction of the n training
 // rows its coverage bitset fires on. This is the fit-time reference
-// the modelobs drift layer compares live pattern fire rates against:
-// computed from the same coverage bitmaps MMRFS selected on, so the
-// baseline costs no extra pass over the data.
+// the modelobs drift layer compares live pattern fire rates against.
+// core passes the coverage bitmaps mining.MinePerClass built once per
+// pattern (the ones MMRFS selected on), so the baseline costs no extra
+// pass over the data.
 func FireRates(cands []Candidate, n int) []float64 {
 	out := make([]float64, len(cands))
 	if n <= 0 {

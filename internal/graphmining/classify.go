@@ -1,18 +1,16 @@
 package graphmining
 
 import (
-	"fmt"
+	"errors"
 
-	"dfpc/internal/bitset"
-	"dfpc/internal/featsel"
-	"dfpc/internal/svm"
+	"dfpc/internal/patclass"
 )
 
 // Classifier applies the paper's framework to graph data (the setting
 // of its reference [7]): frequent connected subgraphs are mined per
 // class, MMRFS selects the discriminative ones, and an SVM is trained
 // on binary presence features (single vertex labels plus selected
-// subgraphs).
+// subgraphs). The loop itself is patclass.Fit.
 type Classifier struct {
 	// MinSupport is the relative per-class mining support (default 0.2).
 	MinSupport float64
@@ -25,10 +23,7 @@ type Classifier struct {
 	// SVMC is the soft-margin penalty (default 1).
 	SVMC float64
 
-	numVertexLabels int
-	numClasses      int
-	patterns        []Pattern
-	model           *svm.Model
+	model *patclass.Model[*Graph, Pattern]
 
 	// Stats from the last Fit.
 	MinedCount    int
@@ -54,151 +49,48 @@ func (c *Classifier) withDefaults() {
 }
 
 // Fit trains on the graph database with labels y in [0, numClasses).
+// Single-edge patterns stay in the pool: they correlate with the
+// vertex-label features but are the graph analogue of length-2
+// itemsets.
 func (c *Classifier) Fit(db []*Graph, y []int, numClasses int) error {
-	if len(db) == 0 {
-		return fmt.Errorf("graphmining: empty training set")
-	}
-	if len(db) != len(y) {
-		return fmt.Errorf("graphmining: %d graphs, %d labels", len(db), len(y))
-	}
-	if numClasses < 1 {
-		return fmt.Errorf("graphmining: numClasses = %d", numClasses)
-	}
 	c.withDefaults()
-	c.numClasses = numClasses
-	c.numVertexLabels = 0
-	for _, g := range db {
-		for _, l := range g.VertexLabels {
-			if int(l) >= c.numVertexLabels {
-				c.numVertexLabels = int(l) + 1
-			}
-		}
-	}
-
-	byClass := make([][]*Graph, numClasses)
-	for i, g := range db {
-		if y[i] < 0 || y[i] >= numClasses {
-			return fmt.Errorf("graphmining: label %d out of range [0,%d)", y[i], numClasses)
-		}
-		byClass[y[i]] = append(byClass[y[i]], g)
-	}
-	seen := map[string]bool{}
-	var pool []Pattern
-	for cl := 0; cl < numClasses; cl++ {
-		if len(byClass[cl]) == 0 {
-			continue
-		}
-		abs := int(c.MinSupport*float64(len(byClass[cl])) + 0.5)
-		if abs < 1 {
-			abs = 1
-		}
-		ps, err := Mine(byClass[cl], Options{
-			MinSupport:  abs,
-			MaxEdges:    c.MaxEdges,
-			MaxPatterns: c.MaxPatterns - len(pool),
-		})
-		if err != nil {
-			return fmt.Errorf("graphmining: class %d: %w", cl, err)
-		}
-		for i := range ps {
-			// Single edges already correlate heavily with vertex-label
-			// features; keep them anyway (they are the graph analogue of
-			// length-2 itemsets) but dedupe across classes.
-			if seen[ps[i].Key()] {
-				continue
-			}
-			seen[ps[i].Key()] = true
-			pool = append(pool, ps[i])
-		}
-	}
-	c.MinedCount = len(pool)
-
-	classMasks := make([]*bitset.Bitset, numClasses)
-	for cl := range classMasks {
-		classMasks[cl] = bitset.New(len(db))
-	}
-	for i, yi := range y {
-		classMasks[yi].Set(i)
-	}
-	cands := make([]featsel.Candidate, len(pool))
-	for i := range pool {
-		cov := bitset.New(len(db))
-		for gi, g := range db {
-			if ContainsSubgraph(g, pool[i].Graph) {
-				cov.Set(gi)
-			}
-		}
-		cands[i] = featsel.Candidate{Cover: cov}
-	}
-	sel, err := featsel.MMRFS(cands, classMasks, y, featsel.Options{Coverage: c.Coverage})
+	m, err := patclass.Fit(patclass.Hooks[*Graph, Pattern]{
+		Name: "graphmining",
+		Mine: func(db []*Graph, minSup, maxPatterns int) ([]Pattern, error) {
+			return Mine(db, Options{MinSupport: minSup, MaxEdges: c.MaxEdges, MaxPatterns: maxPatterns})
+		},
+		Key:      (*Pattern).Key,
+		Contains: func(g *Graph, p *Pattern) bool { return ContainsSubgraph(g, p.Graph) },
+		Labels:   func(g *Graph) []int32 { return g.VertexLabels },
+		Sort:     SortPatterns,
+	}, db, y, numClasses, patclass.Params{
+		MinSupport: c.MinSupport, Coverage: c.Coverage, MaxPatterns: c.MaxPatterns, SVMC: c.SVMC,
+	})
+	c.model = m
 	if err != nil {
 		return err
 	}
-	c.patterns = make([]Pattern, len(sel.Selected))
-	for i, idx := range sel.Selected {
-		c.patterns[i] = pool[idx]
-	}
-	SortPatterns(c.patterns)
-	c.SelectedCount = len(c.patterns)
-
-	x := make([][]int32, len(db))
-	for i, g := range db {
-		x[i] = c.featureVector(g)
-	}
-	c.model, err = svm.Train(x, y, numClasses, svm.Config{
-		C:           c.SVMC,
-		NumFeatures: c.numVertexLabels + len(c.patterns),
-	})
-	return err
-}
-
-// featureVector encodes a graph as sorted binary features: vertex
-// labels present, then matched subgraph patterns.
-func (c *Classifier) featureVector(g *Graph) []int32 {
-	present := make([]bool, c.numVertexLabels)
-	for _, l := range g.VertexLabels {
-		if int(l) < c.numVertexLabels {
-			present[l] = true
-		}
-	}
-	out := make([]int32, 0, len(present)+len(c.patterns))
-	for l := 0; l < c.numVertexLabels; l++ {
-		if present[l] {
-			out = append(out, int32(l))
-		}
-	}
-	for j := range c.patterns {
-		if ContainsSubgraph(g, c.patterns[j].Graph) {
-			out = append(out, int32(c.numVertexLabels+j))
-		}
-	}
-	return out
+	c.MinedCount, c.SelectedCount = m.Mined, len(m.Patterns())
+	return nil
 }
 
 // Patterns returns the selected subgraph features.
-func (c *Classifier) Patterns() []Pattern {
-	out := make([]Pattern, len(c.patterns))
-	copy(out, c.patterns)
-	return out
-}
+func (c *Classifier) Patterns() []Pattern { return c.model.Patterns() }
+
+var errNotFitted = errors.New("graphmining: Predict before Fit")
 
 // Predict classifies one graph.
 func (c *Classifier) Predict(g *Graph) (int, error) {
 	if c.model == nil {
-		return 0, fmt.Errorf("graphmining: Predict before Fit")
+		return 0, errNotFitted
 	}
-	return c.model.Predict(c.featureVector(g)), nil
+	return c.model.Predict(g), nil
 }
 
 // PredictAll classifies every graph.
 func (c *Classifier) PredictAll(db []*Graph) ([]int, error) {
-	out := make([]int, len(db))
-	for i, g := range db {
-		y, err := c.Predict(g)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = y
+	if c.model == nil {
+		return nil, errNotFitted
 	}
-	return out, nil
+	return c.model.PredictAll(db), nil
 }

@@ -2,6 +2,7 @@ package graphmining
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -261,4 +262,35 @@ func TestGraphClassifierErrors(t *testing.T) {
 	if _, err := (&Classifier{}).Predict(path([]int32{0, 1}, 0)); err == nil {
 		t.Fatal("Predict before Fit should error")
 	}
+	db, y := graphDataset(20, 1)
+	if err := (&Classifier{MaxPatterns: 2}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+		t.Fatalf("tiny MaxPatterns: err = %v, want ErrPatternBudget", err)
+	}
+}
+
+func ExampleClassifier() {
+	db, y := graphDataset(48, 11)
+	clf := &Classifier{MinSupport: 0.5, MaxEdges: 3}
+	if err := clf.Fit(db[:36], y[:36], 2); err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("mined:", clf.MinedCount, "selected:", clf.SelectedCount)
+	for _, p := range clf.Patterns() {
+		fmt.Println(p.Graph.VertexLabels, p.Graph.Edges, p.Support)
+	}
+	pred, err := clf.PredictAll(db[36:])
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("holdout:", pred)
+	fmt.Println("labels: ", y[36:])
+	// Output:
+	// mined: 7 selected: 3
+	// [1 2] [{0 1 0}] 18
+	// [1 3] [{0 1 0}] 18
+	// [2 3] [{0 1 0}] 18
+	// holdout: [0 1 0 1 0 1 0 1 0 1 0 1]
+	// labels:  [0 1 0 1 0 1 0 1 0 1 0 1]
 }

@@ -44,6 +44,8 @@ func TestPerClassCheckpointResume(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: resumed %d patterns, want %d", workers, len(got), len(want))
 		}
+		// Checkpoints carry no covers; the merge rebuilds them.
+		checkCovers(t, b, got)
 		for i := range got {
 			if got[i].Key() != want[i].Key() || got[i].Support != want[i].Support {
 				t.Fatalf("workers=%d: pattern %d = %v, want %v", workers, i, got[i], want[i])

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"dfpc/internal/bitset"
 	"dfpc/internal/faults"
 	"dfpc/internal/guard"
 	"dfpc/internal/obs"
@@ -37,6 +38,26 @@ var ErrDeadline = guard.ErrDeadline
 type Pattern struct {
 	Items   []int32 // sorted ascending
 	Support int
+
+	// cover is the row-coverage bitmap MinePerClass's merge builds to
+	// count the global support. Unexported, so gob skips it: snapshots
+	// and checkpoints never carry training-row state.
+	cover *bitset.Bitset
+}
+
+// Cover returns the pattern's coverage bitmap over the rows of the
+// dataset MinePerClass mined it from (bit r set iff row r contains
+// every item; Count() == Support). It is nil for patterns that did not
+// come out of MinePerClass and after ReleaseCovers. Callers must treat
+// it as read-only: the bitmap is shared by every copy of the pattern.
+func (p Pattern) Cover() *bitset.Bitset { return p.cover }
+
+// ReleaseCovers drops the coverage bitmaps of ps in place, for callers
+// that keep patterns past the training data they were mined from.
+func ReleaseCovers(ps []Pattern) {
+	for i := range ps {
+		ps[i].cover = nil
+	}
 }
 
 // Len returns the number of items in the pattern.

@@ -86,10 +86,11 @@ type PartitionCheckpoint interface {
 
 // MinePerClass partitions the binary dataset by class, mines each
 // partition with the relative min_sup, and returns the deduplicated
-// union F of the per-class pattern sets. Each returned pattern's
-// Support is recomputed as its global absolute support over all of b
-// (per-class supports are recoverable through b.Cover and b.ClassMasks,
-// which is how the measures package consumes them).
+// union F of the per-class pattern sets. The merge builds each union
+// pattern's coverage bitmap over all of b once and keeps it on the
+// pattern (Pattern.Cover): Support is its count, the global absolute
+// support, and per-class supports are its intersections with
+// b.ClassMasks, which is how the measures package and MMRFS consume it.
 //
 // With Workers > 1 the class partitions mine concurrently. The miners
 // enumerate in a deterministic order and a capped run is an exact
@@ -180,7 +181,7 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 	dedupDropped := opt.Obs.Counter("mine.dedup_dropped")
 	minlenDropped := opt.Obs.Counter("mine.minlen_dropped")
 	// absorb filters one class's raw pattern stream (min-len, dedup,
-	// global-support recompute) into the union, in stream order.
+	// global coverage and support) into the union, in stream order.
 	absorb := func(ps []Pattern) {
 		for _, p := range ps {
 			if opt.MinLen > 1 && p.Len() < opt.MinLen {
@@ -193,8 +194,8 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 				continue
 			}
 			seen[key] = true
-			// Recompute global support over the full dataset.
-			p.Support = b.Cover(p.Items).Count()
+			p.cover = b.Cover(p.Items)
+			p.Support = p.cover.Count()
 			union = append(union, p)
 		}
 	}

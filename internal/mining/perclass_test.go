@@ -90,17 +90,29 @@ func TestMinePerClassDedupes(t *testing.T) {
 	}
 }
 
+// checkCovers is the coverage oracle: every pattern MinePerClass
+// returns carries its coverage bitmap over b, equal bit for bit to a
+// fresh b.Cover of its items, with Count() == Support.
+func checkCovers(t *testing.T, b *dataset.Binary, ps []Pattern) {
+	t.Helper()
+	for _, p := range ps {
+		cov := p.Cover()
+		if cov == nil || !cov.Equal(b.Cover(p.Items)) {
+			t.Fatalf("pattern %v: cover %v, want b.Cover(items)", p.Items, cov)
+		}
+		if got := cov.Count(); got != p.Support {
+			t.Fatalf("pattern %v: support %d, cover says %d", p.Items, p.Support, got)
+		}
+	}
+}
+
 func TestMinePerClassGlobalSupport(t *testing.T) {
 	b := twoClassDS()
 	ps, err := MinePerClass(b, PerClassOptions{MinSupport: 0.5, Closed: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ps {
-		if got := b.Cover(p.Items).Count(); got != p.Support {
-			t.Fatalf("pattern %v: support %d, cover says %d", p.Items, p.Support, got)
-		}
-	}
+	checkCovers(t, b, ps)
 }
 
 func TestMinePerClassBadMinSup(t *testing.T) {
@@ -114,10 +126,15 @@ func TestMinePerClassBadMinSup(t *testing.T) {
 
 func TestMinePerClassBudget(t *testing.T) {
 	b := twoClassDS()
-	_, err := MinePerClass(b, PerClassOptions{MinSupport: 0.1, Closed: false, MaxPatterns: 2})
+	ps, err := MinePerClass(b, PerClassOptions{MinSupport: 0.1, Closed: false, MaxPatterns: 2})
 	if !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("err = %v, want ErrPatternBudget", err)
 	}
+	// The budget-truncated union still carries its covers.
+	if len(ps) != 2 {
+		t.Fatalf("truncated union has %d patterns, want 2", len(ps))
+	}
+	checkCovers(t, b, ps)
 }
 
 // patternKeys renders a union as an ordered signature for equality
@@ -139,6 +156,7 @@ func TestMinePerClassParallelDeterminism(t *testing.T) {
 		base, baseErr := MinePerClass(b, PerClassOptions{
 			MinSupport: 0.1, Closed: false, MinLen: 2, MaxPatterns: budget,
 		})
+		checkCovers(t, b, base)
 		for _, w := range []parallel.Workers{2, 8} {
 			got, err := MinePerClass(b, PerClassOptions{
 				MinSupport: 0.1, Closed: false, MinLen: 2, MaxPatterns: budget,
@@ -151,6 +169,7 @@ func TestMinePerClassParallelDeterminism(t *testing.T) {
 				t.Fatalf("budget=%d workers=%d: union keys diverge\n got %v\nwant %v",
 					budget, w, patternKeys(got), patternKeys(base))
 			}
+			checkCovers(t, b, got)
 			for i := range got {
 				if got[i].Support != base[i].Support {
 					t.Fatalf("budget=%d workers=%d: pattern %d support %d != %d",

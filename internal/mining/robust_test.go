@@ -106,6 +106,7 @@ func TestAdaptiveEscalatesAndSucceeds(t *testing.T) {
 	if len(ps) != 1 {
 		t.Fatalf("patterns = %d, want 1 (only the shared item survives)", len(ps))
 	}
+	checkCovers(t, b, ps)
 	if len(degs) != 1 {
 		t.Fatalf("degradations = %d, want 1", len(degs))
 	}

@@ -132,9 +132,8 @@ func TrainCMAR(b *dataset.Binary, opt CMAROptions) (*CMARModel, error) {
 		if !used {
 			continue
 		}
-		antSup := b.Cover(r.Items).Count()
 		clsSup := b.ClassMasks[r.Class].Count()
-		chi2, maxChi2 := chi2Stats(antSup, clsSup, r.Support, n)
+		chi2, maxChi2 := chi2Stats(r.antSupport, clsSup, r.Support, n)
 		kept = append(kept, cmarRule{Rule: r, chi2: chi2, maxChi2: maxChi2})
 		for i := 0; i < n; i++ {
 			if covered[i] < opt.Coverage && r.matches(b.Rows[i]) {

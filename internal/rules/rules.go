@@ -22,6 +22,8 @@ type Rule struct {
 	Class      int
 	Support    int     // absolute support of pattern ∧ class
 	Confidence float64 // support(pattern ∧ class) / support(pattern)
+
+	antSupport int // support(pattern): the mined pattern's global support
 }
 
 // matches reports whether the (sorted) transaction contains every item
@@ -55,8 +57,7 @@ func generateRules(b *dataset.Binary, minSupport float64, minConf float64, maxLe
 	}
 	var out []Rule
 	for _, p := range ps {
-		cover := b.Cover(p.Items)
-		total := cover.Count()
+		cover, total := p.Cover(), p.Support
 		if total == 0 {
 			continue
 		}
@@ -69,7 +70,7 @@ func generateRules(b *dataset.Binary, minSupport float64, minConf float64, maxLe
 			if conf < minConf {
 				continue
 			}
-			out = append(out, Rule{Items: p.Items, Class: c, Support: hit, Confidence: conf})
+			out = append(out, Rule{Items: p.Items, Class: c, Support: hit, Confidence: conf, antSupport: total})
 		}
 	}
 	return out, nil

@@ -1,17 +1,17 @@
 package seqmining
 
 import (
-	"fmt"
+	"errors"
+	"slices"
 
-	"dfpc/internal/bitset"
-	"dfpc/internal/featsel"
-	"dfpc/internal/svm"
+	"dfpc/internal/patclass"
 )
 
 // Classifier applies the paper's framework to sequence data: frequent
 // subsequences are mined per class with PrefixSpan, MMRFS selects the
 // discriminative ones, and a linear SVM is trained on the binary
-// presence features (single events plus selected subsequences).
+// presence features (single events plus selected subsequences). The
+// loop itself is patclass.Fit.
 type Classifier struct {
 	// MinSupport is the relative per-class mining support (default 0.2).
 	MinSupport float64
@@ -24,10 +24,7 @@ type Classifier struct {
 	// SVMC is the soft-margin penalty (default 1).
 	SVMC float64
 
-	numEvents  int
-	numClasses int
-	patterns   []Pattern
-	model      *svm.Model
+	model *patclass.Model[Sequence, Pattern]
 
 	// Stats from the last Fit.
 	MinedCount    int
@@ -54,156 +51,47 @@ func (c *Classifier) withDefaults() {
 
 // Fit trains on the sequence database with labels y in [0, numClasses).
 func (c *Classifier) Fit(db []Sequence, y []int, numClasses int) error {
-	if len(db) == 0 {
-		return fmt.Errorf("seqmining: empty training set")
-	}
-	if len(db) != len(y) {
-		return fmt.Errorf("seqmining: %d sequences, %d labels", len(db), len(y))
-	}
-	if numClasses < 1 {
-		return fmt.Errorf("seqmining: numClasses = %d", numClasses)
-	}
 	c.withDefaults()
-	c.numClasses = numClasses
-	c.numEvents = 0
-	for _, s := range db {
-		for _, e := range s {
-			if int(e) >= c.numEvents {
-				c.numEvents = int(e) + 1
-			}
-		}
-	}
-
-	// Per-class mining, deduplicated union, as in mining.MinePerClass.
-	byClass := make([][]Sequence, numClasses)
-	for i, s := range db {
-		if y[i] < 0 || y[i] >= numClasses {
-			return fmt.Errorf("seqmining: label %d out of range [0,%d)", y[i], numClasses)
-		}
-		byClass[y[i]] = append(byClass[y[i]], s)
-	}
-	seen := map[string]bool{}
-	var pool []Pattern
-	for cl := 0; cl < numClasses; cl++ {
-		if len(byClass[cl]) == 0 {
-			continue
-		}
-		abs := int(c.MinSupport*float64(len(byClass[cl])) + 0.5)
-		if abs < 1 {
-			abs = 1
-		}
-		ps, err := PrefixSpan(byClass[cl], Options{
-			MinSupport:  abs,
-			MaxLen:      c.MaxLen,
-			MaxPatterns: c.MaxPatterns - len(pool),
-		})
-		if err != nil {
-			return fmt.Errorf("seqmining: class %d: %w", cl, err)
-		}
-		for _, p := range ps {
-			if p.Len() < 2 {
-				continue // single events are base features already
-			}
-			if seen[p.Key()] {
-				continue
-			}
-			seen[p.Key()] = true
-			pool = append(pool, p)
-		}
-	}
-	c.MinedCount = len(pool)
-
-	// MMRFS over subsequence candidates, coverage computed on the full
-	// training database.
-	classMasks := make([]*bitset.Bitset, numClasses)
-	for cl := range classMasks {
-		classMasks[cl] = bitset.New(len(db))
-	}
-	for i, yi := range y {
-		classMasks[yi].Set(i)
-	}
-	cands := make([]featsel.Candidate, len(pool))
-	for i, p := range pool {
-		cov := bitset.New(len(db))
-		for si, s := range db {
-			if Contains(s, p.Events) {
-				cov.Set(si)
-			}
-		}
-		cands[i] = featsel.Candidate{Cover: cov}
-	}
-	sel, err := featsel.MMRFS(cands, classMasks, y, featsel.Options{Coverage: c.Coverage})
+	m, err := patclass.Fit(patclass.Hooks[Sequence, Pattern]{
+		Name: "seqmining",
+		Mine: func(db []Sequence, minSup, maxPatterns int) ([]Pattern, error) {
+			ps, err := PrefixSpan(db, Options{MinSupport: minSup, MaxLen: c.MaxLen, MaxPatterns: maxPatterns})
+			// Single events are base features already.
+			return slices.DeleteFunc(ps, func(p Pattern) bool { return p.Len() < 2 }), err
+		},
+		Key:      (*Pattern).Key,
+		Contains: func(s Sequence, p *Pattern) bool { return Contains(s, p.Events) },
+		Labels:   func(s Sequence) []int32 { return s },
+		Sort:     SortPatterns,
+	}, db, y, numClasses, patclass.Params{
+		MinSupport: c.MinSupport, Coverage: c.Coverage, MaxPatterns: c.MaxPatterns, SVMC: c.SVMC,
+	})
+	c.model = m
 	if err != nil {
 		return err
 	}
-	c.patterns = make([]Pattern, len(sel.Selected))
-	for i, idx := range sel.Selected {
-		c.patterns[i] = pool[idx]
-	}
-	SortPatterns(c.patterns)
-	c.SelectedCount = len(c.patterns)
-
-	x := make([][]int32, len(db))
-	for i, s := range db {
-		x[i] = c.featureVector(s)
-	}
-	c.model, err = svm.Train(x, y, numClasses, svm.Config{
-		C:           c.SVMC,
-		NumFeatures: c.numEvents + len(c.patterns),
-	})
-	return err
-}
-
-// featureVector encodes a sequence as sorted binary features: distinct
-// events present, then matched subsequence patterns.
-func (c *Classifier) featureVector(s Sequence) []int32 {
-	// A dense presence slice instead of a map: one allocation sized by
-	// the event vocabulary, no per-entry bucket churn on the hot path.
-	present := make([]bool, c.numEvents)
-	for _, e := range s {
-		if int(e) < c.numEvents {
-			present[e] = true
-		}
-	}
-	out := make([]int32, 0, c.numEvents+len(c.patterns))
-	for e := int32(0); int(e) < c.numEvents; e++ {
-		if present[e] {
-			out = append(out, e)
-		}
-	}
-	for j := range c.patterns {
-		if Contains(s, c.patterns[j].Events) {
-			out = append(out, int32(c.numEvents+j))
-		}
-	}
-	return out
+	c.MinedCount, c.SelectedCount = m.Mined, len(m.Patterns())
+	return nil
 }
 
 // Patterns returns the subsequence features selected by the last Fit,
 // in canonical order.
-func (c *Classifier) Patterns() []Pattern {
-	out := make([]Pattern, len(c.patterns))
-	copy(out, c.patterns)
-	return out
-}
+func (c *Classifier) Patterns() []Pattern { return c.model.Patterns() }
+
+var errNotFitted = errors.New("seqmining: Predict before Fit")
 
 // Predict classifies one sequence.
 func (c *Classifier) Predict(s Sequence) (int, error) {
 	if c.model == nil {
-		return 0, fmt.Errorf("seqmining: Predict before Fit")
+		return 0, errNotFitted
 	}
-	return c.model.Predict(c.featureVector(s)), nil
+	return c.model.Predict(s), nil
 }
 
 // PredictAll classifies every sequence.
 func (c *Classifier) PredictAll(db []Sequence) ([]int, error) {
-	out := make([]int, len(db))
-	for i, s := range db {
-		y, err := c.Predict(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = y
+	if c.model == nil {
+		return nil, errNotFitted
 	}
-	return out, nil
+	return c.model.PredictAll(db), nil
 }

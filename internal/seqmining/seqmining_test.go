@@ -2,6 +2,7 @@ package seqmining
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -255,4 +256,46 @@ func TestSequenceClassifierErrors(t *testing.T) {
 	if _, err := (&Classifier{}).Predict(Sequence{0}); err == nil {
 		t.Fatal("Predict before Fit should error")
 	}
+	db, y := seqDataset(40, 1)
+	if err := (&Classifier{MaxPatterns: 2}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+		t.Fatalf("tiny MaxPatterns: err = %v, want ErrPatternBudget", err)
+	}
+}
+
+func ExampleClassifier() {
+	db, y := seqDataset(160, 7)
+	clf := &Classifier{MinSupport: 0.4, MaxLen: 3}
+	if err := clf.Fit(db[:120], y[:120], 2); err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("mined:", clf.MinedCount, "selected:", clf.SelectedCount)
+	for _, p := range clf.Patterns() {
+		fmt.Println(p)
+	}
+	pred, err := clf.PredictAll(db[120:])
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("holdout:", pred)
+	fmt.Println("labels: ", y[120:])
+	// Output:
+	// mined: 41 selected: 14
+	// [5 6]:60
+	// [6 5]:60
+	// [4 6 5]:40
+	// [2 5 6]:37
+	// [2 6 5]:37
+	// [0 5]:36
+	// [0 5 6]:36
+	// [3 6 5]:36
+	// [4 5 6]:36
+	// [0 6 5]:35
+	// [3 5]:34
+	// [1 5 6]:34
+	// [3 5 6]:34
+	// [1 6 5]:33
+	// holdout: [0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1]
+	// labels:  [0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1]
 }

@@ -29,14 +29,17 @@ go run ./cmd/dfpc-vet -waivers ./...
 echo ">> go test -race -timeout 10m ./..."
 go test -race -timeout 10m ./...
 
-# Parallel-determinism gate: the worker count must be invisible in
-# mined patterns, selected features, predictions, and CV statistics.
-# The suite is part of ./... above; this explicit pass keeps the
-# contract visible in the gate's output and re-runs it under -race with
-# a fresh count so a cached "ok" can never mask a regression.
-echo ">> go test -race -count=1 -run 'Determinism|Parallel' ./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/"
-go test -race -count=1 -timeout 10m -run 'Determinism|Parallel' \
-	./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/
+# Determinism and differential gate: the worker count must be
+# invisible in mined patterns, selected features, predictions, and CV
+# statistics, and every fast path must agree with its oracle (mined
+# covers vs b.Cover, the compiled matcher vs the naive scan). The
+# suites are part of ./... above; this explicit pass keeps the contract
+# visible in the gate's output and re-runs it under -race with a fresh
+# count so a cached "ok" can never mask a regression.
+echo ">> go test -race -count=1 -run 'Determinism|Parallel|Differential' ./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/ ./internal/core/ ./internal/patmatch/"
+go test -race -count=1 -timeout 10m -run 'Determinism|Parallel|Differential' \
+	./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/ \
+	./internal/core/ ./internal/patmatch/
 
 # The repo benchmark is its own module (bench/go.mod), so ./... above
 # never reaches it: vet, analyze, and test it from inside. Its tests
