@@ -5,26 +5,24 @@
 //
 // Usage:
 //
-//	dfpc-vet [-only a,b] [-skip a,b] [-list] [-json] [-waivers]
-//	         [-nocache] [-cache-dir dir] [packages ...]
+//	dfpc-vet [-json] [-waivers] [packages ...]
 //
-// With no patterns it analyzes ./... from the current directory.
+// With no patterns it analyzes ./... from the current directory with
+// every registered analyzer.
 //
 // -json prints diagnostics as a JSON array (machine-readable, used by
 // CI to emit problem-matcher annotations). -waivers prints every
 // //vet:ignore comment in the tree with its file:line, analyzers, and
-// reason — and exits 1 if any waiver has an empty reason, so the audit
-// trail stays complete. Analysis results are cached per package under
-// the user cache dir (keyed by source content, dependency export data,
-// the analyzer set, the call-graph neighborhood, and the analyzer
-// sources themselves); -nocache disables the cache and -cache-dir
-// relocates it.
+// reason — and exits 1 if any waiver has an empty reason or names an
+// analyzer that is not registered, so the audit trail stays complete
+// and a deleted analyzer cannot leave silent waivers behind.
 //
 // Exit codes are CI-actionable:
 //
 //	0  clean — every package loaded and no analyzer reported anything
 //	1  findings — at least one diagnostic (fix it or //vet:ignore it
-//	   with a reason), or a reasonless waiver under -waivers
+//	   with a reason), or a reasonless or unknown-analyzer waiver
+//	   under -waivers
 //	2  load failure — a package failed to parse or type-check; its
 //	   errors go to stderr and the remaining packages are still
 //	   analyzed (their findings still print), so one broken package
@@ -36,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -49,45 +46,13 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("dfpc-vet", flag.ExitOnError)
-	only := fs.String("only", "", "comma-separated analyzers to run (default: all enabled by default)")
-	skip := fs.String("skip", "", "comma-separated analyzers to disable")
-	list := fs.Bool("list", false, "list registered analyzers and exit")
 	jsonOut := fs.Bool("json", false, "print diagnostics as a JSON array")
-	waivers := fs.Bool("waivers", false, "report every //vet:ignore waiver; exit 1 if any lacks a reason")
-	nocache := fs.Bool("nocache", false, "disable the per-package result cache")
-	cacheDir := fs.String("cache-dir", "", "cache directory (default: <user cache dir>/dfpc-vet)")
+	waivers := fs.Bool("waivers", false, "report every //vet:ignore waiver; exit 1 if any lacks a reason or names an unknown analyzer")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: dfpc-vet [-only a,b] [-skip a,b] [-list] [-json] [-waivers] [-nocache] [-cache-dir dir] [packages ...]\n")
+		fmt.Fprintf(fs.Output(), "usage: dfpc-vet [-json] [-waivers] [packages ...]\n")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
-
-	if *list {
-		for _, a := range analysis.All {
-			def := " "
-			if a.Default {
-				def = "*"
-			}
-			scope := "all packages"
-			if len(a.Packages) > 0 {
-				scope = strings.Join(a.Packages, ", ")
-			}
-			summary, _, _ := strings.Cut(a.Doc, "\n")
-			fmt.Printf("%s %-12s %s (scope: %s)\n", def, a.Name, summary, scope)
-		}
-		fmt.Println("\n* = enabled by default")
-		return 0
-	}
-
-	analyzers, err := analysis.Select(*only, *skip)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfpc-vet:", err)
-		return 2
-	}
-	if len(analyzers) == 0 {
-		fmt.Fprintln(os.Stderr, "dfpc-vet: no analyzers selected")
-		return 2
-	}
 
 	pkgs, err := analysis.Load(".", fs.Args()...)
 	if err != nil {
@@ -110,20 +75,7 @@ func run(args []string) int {
 		return reportWaivers(pkgs, *jsonOut, loadFailed)
 	}
 
-	var cache *analysis.Cache
-	if !*nocache {
-		dir := *cacheDir
-		if dir == "" {
-			if base, err := os.UserCacheDir(); err == nil {
-				dir = filepath.Join(base, "dfpc-vet")
-			}
-		}
-		if dir != "" {
-			cache = analysis.NewCache(dir, analysis.ToolFingerprint("."))
-		}
-	}
-
-	diags := analysis.RunCached(pkgs, analyzers, cache)
+	diags := analysis.Run(pkgs, analysis.All)
 	wd, _ := os.Getwd()
 	for i := range diags {
 		if wd != "" && strings.HasPrefix(diags[i].Pos.Filename, wd+string(os.PathSeparator)) {
@@ -145,11 +97,7 @@ func run(args []string) int {
 		return 1
 	default:
 		if !*jsonOut {
-			cacheNote := ""
-			if cache != nil {
-				cacheNote = fmt.Sprintf(", %d cached", cache.Hits())
-			}
-			fmt.Printf("ok\t%d packages, %d analyzers, 0 findings%s\n", len(pkgs), len(analyzers), cacheNote)
+			fmt.Printf("ok\t%d packages, %d analyzers, 0 findings\n", len(pkgs), len(analysis.All))
 		}
 		return 0
 	}
@@ -182,8 +130,9 @@ func printJSONDiags(diags []analysis.Diagnostic) {
 }
 
 // reportWaivers prints every //vet:ignore in the loaded packages and
-// fails the run if any waiver is missing its reason — a waiver without
-// a reason is an invisible suppression, which defeats the audit trail.
+// fails the run if any waiver is missing its reason or names an
+// analyzer that is not registered — either way the waiver is an
+// invisible suppression, which defeats the audit trail.
 func reportWaivers(pkgs []*analysis.Package, jsonOut bool, loadFailed bool) int {
 	var all []analysis.Waiver
 	for _, p := range pkgs {
@@ -201,32 +150,39 @@ func reportWaivers(pkgs []*analysis.Package, jsonOut bool, loadFailed bool) int 
 		}
 		return all[i].Line < all[j].Line
 	})
-	missing := 0
+	missing, unknown := 0, 0
+	for _, w := range all {
+		if w.Reason == "" {
+			missing++
+		}
+		for _, name := range w.Analyzers {
+			if _, ok := analysis.Lookup(name); !ok {
+				unknown++
+				fmt.Fprintf(os.Stderr, "dfpc-vet: %s:%d: //vet:ignore names unknown analyzer %q\n", w.File, w.Line, name)
+			}
+		}
+	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(all)
-		for _, w := range all {
-			if w.Reason == "" {
-				missing++
-			}
-		}
 	} else {
 		for _, w := range all {
 			reason := w.Reason
 			if reason == "" {
 				reason = "MISSING REASON"
-				missing++
 			}
 			fmt.Printf("%s:%d: [%s] %s\n", w.File, w.Line, strings.Join(w.Analyzers, ","), reason)
 		}
-		fmt.Printf("%d waiver(s), %d missing a reason\n", len(all), missing)
+		fmt.Printf("%d waiver(s), %d missing a reason, %d naming an unknown analyzer\n", len(all), missing, unknown)
 	}
 	switch {
 	case loadFailed:
 		return 2
 	case missing > 0:
 		fmt.Fprintln(os.Stderr, "dfpc-vet: every //vet:ignore must state its reason")
+		return 1
+	case unknown > 0:
 		return 1
 	default:
 		return 0

@@ -18,10 +18,8 @@ func TestExitCodes(t *testing.T) {
 			"../../internal/analysis/testdata/broken",
 			"../../internal/analysis/testdata/src/floateq/measures",
 		}, 2},
-		{"skip everything", []string{"-only", "floateq", "-skip", "floateq"}, 2},
-		{"unknown analyzer", []string{"-only", "nosuch"}, 2},
-		{"list", []string{"-list"}, 0},
-		{"only scoped elsewhere", []string{"-only", "obsnil", "../../internal/analysis/testdata/src/floateq/measures"}, 0},
+		{"waivers with reasons", []string{"-waivers", "../../internal/analysis/testdata/src/ctxfirst/ctxdemo"}, 0},
+		{"waiver names unknown analyzer", []string{"-waivers", "./testdata/unknownwaiver"}, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,21 +10,15 @@
 //   - ctxfirst:    ctx-first *Context APIs, no ctx stored in structs
 //   - obsnil:      obs methods keep their nil-receiver fast path
 //   - mathrange:   math.Log/Sqrt in measures sit behind domain checks
-//   - parasafe:    parallel worker closures keep writes index-partitioned
 //   - spanend:     every obs span started is ended on all paths
 //   - atomicwrite: artifact/checkpoint writers stay temp+rename atomic
 //   - maporder:    map iteration order never escapes unsorted
 //   - nondeterm:   no clocks/rand/racing selects/raw goroutines in the
 //     determinism domain (call-graph reachability from Fit/CV/miners)
-//   - hotalloc:    no per-call allocation shapes in the predict hot
-//     path (call-graph reachability from Predict/ExplainPredict)
-//   - atomicmix:   no mixed atomic/plain access or copied locks in the
-//     concurrency packages
 //
-// The last four are whole-program checks: Run first builds a call graph
+// nondeterm is a whole-program check: Run first builds a call graph
 // over every loaded package (callgraph.go) and precomputes the
-// determinism and hot-path reachability sets that maporder's siblings
-// consult through Pass.Graph.
+// determinism reachability set it consults through Pass.Graph.
 //
 // The analyzers are table-registered (see registry.go); cmd/dfpc-vet is
 // the CLI front end and scripts/check.sh runs it between `go vet` and
@@ -54,15 +48,12 @@ import (
 
 // An Analyzer is one named, self-contained check.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used by -only/-skip flags,
-	// //vet:ignore comments, and diagnostic suffixes.
+	// Name is the analyzer's identifier, used by //vet:ignore comments
+	// and diagnostic suffixes.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced and
-	// why it matters; shown by `dfpc-vet -list`.
+	// why it matters.
 	Doc string
-	// Default reports whether the analyzer runs when no -only flag is
-	// given.
-	Default bool
 	// Packages restricts the analyzer to packages with these base names
 	// (the package name with any "_test" suffix stripped, so in-package
 	// and external test variants of a scoped package are covered). Nil
@@ -105,9 +96,9 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	// Graph is the whole-program call graph over every package in the
-	// run, with the Determinism and HotPath reachability sets
-	// precomputed (see callgraph.go). Per-function membership checks go
-	// through Graph.InDeterminism/InHotPath with this pass's Info.
+	// run, with the Determinism reachability set precomputed (see
+	// callgraph.go). Per-function membership checks go through
+	// Graph.InDeterminism with this pass's Info.
 	Graph *CallGraph
 
 	ignores ignoreIndex
@@ -141,29 +132,18 @@ func (p *Pass) inspect(fn func(ast.Node) bool) {
 // Run applies the analyzers to every cleanly loaded package and returns
 // the findings sorted by position. Packages that failed to load are
 // skipped here — the caller decides how loudly to degrade (dfpc-vet
-// reports them on stderr and exits 2).
+// reports them on stderr and exits 2). The whole-program call graph is
+// built first — every analyzer sees the same graph — and then packages
+// are analyzed concurrently on the repo's own deterministic worker
+// pool, each writing findings into its own index slot; the
+// index-ordered merge plus the final position sort make the output
+// identical at any worker count.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunCached(pkgs, analyzers, nil)
-}
-
-// RunCached is Run with an optional per-package result cache (nil
-// disables caching; see Cache). The whole-program call graph is built
-// first — every analyzer sees the same graph — and then packages are
-// analyzed concurrently on the repo's own deterministic worker pool,
-// each writing findings into its own index slot; the index-ordered
-// merge plus the final position sort make the output identical at any
-// worker count (the same contract dfpc-vet enforces on the pipeline).
-func RunCached(pkgs []*Package, analyzers []*Analyzer, cache *Cache) []Diagnostic {
 	graph := BuildCallGraph(pkgs)
 	sinks := make([][]Diagnostic, len(pkgs))
 	err := parallel.ForEach(0, len(pkgs), func(i int) error {
 		pkg := pkgs[i]
 		if len(pkg.Errs) > 0 || pkg.Types == nil {
-			return nil
-		}
-		key := cache.key(pkg, analyzers, graph)
-		if cached, ok := cache.load(key); ok {
-			sinks[i] = cached
 			return nil
 		}
 		for _, a := range analyzers {
@@ -182,7 +162,6 @@ func RunCached(pkgs []*Package, analyzers []*Analyzer, cache *Cache) []Diagnosti
 			}
 			a.Run(pass)
 		}
-		cache.store(key, sinks[i])
 		return nil
 	})
 	if err != nil {

@@ -56,32 +56,6 @@ func TestFormatVerbs(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	all, err := Select("", "")
-	if err != nil || len(all) != len(All) {
-		t.Fatalf("default Select = %d analyzers, err %v; want all %d", len(all), err, len(All))
-	}
-	only, err := Select("floateq,obsnil", "")
-	if err != nil || len(only) != 2 {
-		t.Fatalf("Select(only) = %v, %v", only, err)
-	}
-	skipped, err := Select("", "floateq")
-	if err != nil || len(skipped) != len(All)-1 {
-		t.Fatalf("Select(skip) dropped wrong count: %d, %v", len(skipped), err)
-	}
-	for _, a := range skipped {
-		if a.Name == "floateq" {
-			t.Error("skip did not remove floateq")
-		}
-	}
-	if _, err := Select("nosuch", ""); err == nil {
-		t.Error("Select with unknown -only name must error")
-	}
-	if _, err := Select("", "nosuch"); err == nil {
-		t.Error("Select with unknown -skip name must error")
-	}
-}
-
 func TestRegistryWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range All {
@@ -92,9 +66,6 @@ func TestRegistryWellFormed(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
-		if !a.Default {
-			t.Errorf("analyzer %q is not enabled by default; the gate must run the full suite", a.Name)
-		}
 	}
 	if _, ok := Lookup("guardloop"); !ok {
 		t.Error("Lookup(guardloop) failed")

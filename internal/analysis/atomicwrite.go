@@ -22,8 +22,7 @@ var Atomicwrite = &Analyzer{
 		"durable.Create, or durable.SaveFile instead. The durable package itself\n" +
 		"and _test.go files are exempt; genuinely non-artifact writes can carry\n" +
 		"a //vet:ignore atomicwrite comment saying why.",
-	Default: true,
-	Run:     runAtomicwrite,
+	Run: runAtomicwrite,
 }
 
 // unsafeWriters are the os functions that truncate-or-replace in place.

@@ -5,22 +5,16 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the whole-program layer under the analyzer suite: a
 // lightweight call graph over every loaded package, built from the same
 // go/types information the per-package passes already have. It exists
-// because two of the repo's load-bearing contracts are properties of
-// *reachability*, not of any single function:
-//
-//   - the determinism contract (byte-identical results at any worker
-//     count) constrains everything reachable from Fit, CrossValidate,
-//     and the miners — one time.Now or unsorted map range anywhere in
-//     that cone changes reported accuracy between runs;
-//   - the zero-allocation predict discipline (ROADMAP #1) constrains
-//     everything reachable from Predict/PredictContext/ExplainPredict —
-//     the cone that must one day serve millions of requests.
+// because the determinism contract (byte-identical results at any
+// worker count) is a property of *reachability*, not of any single
+// function: it constrains everything reachable from Fit,
+// CrossValidate, and the miners — one time.Now or unsorted map range
+// anywhere in that cone changes reported accuracy between runs.
 //
 // The graph is deliberately conservative (an over-approximation):
 //
@@ -45,10 +39,6 @@ type CallGraph struct {
 	// entry points. Code here must not read wall clocks, draw random
 	// numbers, or let map iteration order escape.
 	Determinism map[string]bool
-	// HotPath holds every function reachable from the predict roots
-	// (Predict, PredictContext, ExplainPredict): the serving cone that
-	// the hotalloc analyzer holds to the allocation discipline.
-	HotPath map[string]bool
 }
 
 // A CGNode is one function in the call graph. Only functions with
@@ -77,19 +67,6 @@ var determinismRoots = map[string]bool{
 	"FPGrowth":              true,
 }
 
-// hotPathRoots seed the predict/serving cone. Match and
-// featureVectorInto are roots of their own (not just reachable
-// members) so the matcher walk and the feature-space mapping stay
-// under the allocation discipline even if an outer entry point is
-// refactored out from above them.
-var hotPathRoots = map[string]bool{
-	"Predict":           true,
-	"PredictContext":    true,
-	"ExplainPredict":    true,
-	"Match":             true,
-	"featureVectorInto": true,
-}
-
 // FuncKey returns the canonical graph key for a declared function, or
 // "" when the declaration has no type information (broken package).
 // The key is types.Func.FullName, which is stable across packages: the
@@ -110,15 +87,6 @@ func (g *CallGraph) InDeterminism(info *types.Info, fd *ast.FuncDecl) bool {
 		return false
 	}
 	return g.Determinism[FuncKey(info, fd)]
-}
-
-// InHotPath reports whether the declared function is in the predict
-// cone.
-func (g *CallGraph) InHotPath(info *types.Info, fd *ast.FuncDecl) bool {
-	if g == nil {
-		return false
-	}
-	return g.HotPath[FuncKey(info, fd)]
 }
 
 // Nodes returns the graph's nodes sorted by key (deterministic for
@@ -173,8 +141,7 @@ type cgMethod struct {
 }
 
 // BuildCallGraph constructs the call graph over every cleanly loaded
-// package and precomputes the Determinism and HotPath reachability
-// sets.
+// package and precomputes the Determinism reachability set.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		nodes: map[string]*CGNode{},
@@ -235,7 +202,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	}
 
 	g.Determinism = g.ReachableFrom(func(n *CGNode) bool { return determinismRoots[n.Name] })
-	g.HotPath = g.ReachableFrom(func(n *CGNode) bool { return hotPathRoots[n.Name] })
 	return g
 }
 
@@ -352,36 +318,4 @@ func isInterfaceMethod(fn *types.Func) bool {
 	}
 	_, ok := recv.Type().Underlying().(*types.Interface)
 	return ok
-}
-
-// DomainHash feeds the per-package result cache: a deterministic
-// fingerprint of the reachability memberships of every function whose
-// key mentions the given import path. A package's analysis results
-// depend on the whole-program graph only through these memberships, so
-// hashing them (rather than the whole tree) lets unrelated edits keep
-// cache entries valid.
-func (g *CallGraph) DomainHash(importPath string) string {
-	var sb strings.Builder
-	for _, n := range g.Nodes() {
-		if !keyInPackage(n.Key, importPath) {
-			continue
-		}
-		sb.WriteString(n.Key)
-		if g.Determinism[n.Key] {
-			sb.WriteString("+D")
-		}
-		if g.HotPath[n.Key] {
-			sb.WriteString("+H")
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// keyInPackage reports whether a function key belongs to the package
-// with the given import path. Keys look like "path.Func" or
-// "(path.T).M" / "(*path.T).M".
-func keyInPackage(key, importPath string) bool {
-	k := strings.TrimPrefix(strings.TrimPrefix(key, "("), "*")
-	return strings.HasPrefix(k, importPath+".")
 }

@@ -15,7 +15,6 @@ func loadRealGraph(t *testing.T) *CallGraph {
 		"dfpc/internal/mining",
 		"dfpc/internal/dataset",
 		"dfpc/internal/discretize",
-		"dfpc/internal/patmatch",
 	)
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -28,10 +27,10 @@ func loadRealGraph(t *testing.T) *CallGraph {
 	return BuildCallGraph(pkgs)
 }
 
-// TestCallGraphReachability pins the two reachability sets on the real
-// pipeline: the analyzers' soundness rests on these memberships, so a
-// refactor that silently drops (say) the SVM predictor out of the hot
-// set must fail here, not ship.
+// TestCallGraphReachability pins the determinism set on the real
+// pipeline: nondeterm's soundness rests on these memberships, so a
+// refactor that silently drops (say) SVM training out of the cone must
+// fail here, not ship.
 func TestCallGraphReachability(t *testing.T) {
 	g := loadRealGraph(t)
 
@@ -45,36 +44,6 @@ func TestCallGraphReachability(t *testing.T) {
 		if !g.Determinism[key] {
 			t.Errorf("%s not in the determinism domain", key)
 		}
-	}
-
-	inHotPath := []string{
-		"(*dfpc/internal/core.Pipeline).Predict",
-		"(*dfpc/internal/core.Pipeline).PredictContext",
-		// Reached only through core's predictor interface — pins the
-		// CHA edge for interface method calls.
-		"(*dfpc/internal/svm.Model).Predict",
-		// The per-row feature-space mapping every prediction goes
-		// through, and the compiled trie walk under it.
-		"(*dfpc/internal/core.Pipeline).featureVectorInto",
-		"(*dfpc/internal/patmatch.Matcher).Match",
-		"(*dfpc/internal/patmatch.Matcher).MatchAppend",
-		// The streaming row encoder of the batch predict path.
-		"(*dfpc/internal/core.rowCoder).encode",
-	}
-	for _, key := range inHotPath {
-		if !g.HotPath[key] {
-			t.Errorf("%s not in the hot path", key)
-		}
-	}
-
-	// Training must not be dragged into the serving cone: if svm.Train
-	// ever shows up here, hotalloc would start flagging fit-time code
-	// and the zero-finding sweep becomes meaningless.
-	if g.HotPath["dfpc/internal/svm.Train"] {
-		t.Error("svm.Train is in the hot path; the Predict cone leaked into training")
-	}
-	if g.HotPath["(*dfpc/internal/core.Pipeline).Fit"] {
-		t.Error("Pipeline.Fit is in the hot path; the Predict cone leaked into training")
 	}
 }
 
@@ -94,24 +63,5 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("Pipeline.Fit does not call FitContext; callees: %v", callees)
-	}
-}
-
-// TestDomainHashStable pins that DomainHash is deterministic across
-// graph builds — the cache key depends on it.
-func TestDomainHashStable(t *testing.T) {
-	g1 := loadRealGraph(t)
-	g2 := loadRealGraph(t)
-	for _, pkg := range []string{"dfpc/internal/core", "dfpc/internal/svm"} {
-		h1, h2 := g1.DomainHash(pkg), g2.DomainHash(pkg)
-		if h1 == "" {
-			t.Errorf("DomainHash(%s) is empty", pkg)
-		}
-		if h1 != h2 {
-			t.Errorf("DomainHash(%s) differs across builds:\n%s\n%s", pkg, h1, h2)
-		}
-	}
-	if g1.DomainHash("dfpc/internal/core") == g1.DomainHash("dfpc/internal/svm") {
-		t.Error("DomainHash does not distinguish packages")
 	}
 }

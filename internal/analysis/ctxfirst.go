@@ -21,8 +21,7 @@ var Ctxfirst = &Analyzer{
 		"scopes one stage's ctx, and the Ctx field of per-call Options/Config\n" +
 		"structs from the bounded-execution API) each carry a //vet:ignore\n" +
 		"with their justification.",
-	Default: true,
-	Run:     runCtxfirst,
+	Run: runCtxfirst,
 }
 
 func runCtxfirst(p *Pass) {

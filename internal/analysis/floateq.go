@@ -19,7 +19,6 @@ var Floateq = &Analyzer{
 		"against the literal constant 0 (a structural \"exactly zero by\n" +
 		"construction\" check, used for degenerate denominators) and x != x\n" +
 		"(the NaN test, though math.IsNaN is clearer).",
-	Default:  true,
 	Packages: []string{"measures", "svm", "eval"},
 	Run:      runFloateq,
 }

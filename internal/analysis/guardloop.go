@@ -22,7 +22,6 @@ var Guardloop = &Analyzer{
 		"watchdog can interrupt them. Flags directly recursive functions with\n" +
 		"no such call and `for { }` / `for true { }` loops with neither a\n" +
 		"check nor any break/return exit.",
-	Default:  true,
 	Packages: []string{"mining", "svm", "c45", "featsel"},
 	Run:      runGuardloop,
 }

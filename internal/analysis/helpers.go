@@ -115,6 +115,23 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
+// isAppendCall reports whether e is a call to the append builtin.
+func isAppendCall(info *types.Info, e ast.Expr) bool {
+	if e == nil {
+		return false
+	}
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.ObjectOf(id).(*types.Builtin)
+	return ok && b.Name() == "append"
+}
+
 // isPkgFunc reports whether fn is the named function of the named
 // package (matched on full package path).
 func isPkgFunc(fn *types.Func, pkgPath, name string) bool {

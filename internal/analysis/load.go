@@ -14,7 +14,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -37,13 +36,6 @@ type Package struct {
 
 	ignores ignoreIndex
 	waivers []Waiver
-	// srcFiles and depExports feed the result cache's content key: the
-	// absolute source paths of this unit and the build-cache export
-	// files of its resolved imports. Export paths are content-addressed
-	// by the go command, so they change exactly when a dependency's
-	// exported shape does.
-	srcFiles   []string
-	depExports []string
 }
 
 // BaseName is the package name with any external-test suffix stripped;
@@ -154,9 +146,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		base := append(append([]string{}, t.GoFiles...), t.CgoFiles...)
 		unit := append(base, t.TestGoFiles...)
-		out = append(out, check(fset, imp, exports, t, t.Name, unit))
+		out = append(out, check(fset, imp, t, t.Name, unit))
 		if len(t.XTestGoFiles) > 0 {
-			out = append(out, check(fset, imp, exports, t, t.Name+"_test", t.XTestGoFiles))
+			out = append(out, check(fset, imp, t, t.Name+"_test", t.XTestGoFiles))
 		}
 	}
 	return out, nil
@@ -164,7 +156,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 // check parses and type-checks one unit of files from the listed
 // package t.
-func check(fset *token.FileSet, imp types.Importer, exports map[string]string, t *listedPackage, name string, fileNames []string) *Package {
+func check(fset *token.FileSet, imp types.Importer, t *listedPackage, name string, fileNames []string) *Package {
 	pkg := &Package{ImportPath: t.ImportPath, Name: name, Dir: t.Dir, Fset: fset}
 	// External test packages type-check under a distinct path so their
 	// import of the package under test is not a self-import.
@@ -175,7 +167,6 @@ func check(fset *token.FileSet, imp types.Importer, exports map[string]string, t
 	var files []*ast.File
 	for _, fn := range fileNames {
 		path := filepath.Join(t.Dir, fn)
-		pkg.srcFiles = append(pkg.srcFiles, path)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			pkg.Errs = append(pkg.Errs, err)
@@ -208,12 +199,6 @@ func check(fset *token.FileSet, imp types.Importer, exports map[string]string, t
 	if len(pkg.Errs) == 0 {
 		pkg.Types = tpkg
 		pkg.Info = info
-		for _, dep := range tpkg.Imports() {
-			if exp, ok := exports[dep.Path()]; ok {
-				pkg.depExports = append(pkg.depExports, exp)
-			}
-		}
-		sort.Strings(pkg.depExports)
 	}
 	return pkg
 }

@@ -28,8 +28,7 @@ var Maporder = &Analyzer{
 		"keyed structure). Test files are exempt — assertion order does not\n" +
 		"ship. Sites whose order is laundered downstream (e.g. a caller that\n" +
 		"sorts) carry a //vet:ignore maporder with the reason.",
-	Default: true,
-	Run:     runMaporder,
+	Run: runMaporder,
 }
 
 func runMaporder(p *Pass) {

@@ -32,7 +32,6 @@ var Mathrange = &Analyzer{
 		"preceded, in the enclosing function, by a comparison mentioning one\n" +
 		"of the argument's variables (an in-domain constant or math.Abs\n" +
 		"argument also passes).",
-	Default:  true,
 	Packages: []string{"measures"},
 	Run:      runMathrange,
 }

@@ -24,8 +24,7 @@ var Nondeterm = &Analyzer{
 		"polls, the pool's own workers — carry a //vet:ignore nondeterm with\n" +
 		"the reason their nondeterminism cannot reach reported results. Test\n" +
 		"files are exempt.",
-	Default: true,
-	Run:     runNondeterm,
+	Run: runNondeterm,
 }
 
 func runNondeterm(p *Pass) {

@@ -40,7 +40,6 @@ var Obsnil = &Analyzer{
 		"comparisons and calls to other exported methods of these types). This\n" +
 		"keeps every call site free to pass a nil handle — the repo-wide idiom\n" +
 		"for instrumentation-off and drift-off.",
-	Default:  true,
 	Packages: []string{"obs", "telemetry", "modelobs"},
 	Run:      runObsnil,
 }

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"fmt"
-	"strings"
-)
-
 // All is the analyzer registry, in the order diagnostics list them.
 // Adding a check means appending here and dropping fixtures under
 // testdata/src/<name>/ — the golden driver test picks both up by name.
@@ -15,13 +10,10 @@ var All = []*Analyzer{
 	Ctxfirst,
 	Obsnil,
 	Mathrange,
-	Parasafe,
 	Spanend,
 	Atomicwrite,
 	Maporder,
 	Nondeterm,
-	Hotalloc,
-	Atomicmix,
 }
 
 // Lookup returns the registered analyzer with the given name.
@@ -32,48 +24,4 @@ func Lookup(name string) (*Analyzer, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Select resolves the -only/-skip flag values (comma-separated analyzer
-// names) against the registry. An empty only-list means "all analyzers
-// enabled by default".
-func Select(only, skip string) ([]*Analyzer, error) {
-	chosen := map[string]bool{}
-	if only != "" {
-		for _, name := range splitNames(only) {
-			if _, ok := Lookup(name); !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (see -list)", name)
-			}
-			chosen[name] = true
-		}
-	} else {
-		for _, a := range All {
-			if a.Default {
-				chosen[a.Name] = true
-			}
-		}
-	}
-	for _, name := range splitNames(skip) {
-		if _, ok := Lookup(name); !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (see -list)", name)
-		}
-		delete(chosen, name)
-	}
-	var out []*Analyzer
-	for _, a := range All {
-		if chosen[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out, nil
-}
-
-func splitNames(s string) []string {
-	var out []string
-	for _, n := range strings.Split(s, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
 }

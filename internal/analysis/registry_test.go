@@ -13,8 +13,8 @@ import (
 // docs/analyzers.md. An analyzer without fixtures is untested; one
 // without docs is undiscoverable.
 func TestRegistryComplete(t *testing.T) {
-	if len(All) != 13 {
-		t.Errorf("registry has %d analyzers, want 13 (update this test and the docs together)", len(All))
+	if len(All) != 10 {
+		t.Errorf("registry has %d analyzers, want 10 (update this test and the docs together)", len(All))
 	}
 
 	seen := map[string]bool{}

@@ -21,8 +21,7 @@ var Sentinelerr = &Analyzer{
 		"not %v/%s, or the sentinel is flattened to text and errors.Is stops\n" +
 		"seeing it. Flags ==/!= against sentinels (including switch cases on\n" +
 		"an error value) and mis-verbed fmt.Errorf wraps.",
-	Default: true,
-	Run:     runSentinelerr,
+	Run: runSentinelerr,
 }
 
 func runSentinelerr(p *Pass) {

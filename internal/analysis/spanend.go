@@ -24,8 +24,7 @@ var Spanend = &Analyzer{
 		"reachable End() on that variable. Spans that escape the function\n" +
 		"(returned, passed as an argument, stored in a struct) are assumed\n" +
 		"ended by their new owner.",
-	Default: true,
-	Run:     runSpanend,
+	Run: runSpanend,
 }
 
 // isObsNamed reports whether t is (a pointer to) the named type from

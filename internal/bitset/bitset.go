@@ -23,7 +23,6 @@ type Bitset struct {
 // New returns a Bitset able to hold n bits, all cleared.
 func New(n int) *Bitset {
 	if n < 0 {
-		//vet:ignore hotalloc panic message formatted only on the failure path
 		panic(fmt.Sprintf("bitset: negative size %d", n))
 	}
 	return &Bitset{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
@@ -61,7 +60,6 @@ func (b *Bitset) Get(i int) bool {
 
 func (b *Bitset) check(i int) {
 	if i < 0 || i >= b.n {
-		//vet:ignore hotalloc panic message formatted only on the failure path
 		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, b.n))
 	}
 }

@@ -1,27 +1,25 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"dfpc/internal/datagen"
+	"dfpc/internal/dataset"
 	"dfpc/internal/modelobs"
 )
 
-// Measured allocation baselines for Predict on the XOR pipeline. The
-// compiled predict path (rowCoder + featureVectorInto + matcher
-// scratch + learner scorer) owns no per-row state, so the marginal
-// cost of an additional row is exactly zero allocations — with drift
-// tracking off or on. The batch fixed cost covers the output slice,
+// Allocation budgets for Predict. The compiled predict path (rowCoder
+// + featureVectorInto + matcher scratch + learner scorer) owns no
+// per-row state, so the marginal cost of an additional row is exactly
+// zero allocations for every learner and model family — with drift
+// tracking off or on (ObserveRow and the scorers' confidence paths
+// reuse bound scratch). The batch fixed cost covers the output slice,
 // batch predictor scratch, context, guard, and telemetry span set up
-// once per call. Pinning these dynamically catches a regression that
-// slips past the hotalloc analyzer (e.g. through an unanalyzed
-// dependency). Raise only with a reason in the diff.
+// once per call. Raise only with a reason in the diff.
 const (
 	predictRowAllocBudget   = 0
 	predictBatchAllocBudget = 48
-	// Drift-on marginal: ObserveRow and the scorer's confidence path
-	// reuse bound scratch, so drift tracking adds no per-row
-	// allocations either.
-	predictRowDriftAllocBudget = 0
 )
 
 func fitXORPipeline(tb testing.TB) (*Pipeline, []int, int) {
@@ -38,65 +36,108 @@ func fitXORPipeline(tb testing.TB) (*Pipeline, []int, int) {
 	return p, rows, d.NumRows()
 }
 
+// TestPredictAllocBudget pins the marginal per-row allocation count of
+// Predict at zero for every learner × model family of Tables 1–2 (plus
+// kNN and naive Bayes), on the XOR set and on austral's numeric and
+// categorical attributes, with drift tracking off.
 func TestPredictAllocBudget(t *testing.T) {
+	runPredictAllocTable(t, false)
+}
+
+// TestPredictDriftAllocBudget runs the same table with a drift tracker
+// attached: the tracker's sketch buffers are allocated once at Bind, so
+// drift tracking adds no per-row allocations either.
+func TestPredictDriftAllocBudget(t *testing.T) {
+	runPredictAllocTable(t, true)
+}
+
+// runPredictAllocTable fits every learner × family case on each dataset
+// and holds its Predict allocations to budget, with a drift tracker
+// attached when drift is set.
+func runPredictAllocTable(t *testing.T, drift bool) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget holds only in non-race builds")
 	}
-	p, rows, n := fitXORPipeline(t)
-	d := xorDataset(80)
-	one := []int{0}
-	single := testing.AllocsPerRun(200, func() {
-		if _, err := p.Predict(d, one); err != nil {
-			t.Fatal(err)
-		}
-	})
-	batch := testing.AllocsPerRun(200, func() {
-		if _, err := p.Predict(d, rows); err != nil {
-			t.Fatal(err)
-		}
-	})
-	marginal := (batch - single) / float64(n-1)
-	if marginal > predictRowAllocBudget {
-		t.Errorf("Predict allocates %.2f times per additional row, budget is %d", marginal, predictRowAllocBudget)
+	austral, err := datagen.ByName("austral", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if single > predictBatchAllocBudget {
-		t.Errorf("single-row Predict allocates %.1f times, batch budget is %d", single, predictBatchAllocBudget)
+	datasets := []struct {
+		d      *dataset.Dataset
+		minSup float64
+		rows   int // rows predicted per batch
+	}{
+		{xorDataset(80), 0.2, 80},
+		{austral, 0.15, 32},
+	}
+	type family struct {
+		name string
+		new  func(l Learner, minSup float64) *Pipeline
+	}
+	families := []family{
+		{"Item_All", func(l Learner, _ float64) *Pipeline { return NewItemAll(l) }},
+		{"Item_FS", func(l Learner, _ float64) *Pipeline { return NewItemFS(l) }},
+		{"Pat_FS", NewPatFS},
+	}
+	type budgetCase struct {
+		learner Learner
+		family  family
+	}
+	var cases []budgetCase
+	for _, l := range []Learner{SVMLinear, C45Tree, NaiveBayes, KNN} {
+		for _, f := range families {
+			cases = append(cases, budgetCase{l, f})
+		}
+	}
+	cases = append(cases, budgetCase{SVMRBF, families[0]})
+
+	for _, ds := range datasets {
+		all := make([]int, ds.d.NumRows())
+		for i := range all {
+			all[i] = i
+		}
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/%s/%s", ds.d.Name, c.learner, c.family.name), func(t *testing.T) {
+				p := c.family.new(c.learner, ds.minSup)
+				if err := p.Fit(ds.d, all); err != nil {
+					t.Fatal(err)
+				}
+				if drift {
+					p.SetDriftTracker(modelobs.NewTracker(modelobs.TrackerConfig{WindowSize: 64}))
+				}
+				checkPredictAllocs(t, p, ds.d, all[:ds.rows], drift)
+			})
+		}
 	}
 }
 
-// TestPredictDriftAllocBudget pins the drift-enabled predict path: the
-// tracker's sketch buffers are allocated once at Bind, so the marginal
-// per-row cost over the drift-off baseline is only the learner's
-// confidence scratch (PredictMargin's vote/score slices for SVM), never
-// per-row tracker state.
-func TestPredictDriftAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; budget holds only in non-race builds")
-	}
-	p, rows, n := fitXORPipeline(t)
-	d := xorDataset(80)
-	p.SetDriftTracker(modelobs.NewTracker(modelobs.TrackerConfig{WindowSize: 64}))
-	one := []int{0}
-	// Warm up so Bind's one-time sketch allocation is out of the loop.
+// checkPredictAllocs measures single-row and batch Predict allocations
+// and holds the marginal per-row cost and the fixed cost to budget.
+func checkPredictAllocs(t *testing.T, p *Pipeline, d *dataset.Dataset, rows []int, drift bool) {
+	t.Helper()
+	one := rows[:1]
+	// Warm up so the drift tracker's one-time Bind allocation is out of
+	// the measured loop.
 	if _, err := p.Predict(d, one); err != nil {
 		t.Fatal(err)
 	}
-	single := testing.AllocsPerRun(200, func() {
+	single := testing.AllocsPerRun(20, func() {
 		if _, err := p.Predict(d, one); err != nil {
 			t.Fatal(err)
 		}
 	})
-	batch := testing.AllocsPerRun(200, func() {
+	batch := testing.AllocsPerRun(20, func() {
 		if _, err := p.Predict(d, rows); err != nil {
 			t.Fatal(err)
 		}
 	})
-	marginal := (batch - single) / float64(n-1)
-	if marginal > predictRowDriftAllocBudget {
-		t.Errorf("drift-on Predict allocates %.2f times per additional row, budget is %d", marginal, predictRowDriftAllocBudget)
+	marginal := (batch - single) / float64(len(rows)-1)
+	if marginal > predictRowAllocBudget {
+		t.Errorf("drift=%v: Predict allocates %.2f times per additional row, budget is %d", drift, marginal, predictRowAllocBudget)
 	}
 	if single > predictBatchAllocBudget {
-		t.Errorf("drift-on single-row Predict allocates %.1f times, batch budget is %d", single, predictBatchAllocBudget)
+		t.Errorf("drift=%v: single-row Predict allocates %.1f times, batch budget is %d", drift, single, predictBatchAllocBudget)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"dfpc/internal/discretize"
 	"dfpc/internal/faults"
 	"dfpc/internal/guard"
+	"dfpc/internal/knn"
 	"dfpc/internal/modelobs"
 	"dfpc/internal/patmatch"
 	"dfpc/internal/svm"
@@ -156,6 +157,8 @@ func (p *Pipeline) newRowScorer() rowScorer {
 		return svmScorer{s: m.NewScorer()}
 	case *c45.Model:
 		return c45Scorer{m: m}
+	case *knn.Model:
+		return plainScorer{m: m.NewScorer()}
 	default:
 		return plainScorer{m: p.model}
 	}
@@ -227,7 +230,6 @@ func (b *BatchPredictor) PredictInto(ctx context.Context, d *dataset.Dataset, ro
 	if err := p.cfg.Faults.Hit(faults.CorePredict); err != nil {
 		return fmt.Errorf("core: predict: %w", err)
 	}
-	//vet:ignore hotalloc one batch-level telemetry attribute per Predict call, amortized over all rows
 	sp := p.cfg.Obs.Start("predict").Attr("rows", len(rows))
 	defer sp.End()
 	if err := b.coder.checkSchema(d); err != nil {

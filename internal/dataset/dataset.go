@@ -186,7 +186,6 @@ func NewSpace(d *Dataset) (*Space, error) {
 	for a, attr := range d.Attrs {
 		s.base[a] = len(s.Items)
 		for v, name := range attr.Values {
-			//vet:ignore hotalloc item names are built once per space construction, amortized over every later lookup
 			s.Items = append(s.Items, Item{Attr: a, Value: v, Name: attr.Name + "=" + name})
 		}
 	}
@@ -249,7 +248,6 @@ func Encode(d *Dataset) (*Binary, error) {
 		b.Columns[i] = bitset.New(n)
 	}
 	for i, row := range d.Rows {
-		//vet:ignore hotalloc each tx escapes into b.Rows[i]; the allocation is the encoded output, not per-call garbage
 		tx := make([]int32, 0, len(row))
 		for a, v := range row {
 			if IsMissing(v) {

@@ -141,7 +141,6 @@ func (disc *Discretizer) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 		}
 	}
 	for i, row := range d.Rows {
-		//vet:ignore hotalloc each newRow escapes into the returned dataset; the allocation is the output
 		newRow := make([]float64, len(row))
 		for a, v := range row {
 			if dataset.IsMissing(v) || d.Attrs[a].Kind != dataset.Numeric {
@@ -208,13 +207,10 @@ func binLabels(cuts []float64) []string {
 	}
 	labels := make([]string, len(cuts)+1)
 	fmtF := func(x float64) string { return strconv.FormatFloat(x, 'g', 6, 64) }
-	//vet:ignore hotalloc bin labels are built once per attribute at fit time, not per prediction
 	labels[0] = "(-inf-" + fmtF(cuts[0]) + "]"
 	for i := 1; i < len(cuts); i++ {
-		//vet:ignore hotalloc bin labels are built once per attribute at fit time, not per prediction
 		labels[i] = "(" + fmtF(cuts[i-1]) + "-" + fmtF(cuts[i]) + "]"
 	}
-	//vet:ignore hotalloc bin labels are built once per attribute at fit time, not per prediction
 	labels[len(cuts)] = "(" + fmtF(cuts[len(cuts)-1]) + "-inf)"
 	return labels
 }

@@ -126,7 +126,6 @@ func (e FoldError) Error() string {
 	if e.Panicked {
 		kind = "panic"
 	}
-	//vet:ignore hotalloc error formatting runs only on the failure path
 	return fmt.Sprintf("fold %d %s: %v", e.Fold, kind, e.Err)
 }
 

@@ -59,10 +59,11 @@ func (c *Classifier) Fit(db []*Graph, y []int, numClasses int) error {
 		Mine: func(db []*Graph, minSup, maxPatterns int) ([]Pattern, error) {
 			return Mine(db, Options{MinSupport: minSup, MaxEdges: c.MaxEdges, MaxPatterns: maxPatterns})
 		},
-		Key:      (*Pattern).Key,
-		Contains: func(g *Graph, p *Pattern) bool { return ContainsSubgraph(g, p.Graph) },
-		Labels:   func(g *Graph) []int32 { return g.VertexLabels },
-		Sort:     SortPatterns,
+		ErrBudget: ErrPatternBudget,
+		Key:       (*Pattern).Key,
+		Contains:  func(g *Graph, p *Pattern) bool { return ContainsSubgraph(g, p.Graph) },
+		Labels:    func(g *Graph) []int32 { return g.VertexLabels },
+		Sort:      SortPatterns,
 	}, db, y, numClasses, patclass.Params{
 		MinSupport: c.MinSupport, Coverage: c.Coverage, MaxPatterns: c.MaxPatterns, SVMC: c.SVMC,
 	})

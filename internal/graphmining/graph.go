@@ -149,7 +149,6 @@ func ContainsSubgraph(g *Graph, pattern *Graph) bool {
 	used := make([]bool, g.NumVertices())
 
 	var match func(step int) bool
-	//vet:ignore hotalloc single closure environment per containment test, amortized over the exponential match search
 	match = func(step int) bool {
 		if step == pn {
 			return true

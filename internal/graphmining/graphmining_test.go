@@ -266,6 +266,21 @@ func TestGraphClassifierErrors(t *testing.T) {
 	if err := (&Classifier{MaxPatterns: 2}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("tiny MaxPatterns: err = %v, want ErrPatternBudget", err)
 	}
+	// Class 0 mines exactly MaxPatterns patterns at the classifier's
+	// default support and size; class 1 must not then mine unbounded.
+	var part0 []*Graph
+	for i, g := range db {
+		if y[i] == 0 {
+			part0 = append(part0, g)
+		}
+	}
+	all0, err := Mine(part0, Options{MinSupport: max(int(0.2*float64(len(part0))+0.5), 1), MaxEdges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Classifier{MaxPatterns: len(all0)}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+		t.Fatalf("class 0 fills MaxPatterns=%d: err = %v, want ErrPatternBudget", len(all0), err)
+	}
 }
 
 func ExampleClassifier() {

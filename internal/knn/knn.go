@@ -106,19 +106,43 @@ func (m *Model) distance(a, b []int32) float64 {
 // Predict returns the majority class among the K nearest training rows
 // (ties broken toward the smaller class index; distance ties keep the
 // earlier training row, making prediction deterministic).
-func (m *Model) Predict(x []int32) int {
-	type nd struct {
-		d   float64
-		row int
+func (m *Model) Predict(x []int32) int { return m.NewScorer().Predict(x) }
+
+// neighbour is one training row's distance to the query row.
+type neighbour struct {
+	d   float64
+	row int
+}
+
+// Scorer predicts through preallocated neighbour and vote scratch, so
+// repeated prediction costs zero allocations per row. A Scorer is
+// single-goroutine; concurrent scorers share the Model and carry one
+// Scorer each. Predictions are identical to the Model's own Predict.
+type Scorer struct {
+	m     *Model
+	dists []neighbour
+	votes []int
+}
+
+// NewScorer returns a scorer with scratch sized for this model.
+func (m *Model) NewScorer() *Scorer {
+	return &Scorer{
+		m:     m,
+		dists: make([]neighbour, len(m.x)),
+		votes: make([]int, m.numClasses),
 	}
-	dists := make([]nd, len(m.x))
+}
+
+// Predict returns the predicted class for a sparse binary row.
+func (s *Scorer) Predict(x []int32) int {
+	m, dists, votes := s.m, s.dists, s.votes
 	for i, tr := range m.x {
-		dists[i] = nd{m.distance(tr, x), i}
+		dists[i] = neighbour{m.distance(tr, x), i}
 	}
 	// slices.SortFunc with a capture-free comparator: sort.Slice would
 	// box dists into an interface and heap-allocate the closure on
 	// every Predict call.
-	slices.SortFunc(dists, func(a, b nd) int {
+	slices.SortFunc(dists, func(a, b neighbour) int {
 		if a.d != b.d {
 			if a.d < b.d {
 				return -1
@@ -127,11 +151,8 @@ func (m *Model) Predict(x []int32) int {
 		}
 		return a.row - b.row
 	})
-	k := m.cfg.K
-	if k > len(dists) {
-		k = len(dists)
-	}
-	votes := make([]int, m.numClasses)
+	k := min(m.cfg.K, len(dists))
+	clear(votes)
 	for _, n := range dists[:k] {
 		votes[m.y[n.row]]++
 	}

@@ -107,8 +107,9 @@ func TestDeterministicTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := m.Predict([]int32{2})
+	s := m.NewScorer()
 	for i := 0; i < 5; i++ {
-		if m.Predict([]int32{2}) != first {
+		if m.Predict([]int32{2}) != first || s.Predict([]int32{2}) != first {
 			t.Fatal("non-deterministic prediction")
 		}
 	}
@@ -119,9 +120,14 @@ func TestPredictAll(t *testing.T) {
 	y := []int{0, 1, 0, 1}
 	m, _ := Train(x, y, 2, Config{K: 1})
 	got := m.PredictAll(x)
+	s := m.NewScorer()
 	for i := range got {
 		if got[i] != y[i] {
 			t.Fatalf("PredictAll[%d] = %d, want %d", i, got[i], y[i])
+		}
+		// The scorer's reused scratch must not carry votes across rows.
+		if p := s.Predict(x[i]); p != y[i] {
+			t.Fatalf("Scorer.Predict(row %d) = %d, want %d", i, p, y[i])
 		}
 	}
 }

@@ -233,7 +233,6 @@ func (s *Span) Attr(key string, value any) *Span {
 		return nil
 	}
 	s.mu.Lock()
-	//vet:ignore hotalloc telemetry attribute formatting; the nil-receiver fast path keeps disabled runs allocation-free
 	s.attrs = append(s.attrs, Attr{Key: key, Value: fmt.Sprint(value)})
 	s.mu.Unlock()
 	return s
@@ -269,9 +268,7 @@ func (s *Span) End() {
 	wall, alloc := s.wall, s.alloc
 	s.mu.Unlock()
 	if closed {
-		//vet:ignore hotalloc metric key built once per span close; spans close per stage, not per row
 		s.o.Histogram("stage." + s.name + ".duration_ns").Observe(int64(wall))
-		//vet:ignore hotalloc metric key built once per span close; spans close per stage, not per row
 		s.o.Histogram("stage." + s.name + ".alloc_bytes").Observe(int64(alloc))
 	}
 	o := s.o
@@ -281,7 +278,6 @@ func (s *Span) End() {
 	for i := len(o.stack) - 1; i >= 0; i-- {
 		if o.stack[i] == s {
 			for _, c := range o.stack[i+1:] {
-				//vet:ignore hotalloc leak reporting runs only on the instrumentation-bug path
 				leaked = append(leaked, c.name)
 			}
 			o.stack = o.stack[:i]
@@ -292,11 +288,8 @@ func (s *Span) End() {
 	if len(leaked) > 0 {
 		o.Counter("obs.span_leak").Add(int64(len(leaked)))
 		if log != nil {
-			//vet:ignore hotalloc leak warning runs only on the instrumentation-bug path
 			log.Warn("obs: span leak: parent ended before children",
-				//vet:ignore hotalloc leak warning runs only on the instrumentation-bug path
 				slog.String("parent", s.name),
-				//vet:ignore hotalloc leak warning runs only on the instrumentation-bug path
 				slog.Any("leaked_spans", leaked))
 		}
 	}

@@ -78,7 +78,6 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	//vet:ignore hotalloc panic report formatted only on the failure path
 	return fmt.Sprintf("parallel: index %d panicked: %v", e.Index, e.Value)
 }
 
@@ -99,8 +98,8 @@ func call(fn func(int) error, i int) (err error) {
 //
 // Closures must keep their writes index-partitioned — out[i] only, for
 // their own i — which is what makes index-ordered merges reproduce the
-// sequential result exactly (the parasafe analyzer machine-checks call
-// sites). After an error no new index is claimed; indices already
+// sequential result exactly (the determinism suites under -race catch
+// a shared write). After an error no new index is claimed; indices already
 // claimed run to completion, so every index below the returned error's
 // ran fully, exactly as in the sequential loop.
 func ForEach(w Workers, n int, fn func(i int) error) error {

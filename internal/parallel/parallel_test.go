@@ -72,7 +72,6 @@ func TestForEachSequentialSpawnsNoGoroutines(t *testing.T) {
 	inLoop := 0
 	if err := ForEach(1, 100, func(i int) error {
 		if g := runtime.NumGoroutine(); g > inLoop {
-			//vet:ignore parasafe workers==1 is the zero-goroutine sequential path; the captured write is the point of this test
 			inLoop = g
 		}
 		return nil

@@ -24,10 +24,12 @@ type Hooks[I, P any] struct {
 	// Name prefixes the loop's errors (the calling package's name).
 	Name string
 	// Mine mines one class partition at absolute support minSup,
-	// failing with the type's pattern-budget error past maxPatterns
-	// patterns (0 = unlimited), and returns the patterns that become
-	// features.
+	// failing with ErrBudget past maxPatterns patterns (0 = unlimited),
+	// and returns the patterns that become features.
 	Mine func(db []I, minSup, maxPatterns int) ([]P, error)
+	// ErrBudget is the type's pattern-budget error, also returned when
+	// earlier classes leave no budget for a later one.
+	ErrBudget error
 	// Key is the canonical key that deduplicates patterns across
 	// classes.
 	Key func(*P) string
@@ -43,7 +45,7 @@ type Hooks[I, P any] struct {
 type Params struct {
 	MinSupport  float64 // relative per-class mining support
 	Coverage    int     // MMRFS's δ
-	MaxPatterns int     // cap on the mined pool across classes
+	MaxPatterns int     // cap on the mined pool across classes (> 0)
 	SVMC        float64 // soft-margin penalty
 }
 
@@ -83,15 +85,20 @@ func Fit[I, P any](h Hooks[I, P], db []I, y []int, numClasses int, prm Params) (
 
 	// Per-class mining into a deduplicated union, as in
 	// mining.MinePerClass; the budget left after earlier classes caps
-	// each later one.
+	// each later one. A pool that fills the budget exactly leaves a cap
+	// of 0, which Mine reads as unlimited, so that is a budget error.
 	seen := map[string]bool{}
 	var pool []P
 	for cl, part := range byClass {
 		if len(part) == 0 {
 			continue
 		}
+		remaining := prm.MaxPatterns - len(pool)
+		if remaining <= 0 {
+			return nil, fmt.Errorf("%s: class %d: %w", h.Name, cl, h.ErrBudget)
+		}
 		abs := max(int(prm.MinSupport*float64(len(part))+0.5), 1)
-		ps, err := h.Mine(part, abs, prm.MaxPatterns-len(pool))
+		ps, err := h.Mine(part, abs, remaining)
 		if err != nil {
 			return nil, fmt.Errorf("%s: class %d: %w", h.Name, cl, err)
 		}

@@ -59,10 +59,11 @@ func (c *Classifier) Fit(db []Sequence, y []int, numClasses int) error {
 			// Single events are base features already.
 			return slices.DeleteFunc(ps, func(p Pattern) bool { return p.Len() < 2 }), err
 		},
-		Key:      (*Pattern).Key,
-		Contains: func(s Sequence, p *Pattern) bool { return Contains(s, p.Events) },
-		Labels:   func(s Sequence) []int32 { return s },
-		Sort:     SortPatterns,
+		ErrBudget: ErrPatternBudget,
+		Key:       (*Pattern).Key,
+		Contains:  func(s Sequence, p *Pattern) bool { return Contains(s, p.Events) },
+		Labels:    func(s Sequence) []int32 { return s },
+		Sort:      SortPatterns,
 	}, db, y, numClasses, patclass.Params{
 		MinSupport: c.MinSupport, Coverage: c.Coverage, MaxPatterns: c.MaxPatterns, SVMC: c.SVMC,
 	})

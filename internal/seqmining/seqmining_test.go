@@ -260,6 +260,21 @@ func TestSequenceClassifierErrors(t *testing.T) {
 	if err := (&Classifier{MaxPatterns: 2}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("tiny MaxPatterns: err = %v, want ErrPatternBudget", err)
 	}
+	// Class 0 mines exactly MaxPatterns patterns at the classifier's
+	// default support and length; class 1 must not then mine unbounded.
+	var part0 []Sequence
+	for i, s := range db {
+		if y[i] == 0 {
+			part0 = append(part0, s)
+		}
+	}
+	all0, err := PrefixSpan(part0, Options{MinSupport: max(int(0.2*float64(len(part0))+0.5), 1), MaxLen: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Classifier{MaxPatterns: len(all0)}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+		t.Fatalf("class 0 fills MaxPatterns=%d: err = %v, want ErrPatternBudget", len(all0), err)
+	}
 }
 
 func ExampleClassifier() {

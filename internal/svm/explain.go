@@ -94,7 +94,6 @@ func (m *Model) ExplainPredict(x []int32) *Explanation {
 			continue
 		}
 		if ex.FeatureWeights == nil {
-			//vet:ignore hotalloc the per-feature weight map is the explanation's return contract
 			ex.FeatureWeights = make(map[int32]float64, len(pd.FeatureContrib))
 		}
 		for f, w := range pd.FeatureContrib {
@@ -108,7 +107,6 @@ func (m *Model) ExplainPredict(x []int32) *Explanation {
 // share of the linear decision value: w_f = Σ over support vectors
 // containing f of that vector's coefficient.
 func (m *binaryModel) linearContrib(x []int32) map[int32]float64 {
-	//vet:ignore hotalloc the per-feature contribution map is the explanation's return contract
 	contrib := make(map[int32]float64, len(x))
 	for i, sv := range m.svX {
 		coef := m.svCoef[i]

@@ -15,14 +15,15 @@ go vet ./...
 
 # Repo-specific static analysis (guard placement, sentinel-error
 # discipline, float equality, ctx plumbing, obs nil-safety, math
-# domains, atomic artifact writes, map-order escapes, determinism-domain
-# clocks/rand, hot-path allocations, atomic/plain mixing). Exit 1 =
-# findings, exit 2 = a package failed to load.
+# domains, span ends, atomic artifact writes, map-order escapes,
+# determinism-domain clocks/rand). Exit 1 = findings, exit 2 = a
+# package failed to load.
 echo ">> go run ./cmd/dfpc-vet ./..."
 go run ./cmd/dfpc-vet ./...
 
-# Waiver audit: every //vet:ignore must carry a reason; a reasonless
-# waiver is an invisible suppression and fails the gate.
+# Waiver audit: every //vet:ignore must carry a reason and name a
+# registered analyzer; anything else is an invisible suppression and
+# fails the gate.
 echo ">> go run ./cmd/dfpc-vet -waivers ./..."
 go run ./cmd/dfpc-vet -waivers ./...
 
