@@ -13,20 +13,17 @@ package dfpc
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"testing"
 
-	"dfpc/internal/c45"
 	"dfpc/internal/dataset"
 	"dfpc/internal/experiments"
 	"dfpc/internal/graphmining"
 	"dfpc/internal/mining"
 	"dfpc/internal/obs"
 	"dfpc/internal/seqmining"
-	"dfpc/internal/svm"
 )
 
 // benchProto is the reduced protocol shared by the table benches.
@@ -260,89 +257,10 @@ func BenchmarkFPGrowthVsFPClose(b *testing.B) {
 	})
 }
 
-func BenchmarkSVMTrainBreast(b *testing.B) {
-	bin := benchBinary(b, "breast")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svm.Train(bin.Rows, bin.Labels, bin.NumClasses(), svm.Config{
-			C: 1, NumFeatures: bin.NumItems(),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkC45TrainBreast(b *testing.B) {
-	bin := benchBinary(b, "breast")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c45.Train(bin.Rows, bin.Labels, bin.NumClasses(), c45.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEndToEndPatFS(b *testing.B) {
-	d, err := Generate("heart", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]int, d.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clf := NewClassifier(PatFS, SVM, WithMinSupport(0.15))
-		if err := clf.Fit(d, rows); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := clf.Predict(d, rows[:50]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPipelineParallel runs 3-fold CV of Pat_FS+SVM at min_sup
-// 0.15 on austral at several worker counts. Folds, per-class mining,
-// the MMRFS gain scan, and the one-vs-one SVM subproblems all schedule
-// through internal/parallel, so
-// on a multi-core machine the workers=GOMAXPROCS variant should
-// approach fold-level speedup; on one core every variant collapses to
-// the same sequential path. Results are identical at every count —
-// that is the layer's contract, pinned by TestDeterminismAcrossWorkerCounts.
-func BenchmarkPipelineParallel(b *testing.B) {
-	d, err := Generate("austral", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("workers=%d", w)
-		if w == 0 {
-			name = "workers=GOMAXPROCS"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				clf := NewClassifier(PatFS, SVM,
-					WithMinSupport(0.15), WithWorkers(w))
-				res, err := CrossValidateContext(nil, clf, d, 3, 1,
-					CVOptions{Workers: Workers(w)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s accuracy %.2f%% ± %.2f", name, 100*res.Mean, 100*res.Std)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFitInstrumentationOff is the no-observer, no-logger
-// baseline for the observability layer: it must match
-// BenchmarkEndToEndPatFS, since a nil observer and nil logger reduce
-// every span/counter/histogram/log call to a nil check. Compare with
-// BenchmarkFitInstrumentationOn to see the recording cost.
+// baseline for the observability layer: a nil observer and nil logger
+// reduce every span/counter/histogram/log call to a nil check. Compare
+// with BenchmarkFitInstrumentationOn to see the recording cost.
 func BenchmarkFitInstrumentationOff(b *testing.B) {
 	benchFitObserved(b, nil, nil)
 }
@@ -392,6 +310,8 @@ func BenchmarkFitIntrospectionDeep(b *testing.B) {
 	}
 }
 
+// benchFitObserved fits Pat_FS+SVM on heart and predicts 50 rows per
+// op under the given observer and logger.
 func benchFitObserved(b *testing.B, o *Observer, log *slog.Logger) {
 	d, err := Generate("heart", 1)
 	if err != nil {
@@ -401,6 +321,7 @@ func benchFitObserved(b *testing.B, o *Observer, log *slog.Logger) {
 	for i := range rows {
 		rows[i] = i
 	}
+	out := make([]int, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if o != nil {
@@ -410,7 +331,7 @@ func benchFitObserved(b *testing.B, o *Observer, log *slog.Logger) {
 		if err := clf.Fit(d, rows); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := clf.Predict(d, rows[:50]); err != nil {
+		if err := clf.PredictBatch(context.Background(), d, rows[:50], out); err != nil {
 			b.Fatal(err)
 		}
 	}

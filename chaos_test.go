@@ -86,7 +86,7 @@ func chaosRun(t *testing.T, r *faults.Registry, learner Learner) error {
 	tr := modelobs.NewTracker(modelobs.TrackerConfig{WindowSize: 8})
 	tr.SetFaults(r)
 	clf.SetDriftTracker(tr)
-	if _, err := clf.Predict(d, rows); err != nil {
+	if _, err := predict(clf, d, rows); err != nil {
 		return err
 	}
 	if _, err := tr.Report(); err != nil {
@@ -211,7 +211,7 @@ func TestChaosTornWriteLoop(t *testing.T) {
 	if err := clf.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	want, err := clf.Predict(d, rows)
+	want, err := predict(clf, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestChaosTornWriteLoop(t *testing.T) {
 			}
 			// Whatever survived must load and predict identically.
 			loaded := mustLoadModel(t, path)
-			pred, err := loaded.Predict(d, rows)
+			pred, err := predict(loaded, d, rows)
 			if err != nil {
 				t.Fatalf("%s nth=%d: reload predict: %v", point, nth, err)
 			}

@@ -40,7 +40,7 @@ func fitOnce(t *testing.T, d *Dataset, workers int) fitSignature {
 	if err := clf.Fit(d, train); err != nil {
 		t.Fatalf("workers=%d: fit: %v", workers, err)
 	}
-	pred, err := clf.Predict(d, test)
+	pred, err := predict(clf, d, test)
 	if err != nil {
 		t.Fatalf("workers=%d: predict: %v", workers, err)
 	}

@@ -261,13 +261,6 @@ func WithCGrid(grid ...float64) Option {
 	return func(c *core.Config) { c.CGrid = append([]float64(nil), grid...) }
 }
 
-// WithProbability calibrates Platt sigmoids during Fit so
-// Classifier.PredictProb returns per-class probability estimates
-// (SVM learners only).
-func WithProbability() Option {
-	return func(c *core.Config) { c.Probability = true }
-}
-
 // WithStageTimeout bounds each pipeline stage (mining, selection,
 // learning) individually; a stage running past it aborts the fit with
 // an error satisfying errors.Is(err, ErrDeadline). Whole-run bounds
@@ -306,8 +299,8 @@ func WithWorkers(n int) Option {
 }
 
 // Classifier is a configured classification pipeline. It implements
-// the eval.Pipeline contract used by CrossValidate: Fit on dataset rows
-// then Predict other rows.
+// the eval.Pipeline contract used by CrossValidate: FitContext on
+// dataset rows, then PredictBatch other rows.
 type Classifier = core.Pipeline
 
 // Observer records a pipeline run: nestable stage spans (wall time,

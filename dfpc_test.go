@@ -2,12 +2,19 @@ package dfpc
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"strings"
 	"testing"
 
 	"dfpc/internal/dataset"
 )
+
+// predict classifies rows through PredictBatch into a fresh slice.
+func predict(c *Classifier, d *Dataset, rows []int) ([]int, error) {
+	out := make([]int, len(rows))
+	return out, c.PredictBatch(context.Background(), d, rows, out)
+}
 
 func TestPublicEndToEnd(t *testing.T) {
 	d, err := Generate("labor", 3)
@@ -145,7 +152,7 @@ func TestOptionsApply(t *testing.T) {
 	if err := clf.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clf.Predict(d, rows[:5]); err != nil {
+	if _, err := predict(clf, d, rows[:5]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -196,7 +203,7 @@ func TestClassifierSingleClassTraining(t *testing.T) {
 	if err := clf.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := clf.Predict(d, rows)
+	pred, err := predict(clf, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +307,7 @@ func TestSaveLoadModelPublic(t *testing.T) {
 	if err := clf.Fit(d, train); err != nil {
 		t.Fatal(err)
 	}
-	want, err := clf.Predict(d, test)
+	want, err := predict(clf, d, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +319,7 @@ func TestSaveLoadModelPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Predict(d, test)
+	got, err := predict(loaded, d, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,37 +353,6 @@ func TestLUCSThroughPipeline(t *testing.T) {
 	}
 	if res.Mean < 0.99 {
 		t.Fatalf("accuracy %v on separable LUCS data", res.Mean)
-	}
-}
-
-func TestWithProbabilityPublic(t *testing.T) {
-	d, err := Generate("labor", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clf := NewClassifier(PatFS, SVM, WithMinSupport(0.3), WithProbability())
-	rows := make([]int, d.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	if err := clf.Fit(d, rows); err != nil {
-		t.Fatal(err)
-	}
-	probs, err := clf.PredictProb(d, rows[:5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range probs {
-		sum := 0.0
-		for _, v := range pr {
-			if v < 0 || v > 1 {
-				t.Fatalf("prob out of range: %v", pr)
-			}
-			sum += v
-		}
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("probs sum %v", sum)
-		}
 	}
 }
 
@@ -424,7 +400,7 @@ func TestLoadCSVFromTestdata(t *testing.T) {
 	if err := clf.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := clf.Predict(d, rows)
+	pred, err := predict(clf, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

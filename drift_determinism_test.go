@@ -46,7 +46,7 @@ func driftOnce(t *testing.T, d *Dataset, workers int) driftSignature {
 	}
 	tr := modelobs.NewTracker(modelobs.TrackerConfig{WindowSize: 16, Windows: 4})
 	clf.SetDriftTracker(tr)
-	if _, err := clf.Predict(d, test); err != nil {
+	if _, err := predict(clf, d, test); err != nil {
 		t.Fatalf("workers=%d: predict: %v", workers, err)
 	}
 
@@ -179,7 +179,7 @@ func TestDriftLiveServerUnderConcurrentFit(t *testing.T) {
 
 	base := "http://" + s.Addr()
 	for i := 0; i < 5; i++ {
-		if _, err := clf.Predict(d, test); err != nil {
+		if _, err := predict(clf, d, test); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := http.Get(base + "/drift")

@@ -46,12 +46,6 @@ func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear clears bit i.
-func (b *Bitset) Clear(i int) {
-	b.check(i)
-	b.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Get reports whether bit i is set.
 func (b *Bitset) Get(i int) bool {
 	b.check(i)
@@ -118,14 +112,6 @@ func (b *Bitset) Or(o *Bitset) {
 	}
 }
 
-// AndNot sets b = b \ o.
-func (b *Bitset) AndNot(o *Bitset) {
-	b.mustMatch(o)
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
-	}
-}
-
 // AndCount returns |b ∩ o| without allocating.
 func (b *Bitset) AndCount(o *Bitset) int {
 	b.mustMatch(o)
@@ -134,27 +120,6 @@ func (b *Bitset) AndCount(o *Bitset) int {
 		c += bits.OnesCount64(b.words[i] & o.words[i])
 	}
 	return c
-}
-
-// OrCount returns |b ∪ o| without allocating.
-func (b *Bitset) OrCount(o *Bitset) int {
-	b.mustMatch(o)
-	c := 0
-	for i := range b.words {
-		c += bits.OnesCount64(b.words[i] | o.words[i])
-	}
-	return c
-}
-
-// IsSubsetOf reports whether every set bit of b is also set in o.
-func (b *Bitset) IsSubsetOf(o *Bitset) bool {
-	b.mustMatch(o)
-	for i := range b.words {
-		if b.words[i]&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether b and o have identical length and contents.
@@ -176,13 +141,6 @@ func (b *Bitset) SetAll() {
 		b.words[i] = ^uint64(0)
 	}
 	b.trim()
-}
-
-// ClearAll clears every bit.
-func (b *Bitset) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
 }
 
 // trim zeroes the bits above the logical length so Count stays exact.
@@ -208,27 +166,6 @@ func (b *Bitset) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1.
-func (b *Bitset) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := b.words[wi] >> uint(i%wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if b.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(b.words[wi])
-		}
-	}
-	return -1
 }
 
 // String renders the bitset as a 0/1 string, bit 0 first. Intended for

@@ -34,7 +34,9 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 		}
 		return idx
 	}
-	flatten(m.root)
+	if m.root != nil {
+		flatten(m.root)
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, fmt.Errorf("c45: marshal: %w", err)

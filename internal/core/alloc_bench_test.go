@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 // per-row state, so the marginal cost of an additional row is exactly
 // zero allocations for every learner and model family — with drift
 // tracking off or on (ObserveRow and the scorers' confidence paths
-// reuse bound scratch). The batch fixed cost covers the output slice,
-// batch predictor scratch, context, guard, and telemetry span set up
-// once per call. Raise only with a reason in the diff.
+// reuse bound scratch). The batch fixed cost covers the batch
+// predictor scratch, guard, and telemetry span set up once per call.
+// Raise only with a reason in the diff.
 const (
 	predictRowAllocBudget   = 0
 	predictBatchAllocBudget = 48
@@ -116,19 +117,20 @@ func runPredictAllocTable(t *testing.T, drift bool) {
 // and holds the marginal per-row cost and the fixed cost to budget.
 func checkPredictAllocs(t *testing.T, p *Pipeline, d *dataset.Dataset, rows []int, drift bool) {
 	t.Helper()
-	one := rows[:1]
+	ctx := context.Background()
+	one, out := rows[:1], make([]int, len(rows))
 	// Warm up so the drift tracker's one-time Bind allocation is out of
 	// the measured loop.
-	if _, err := p.Predict(d, one); err != nil {
+	if err := p.PredictBatch(ctx, d, one, out[:1]); err != nil {
 		t.Fatal(err)
 	}
 	single := testing.AllocsPerRun(20, func() {
-		if _, err := p.Predict(d, one); err != nil {
+		if err := p.PredictBatch(ctx, d, one, out[:1]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	batch := testing.AllocsPerRun(20, func() {
-		if _, err := p.Predict(d, rows); err != nil {
+		if err := p.PredictBatch(ctx, d, rows, out); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -138,37 +140,5 @@ func checkPredictAllocs(t *testing.T, p *Pipeline, d *dataset.Dataset, rows []in
 	}
 	if single > predictBatchAllocBudget {
 		t.Errorf("drift=%v: single-row Predict allocates %.1f times, batch budget is %d", drift, single, predictBatchAllocBudget)
-	}
-}
-
-func BenchmarkPredictAllocs(b *testing.B) {
-	p, rows, _ := fitXORPipeline(b)
-	d := xorDataset(80)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Predict(d, rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPredictDriftOn is the drift-enabled twin of
-// BenchmarkPredictAllocs; a regression in the tracker's ObserveRow path
-// (which should be allocation-free) shows up as a widening gap between
-// the pair, and TestPredictDriftAllocBudget fails on it.
-func BenchmarkPredictDriftOn(b *testing.B) {
-	p, rows, _ := fitXORPipeline(b)
-	d := xorDataset(80)
-	p.SetDriftTracker(modelobs.NewTracker(modelobs.TrackerConfig{WindowSize: 64}))
-	if _, err := p.Predict(d, rows); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Predict(d, rows); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dfpc/internal/datagen"
 	"dfpc/internal/durable"
 	"dfpc/internal/mining"
 	"dfpc/internal/obs"
@@ -114,7 +115,7 @@ func TestLoadV1Envelope(t *testing.T) {
 	}
 	d := xorDataset(80)
 	rows := allRows(d.NumRows())
-	pred, err := p.Predict(d, rows)
+	pred, err := predict(p, d, rows)
 	if err != nil {
 		t.Fatalf("Predict after v1 load: %v", err)
 	}
@@ -177,11 +178,11 @@ func TestMatcherSnapshotRoundTrip(t *testing.T) {
 	}
 	d := xorDataset(80)
 	rows := allRows(d.NumRows())
-	want, err := p.Predict(d, rows)
+	want, err := predict(p, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Predict(d, rows)
+	got, err := predict(loaded, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,5 +223,58 @@ func TestFitBaselineRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Fatal("baseline bytes changed across Save/Load")
+	}
+}
+
+// plattFixturePath is a model saved before Platt scaling was removed:
+// labor (seed 1), Pat_FS, linear SVM, min_sup 0.3, fitted on all rows
+// with the since-deleted Probability option, so its snapshot carries
+// Config.Probability and the SVM's Platt/HasPlatt fields. It cannot be
+// regenerated by this build.
+const plattFixturePath = "testdata/model_platt.dfpc"
+
+// TestLoadPlattEraArtifact pins that artifacts carrying the removed
+// Platt calibration still load under the same envelope version: gob
+// skips the fields this build no longer declares, the model predicts
+// exactly like a fresh fit without calibration, and re-saving it writes
+// the fresh fit's bytes.
+func TestLoadPlattEraArtifact(t *testing.T) {
+	raw, err := os.ReadFile(plattFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("Load Platt-era artifact: %v", err)
+	}
+	d, err := datagen.ByName("labor", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := allRows(d.NumRows())
+	fresh := NewPatFS(SVMLinear, 0.3)
+	if err := fresh.Fit(d, rows); err != nil {
+		t.Fatal(err)
+	}
+	want, err := predict(fresh, d, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := predict(old, d, rows)
+	if err != nil {
+		t.Fatalf("predict after load: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("Platt-era artifact predicts differently from a fresh fit")
+	}
+	var resaved, saved bytes.Buffer
+	if err := old.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+		t.Fatalf("re-saved artifact (%d B) differs from a fresh fit's save (%d B)", resaved.Len(), saved.Len())
 	}
 }

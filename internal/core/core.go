@@ -112,9 +112,6 @@ type Config struct {
 	CGrid []float64
 	// RBFGamma is γ for SVMRBF; <= 0 means 1/numFeatures.
 	RBFGamma float64
-	// Probability calibrates Platt sigmoids during Fit (SVM learners
-	// only) so PredictProb can be used.
-	Probability bool
 	// Tree configures C45Tree.
 	Tree c45.Config
 
@@ -244,8 +241,8 @@ type predictor interface {
 }
 
 // Pipeline is one configured train/predict pipeline. It implements
-// eval.Pipeline. The zero value is unusable; construct with New or one
-// of the model-family helpers.
+// eval.Pipeline (FitContext, PredictBatch). The zero value is
+// unusable; construct with New or one of the model-family helpers.
 type Pipeline struct {
 	cfg Config
 
@@ -640,6 +637,7 @@ func (p *Pipeline) selectSVMC(ctx context.Context, d *dataset.Dataset, rows []in
 		return p.cfg.SVMC, nil
 	}
 	bestC, bestAcc := p.cfg.SVMC, -1.0
+	pred := make([]int, len(rows)) // reused by every inner fold
 	for _, c := range p.cfg.CGrid {
 		if c <= 0 {
 			return 0, fmt.Errorf("core: non-positive C %v in grid", c)
@@ -667,8 +665,7 @@ func (p *Pipeline) selectSVMC(ctx context.Context, d *dataset.Dataset, rows []in
 			if err := inner.FitContext(ctx, d, tr); err != nil {
 				return 0, err
 			}
-			pred, err := inner.PredictContext(ctx, d, te)
-			if err != nil {
+			if err := inner.PredictBatch(ctx, d, te, pred[:len(te)]); err != nil {
 				return 0, err
 			}
 			for i, r := range te {
@@ -893,39 +890,6 @@ func (p *Pipeline) featureVectorInto(dst []int32, tx []int32, ms *patmatch.Scrat
 	return dst
 }
 
-// PredictProb returns per-class probability estimates for the given
-// rows. Supported for SVM learners fitted with Probability enabled
-// (WithProbability); other learners return an error.
-func (p *Pipeline) PredictProb(d *dataset.Dataset, rows []int) ([][]float64, error) {
-	if p.model == nil {
-		return nil, errors.New("core: PredictProb before Fit")
-	}
-	sm, ok := p.model.(*svm.Model)
-	if !ok {
-		return nil, fmt.Errorf("core: PredictProb unsupported for learner %v", p.cfg.Learner)
-	}
-	bp, err := p.NewBatchPredictor()
-	if err != nil {
-		return nil, err
-	}
-	if err := bp.coder.checkSchema(d); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		fv, err := bp.featureVector(d.Rows[r], r)
-		if err != nil {
-			return nil, err
-		}
-		probs, err := sm.PredictProb(fv)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = probs
-	}
-	return out, nil
-}
-
 // learn trains the configured learner on the transformed rows.
 func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses int) error {
 	if err := p.cfg.Faults.Hit(faults.CoreLearn); err != nil {
@@ -984,36 +948,6 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 				n, sm.BinaryProblems()))
 		}
 	}
-	if p.cfg.Probability {
-		if sm, ok := m.(*svm.Model); ok {
-			if err := sm.CalibrateProbabilities(x, y); err != nil {
-				return fmt.Errorf("core: probability calibration: %w", err)
-			}
-		}
-	}
 	p.model = m
 	return nil
-}
-
-// Predict classifies the given rows of d with the fitted pipeline. It
-// is equivalent to PredictContext with context.Background().
-func (p *Pipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	return p.PredictContext(context.Background(), d, rows)
-}
-
-// PredictContext classifies the given rows of d under ctx; cancellation
-// aborts the per-row scoring loop with an error satisfying
-// errors.Is(err, guard.ErrCanceled) or guard.ErrDeadline. Rows are
-// encoded straight into the fitted item space and matched through the
-// compiled pattern trie; all per-row scratch is allocated once per
-// call, so the marginal cost per row is zero allocations.
-func (p *Pipeline) PredictContext(ctx context.Context, d *dataset.Dataset, rows []int) ([]int, error) {
-	if p.model == nil {
-		return nil, errors.New("core: Predict before Fit")
-	}
-	out := make([]int, len(rows))
-	if err := p.PredictBatch(ctx, d, rows, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"dfpc/internal/datagen"
+	"dfpc/internal/dataset"
 	"dfpc/internal/eval"
 )
 
@@ -16,6 +18,12 @@ func allRows(n int) []int {
 	return rows
 }
 
+// predict classifies rows through PredictBatch into a fresh slice.
+func predict(p *Pipeline, d *dataset.Dataset, rows []int) ([]int, error) {
+	out := make([]int, len(rows))
+	return out, p.PredictBatch(context.Background(), d, rows, out)
+}
+
 func TestNaiveBayesAndKNNLearners(t *testing.T) {
 	d := xorDataset(80)
 	for _, l := range []Learner{NaiveBayes, KNN} {
@@ -23,7 +31,7 @@ func TestNaiveBayesAndKNNLearners(t *testing.T) {
 		if err := p.Fit(d, allRows(d.NumRows())); err != nil {
 			t.Fatalf("%v: %v", l, err)
 		}
-		pred, err := p.Predict(d, allRows(d.NumRows()))
+		pred, err := predict(p, d, allRows(d.NumRows()))
 		if err != nil {
 			t.Fatalf("%v: %v", l, err)
 		}
@@ -115,7 +123,7 @@ func TestInnerModelSelection(t *testing.T) {
 	if sel != 0.1 && sel != 1 && sel != 10 {
 		t.Fatalf("SelectedC = %v, not in grid", sel)
 	}
-	if _, err := p.Predict(d, allRows(10)); err != nil {
+	if _, err := predict(p, d, allRows(10)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,7 +150,7 @@ func TestFitDeterminism(t *testing.T) {
 		if err := p.Fit(d, rows); err != nil {
 			t.Fatal(err)
 		}
-		pred, err := p.Predict(d, rows)
+		pred, err := predict(p, d, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,60 +161,5 @@ func TestFitDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("prediction %d differs across identical fits", i)
 		}
-	}
-}
-
-func TestPredictProb(t *testing.T) {
-	d := xorDataset(80)
-	p, err := New(Config{UsePatterns: true, SelectPatterns: true, MinSupport: 0.2, Probability: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := allRows(d.NumRows())
-	if err := p.Fit(d, rows); err != nil {
-		t.Fatal(err)
-	}
-	probs, err := p.PredictProb(d, rows[:10])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pr := range probs {
-		if len(pr) != 2 {
-			t.Fatalf("row %d: %d probs", i, len(pr))
-		}
-		sum := pr[0] + pr[1]
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("row %d: probs sum %v", i, sum)
-		}
-		// The argmax must match the hard prediction.
-		hard, err := p.Predict(d, rows[i:i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		best := 0
-		if pr[1] > pr[0] {
-			best = 1
-		}
-		if best != hard[0] {
-			t.Fatalf("row %d: prob argmax %d != prediction %d (%v)", i, best, hard[0], pr)
-		}
-	}
-}
-
-func TestPredictProbRequiresCalibration(t *testing.T) {
-	d := xorDataset(40)
-	p := NewPatFS(SVMLinear, 0.2) // no Probability flag
-	if err := p.Fit(d, allRows(d.NumRows())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.PredictProb(d, []int{0}); err == nil {
-		t.Fatal("expected calibration error")
-	}
-	tree := NewPatFS(C45Tree, 0.2)
-	if err := tree.Fit(d, allRows(d.NumRows())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.PredictProb(d, []int{0}); err == nil {
-		t.Fatal("expected unsupported-learner error")
 	}
 }

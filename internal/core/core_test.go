@@ -42,7 +42,7 @@ func TestPatternPipelineSolvesXOR(t *testing.T) {
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := p.Predict(d, rows)
+	pred, err := predict(p, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestItemOnlyFailsXOR(t *testing.T) {
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := p.Predict(d, rows)
+	pred, err := predict(p, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestPredictBeforeFit(t *testing.T) {
 	p := NewItemAll(SVMLinear)
-	if _, err := p.Predict(xorDataset(8), []int{0}); err == nil {
+	if _, err := predict(p, xorDataset(8), []int{0}); err == nil {
 		t.Fatal("Predict before Fit should error")
 	}
 }

@@ -27,7 +27,7 @@ func TestPredictExplainSVM(t *testing.T) {
 	d := xorDataset(80)
 	p, rows, _ := fitXOR(t, SVMLinear)
 
-	pred, err := p.Predict(d, rows)
+	pred, err := predict(p, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPredictExplainSVM(t *testing.T) {
 func TestPredictExplainC45(t *testing.T) {
 	d := xorDataset(80)
 	p, rows, _ := fitXOR(t, C45Tree)
-	pred, err := p.Predict(d, rows)
+	pred, err := predict(p, d, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestFitRecordsStageSpansAndCounters(t *testing.T) {
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Predict(d, rows[:20]); err != nil {
+	if _, err := predict(p, d, rows[:20]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,11 +126,11 @@ func TestSaveWithObserverInstalled(t *testing.T) {
 	if q.Observer() != nil {
 		t.Fatal("loaded pipeline carries an observer")
 	}
-	want, err := p.Predict(d, rows[:30])
+	want, err := predict(p, d, rows[:30])
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.Predict(d, rows[:30])
+	got, err := predict(q, d, rows[:30])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestFitBudgetDegradePolicy(t *testing.T) {
 		t.Fatalf("Stats.MinSupport = %v, want escalated above 0.05", p.Stats.MinSupport)
 	}
 	// The degraded model must still predict.
-	if _, err := p.Predict(d, allRows(d.NumRows())); err != nil {
+	if _, err := predict(p, d, allRows(d.NumRows())); err != nil {
 		t.Fatalf("predict after degraded fit: %v", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestPredictContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.PredictContext(ctx, d, rows); !errors.Is(err, guard.ErrCanceled) {
+	if err := p.PredictBatch(ctx, d, rows, make([]int, len(rows))); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 }

@@ -57,6 +57,25 @@ const (
 // ModelKind is the durable-envelope kind string for saved pipelines.
 const ModelKind = "dfpc-model"
 
+// init numbers the snapshot types before anything else in the process
+// encodes. Gob assigns each type its id on first use, process-wide,
+// and writes the ids into every stream, so without a fixed order the
+// bytes Save writes would depend on what the process encoded earlier
+// (an SVM save shifts the ids of a later C4.5 snapshot). Encoding a
+// zero value of each snapshot, in this order, pins the ids.
+func init() {
+	for _, m := range []interface{ MarshalBinary() ([]byte, error) }{
+		&discretize.Discretizer{}, &svm.Model{}, &c45.Model{}, &nbayes.Model{}, &knn.Model{},
+	} {
+		if _, err := m.MarshalBinary(); err != nil {
+			panic(err)
+		}
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(pipelineSnapshot{}); err != nil {
+		panic(err)
+	}
+}
+
 // Save serializes a fitted pipeline so it can be reloaded with Load and
 // used for prediction without retraining. The fitted discretizer,
 // selected patterns, explanation report, and the trained model are all

@@ -318,17 +318,6 @@ func (b *Binary) HasItem(row int, item int32) bool {
 	return lo < len(tx) && tx[lo] == item
 }
 
-// HasPattern reports whether row i contains every item of the (sorted)
-// pattern.
-func (b *Binary) HasPattern(row int, items []int32) bool {
-	for _, it := range items {
-		if !b.HasItem(row, it) {
-			return false
-		}
-	}
-	return true
-}
-
 // Cover returns the coverage bitset of a (sorted) itemset: rows that
 // contain every item. A nil or empty pattern covers every row.
 func (b *Binary) Cover(items []int32) *bitset.Bitset {

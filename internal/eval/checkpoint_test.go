@@ -19,17 +19,14 @@ import (
 // atomic because clones share it across concurrent folds.
 type fitCountingPipeline struct{ fits atomic.Int64 }
 
-func (p *fitCountingPipeline) Fit(d *dataset.Dataset, rows []int) error {
+func (p *fitCountingPipeline) FitContext(context.Context, *dataset.Dataset, []int) error {
 	p.fits.Add(1)
 	return nil
 }
 
-func (p *fitCountingPipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	out := make([]int, len(rows))
-	for i, r := range rows {
-		out[i] = d.Labels[r]
-	}
-	return out, nil
+func (p *fitCountingPipeline) PredictBatch(_ context.Context, d *dataset.Dataset, rows []int, out []int) error {
+	predictTruth(d, rows, out)
+	return nil
 }
 
 func (p *fitCountingPipeline) CloneForCV() any { return p } // folds share the counter

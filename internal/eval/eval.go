@@ -1,6 +1,6 @@
 // Package eval provides the experimental protocol of the paper's
-// Section 4: classification metrics, stratified cross-validation over a
-// pluggable train/predict pipeline, and simple grid model selection.
+// Section 4: accuracy, stratified cross-validation over a pluggable
+// train/predict pipeline, and a paired t-test between two CV runs.
 package eval
 
 import (
@@ -18,24 +18,15 @@ import (
 )
 
 // Pipeline abstracts one classification pipeline: fit on training rows
-// of a dataset, then predict test rows. The frequent-pattern framework,
-// the single-feature baselines, and the associative classifiers all
-// implement this to share the CV harness.
+// of a dataset, then predict test rows. The context reaches into the
+// pipeline, so cancellation stops mining and learning inside a fold
+// rather than only between folds. core.Pipeline implements it.
 type Pipeline interface {
-	// Fit trains on the given dataset rows.
-	Fit(d *dataset.Dataset, rows []int) error
-	// Predict returns predicted class indices for the given rows.
-	Predict(d *dataset.Dataset, rows []int) ([]int, error)
-}
-
-// ContextPipeline is the optional cancellable variant of Pipeline.
-// When a pipeline passed to CrossValidateContext also implements it,
-// the harness calls the context-aware methods so cancellation reaches
-// into mining and learning instead of only between folds.
-// core.Pipeline implements it.
-type ContextPipeline interface {
+	// FitContext trains on the given dataset rows.
 	FitContext(ctx context.Context, d *dataset.Dataset, rows []int) error
-	PredictContext(ctx context.Context, d *dataset.Dataset, rows []int) ([]int, error)
+	// PredictBatch writes the predicted class index of each given row
+	// into out, which has len(rows) slots.
+	PredictBatch(ctx context.Context, d *dataset.Dataset, rows []int, out []int) error
 }
 
 // CVCloner is the opt-in hook for concurrent cross-validation: a
@@ -72,24 +63,6 @@ func Accuracy(pred, truth []int) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(len(pred)), nil
-}
-
-// ConfusionMatrix returns counts[truth][pred].
-func ConfusionMatrix(pred, truth []int, numClasses int) ([][]int, error) {
-	if len(pred) != len(truth) {
-		return nil, fmt.Errorf("eval: %d predictions for %d labels", len(pred), len(truth))
-	}
-	m := make([][]int, numClasses)
-	for i := range m {
-		m[i] = make([]int, numClasses)
-	}
-	for i := range pred {
-		if truth[i] < 0 || truth[i] >= numClasses || pred[i] < 0 || pred[i] >= numClasses {
-			return nil, fmt.Errorf("eval: label out of range at %d", i)
-		}
-		m[truth[i]][pred[i]]++
-	}
-	return m, nil
 }
 
 // CVResult summarizes a cross-validation run. When folds were isolated
@@ -219,16 +192,9 @@ func runFold(ctx context.Context, p Pipeline, d *dataset.Dataset, train, test []
 		out.err = err
 		return out
 	}
-	cp, _ := p.(ContextPipeline)
 	//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
 	t0 := time.Now()
-	var err error
-	if cp != nil {
-		err = cp.FitContext(ctx, d, train)
-	} else {
-		err = p.Fit(d, train)
-	}
-	if err != nil {
+	if err := p.FitContext(ctx, d, train); err != nil {
 		out.err = fmt.Errorf("fit: %w", err)
 		return out
 	}
@@ -236,13 +202,8 @@ func runFold(ctx context.Context, p Pipeline, d *dataset.Dataset, train, test []
 	out.trainTime = time.Since(t0)
 	//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
 	t0 = time.Now()
-	var pred []int
-	if cp != nil {
-		pred, err = cp.PredictContext(ctx, d, test)
-	} else {
-		pred, err = p.Predict(d, test)
-	}
-	if err != nil {
+	pred := make([]int, len(test))
+	if err := p.PredictBatch(ctx, d, test, pred); err != nil {
 		out.err = fmt.Errorf("predict: %w", err)
 		return out
 	}
@@ -257,12 +218,11 @@ func runFold(ctx context.Context, p Pipeline, d *dataset.Dataset, train, test []
 }
 
 // CrossValidateContext is CrossValidateOpt under a context. The context
-// applies to the whole run: cancellation aborts between and (for
-// pipelines implementing ContextPipeline) inside folds, regardless of
-// opt.ContinueOnError. With opt.ContinueOnError, non-cancellation fold
-// failures are isolated into CVResult.Failures and the remaining folds
-// still run; if no fold completes, the returned error satisfies
-// errors.Is(err, guard.ErrPartialResult).
+// applies to the whole run: cancellation aborts between and inside
+// folds, regardless of opt.ContinueOnError. With opt.ContinueOnError,
+// non-cancellation fold failures are isolated into CVResult.Failures
+// and the remaining folds still run; if no fold completes, the
+// returned error satisfies errors.Is(err, guard.ErrPartialResult).
 //
 // An aborting run (cancellation, or a fold failure without
 // ContinueOnError) returns its error together with a non-nil result
@@ -368,6 +328,13 @@ func CrossValidateContext(ctx context.Context, p Pipeline, d *dataset.Dataset, k
 		if canObserve {
 			origObs = op.Observer()
 		}
+		// Clone before fanning out: the last fold installs its observer
+		// fork on the original, and a clone taken concurrently would
+		// race with that write.
+		clones := make([]any, len(folds)-1)
+		for f := range clones {
+			clones[f] = cloner.CloneForCV()
+		}
 		_ = parallel.ForEach(opt.Workers, len(folds), func(f int) error {
 			if err := guard.New(ctx, guard.Limits{}).CheckNow(); err != nil {
 				outcomes[f] = foldOutcome{ran: true, err: err}
@@ -381,10 +348,10 @@ func CrossValidateContext(ctx context.Context, p Pipeline, d *dataset.Dataset, k
 			}
 			fp := p
 			if f != len(folds)-1 {
-				cl, ok := cloner.CloneForCV().(Pipeline)
+				cl, ok := clones[f].(Pipeline)
 				if !ok {
 					outcomes[f] = foldOutcome{ran: true,
-						err: fmt.Errorf("CloneForCV returned %T, not an eval.Pipeline", cloner.CloneForCV())}
+						err: fmt.Errorf("CloneForCV returned %T, not an eval.Pipeline", clones[f])}
 					return outcomes[f].err
 				}
 				fp = cl
@@ -472,11 +439,12 @@ func CrossValidateContext(ctx context.Context, p Pipeline, d *dataset.Dataset, k
 
 // HoldOut trains on train rows and evaluates accuracy on test rows.
 func HoldOut(p Pipeline, d *dataset.Dataset, train, test []int) (float64, error) {
-	if err := p.Fit(d, train); err != nil {
+	ctx := context.TODO()
+	if err := p.FitContext(ctx, d, train); err != nil {
 		return 0, err
 	}
-	pred, err := p.Predict(d, test)
-	if err != nil {
+	pred := make([]int, len(test))
+	if err := p.PredictBatch(ctx, d, test, pred); err != nil {
 		return 0, err
 	}
 	truth := make([]int, len(test))
@@ -484,27 +452,6 @@ func HoldOut(p Pipeline, d *dataset.Dataset, train, test []int) (float64, error)
 		truth[i] = d.Labels[r]
 	}
 	return Accuracy(pred, truth)
-}
-
-// SelectBest evaluates each candidate pipeline by k-fold CV and returns
-// the index of the one with the highest mean accuracy — the "10-fold
-// cross validation on each training set, pick the best model" step of
-// the paper's protocol.
-func SelectBest(cands []Pipeline, d *dataset.Dataset, k int, seed int64) (int, *CVResult, error) {
-	if len(cands) == 0 {
-		return -1, nil, fmt.Errorf("eval: no candidate pipelines")
-	}
-	bestIdx, bestRes := -1, (*CVResult)(nil)
-	for i, p := range cands {
-		res, err := CrossValidate(p, d, k, seed)
-		if err != nil {
-			return -1, nil, fmt.Errorf("eval: candidate %d: %w", i, err)
-		}
-		if bestRes == nil || res.Mean > bestRes.Mean {
-			bestIdx, bestRes = i, res
-		}
-	}
-	return bestIdx, bestRes, nil
 }
 
 func meanStd(xs []float64) (mean, std float64) {

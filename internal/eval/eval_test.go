@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -16,7 +17,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
 // majorityPipeline predicts the majority class of its training rows.
 type majorityPipeline struct{ class int }
 
-func (p *majorityPipeline) Fit(d *dataset.Dataset, rows []int) error {
+func (p *majorityPipeline) FitContext(_ context.Context, d *dataset.Dataset, rows []int) error {
 	counts := make([]int, d.NumClasses())
 	for _, r := range rows {
 		counts[d.Labels[r]]++
@@ -30,32 +31,38 @@ func (p *majorityPipeline) Fit(d *dataset.Dataset, rows []int) error {
 	return nil
 }
 
-func (p *majorityPipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	out := make([]int, len(rows))
+func (p *majorityPipeline) PredictBatch(_ context.Context, d *dataset.Dataset, rows []int, out []int) error {
 	for i := range out {
 		out[i] = p.class
 	}
-	return out, nil
+	return nil
 }
 
 // oraclePipeline predicts the true label (upper bound pipeline).
 type oraclePipeline struct{}
 
-func (oraclePipeline) Fit(d *dataset.Dataset, rows []int) error { return nil }
-func (oraclePipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	out := make([]int, len(rows))
+func (oraclePipeline) FitContext(context.Context, *dataset.Dataset, []int) error { return nil }
+func (oraclePipeline) PredictBatch(_ context.Context, d *dataset.Dataset, rows []int, out []int) error {
+	predictTruth(d, rows, out)
+	return nil
+}
+
+// predictTruth writes each row's true label into out: the predict step
+// of the fakes that stand for a perfect model.
+func predictTruth(d *dataset.Dataset, rows []int, out []int) {
 	for i, r := range rows {
 		out[i] = d.Labels[r]
 	}
-	return out, nil
 }
 
 // failingPipeline always errors.
 type failingPipeline struct{}
 
-func (failingPipeline) Fit(d *dataset.Dataset, rows []int) error { return errors.New("boom") }
-func (failingPipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	return nil, errors.New("boom")
+func (failingPipeline) FitContext(context.Context, *dataset.Dataset, []int) error {
+	return errors.New("boom")
+}
+func (failingPipeline) PredictBatch(context.Context, *dataset.Dataset, []int, []int) error {
+	return errors.New("boom")
 }
 
 func skewedDS(n int) *dataset.Dataset {
@@ -88,19 +95,6 @@ func TestAccuracy(t *testing.T) {
 	}
 	if _, err := Accuracy(nil, nil); err == nil {
 		t.Fatal("empty should error")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	m, err := ConfusionMatrix([]int{0, 1, 1, 0}, []int{0, 1, 0, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0][0] != 2 || m[0][1] != 1 || m[1][1] != 1 || m[1][0] != 0 {
-		t.Fatalf("confusion = %v", m)
-	}
-	if _, err := ConfusionMatrix([]int{5}, []int{0}, 2); err == nil {
-		t.Fatal("out-of-range should error")
 	}
 }
 
@@ -150,23 +144,6 @@ func TestHoldOut(t *testing.T) {
 	}
 	if !approx(acc, 1) {
 		t.Fatalf("oracle holdout = %v", acc)
-	}
-}
-
-func TestSelectBest(t *testing.T) {
-	d := skewedDS(60)
-	idx, res, err := SelectBest([]Pipeline{&majorityPipeline{}, oraclePipeline{}}, d, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("best = %d, want oracle (1)", idx)
-	}
-	if !approx(res.Mean, 1) {
-		t.Fatalf("best mean = %v", res.Mean)
-	}
-	if _, _, err := SelectBest(nil, d, 5, 1); err == nil {
-		t.Fatal("empty candidates should error")
 	}
 }
 

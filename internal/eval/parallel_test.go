@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -84,11 +85,11 @@ type cloneFail struct {
 }
 
 func (p *cloneFail) CloneForCV() any { return &cloneFail{n: p.n} }
-func (p *cloneFail) Fit(d *dataset.Dataset, rows []int) error {
+func (p *cloneFail) FitContext(ctx context.Context, d *dataset.Dataset, rows []int) error {
 	if p.n.Add(1)%2 == 1 {
 		return errors.New("boom")
 	}
-	return p.cloneMajority.Fit(d, rows)
+	return p.cloneMajority.FitContext(ctx, d, rows)
 }
 
 // TestCrossValidateParallelContinueOnError: isolated fold failures

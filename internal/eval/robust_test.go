@@ -15,7 +15,7 @@ import (
 // label afterwards — one poisoned fold in an otherwise perfect run.
 type panicOncePipeline struct{ calls int }
 
-func (p *panicOncePipeline) Fit(d *dataset.Dataset, rows []int) error {
+func (p *panicOncePipeline) FitContext(context.Context, *dataset.Dataset, []int) error {
 	p.calls++
 	if p.calls == 1 {
 		panic("fold bomb")
@@ -23,12 +23,9 @@ func (p *panicOncePipeline) Fit(d *dataset.Dataset, rows []int) error {
 	return nil
 }
 
-func (p *panicOncePipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
-	out := make([]int, len(rows))
-	for i, r := range rows {
-		out[i] = d.Labels[r]
-	}
-	return out, nil
+func (p *panicOncePipeline) PredictBatch(_ context.Context, d *dataset.Dataset, rows []int, out []int) error {
+	predictTruth(d, rows, out)
+	return nil
 }
 
 func TestFoldPanicIsolatedUnderContinueOnError(t *testing.T) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -119,7 +120,7 @@ type variantPipeline struct {
 	pool     int // mined pool size of the last Fit
 }
 
-func (p *variantPipeline) Fit(d *dataset.Dataset, rows []int) error {
+func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, rows []int) error {
 	train := d.Subset(rows)
 	var err error
 	p.disc, err = discretize.Fit(train, discretize.Options{})
@@ -137,6 +138,7 @@ func (p *variantPipeline) Fit(d *dataset.Dataset, rows []int) error {
 		MaxPatterns: 2_000_000,
 		MaxLen:      6,
 		MinLen:      2,
+		Ctx:         ctx,
 	})
 	if err != nil {
 		return err
@@ -149,7 +151,7 @@ func (p *variantPipeline) Fit(d *dataset.Dataset, rows []int) error {
 	var sel *featsel.Result
 	if p.topK > 0 {
 		sel = featsel.TopK(cands, b.ClassMasks, featsel.InfoGain, p.topK)
-	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3}); err != nil {
+	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3, Ctx: ctx}); err != nil {
 		return err
 	}
 	p.patterns = make([]mining.Pattern, len(sel.Selected))
@@ -163,7 +165,7 @@ func (p *variantPipeline) Fit(d *dataset.Dataset, rows []int) error {
 	for i := range x {
 		x[i] = p.fv(b.Rows[i])
 	}
-	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(p.patterns)})
+	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(p.patterns), Ctx: ctx})
 	return err
 }
 
@@ -186,16 +188,15 @@ func (p *variantPipeline) fv(tx []int32) []int32 {
 	return out
 }
 
-func (p *variantPipeline) Predict(d *dataset.Dataset, rows []int) ([]int, error) {
+func (p *variantPipeline) PredictBatch(_ context.Context, d *dataset.Dataset, rows []int, out []int) error {
 	b, err := p.encode(d.Subset(rows))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]int, len(rows))
 	for i := range rows {
 		out[i] = p.model.Predict(p.fv(b.Rows[i]))
 	}
-	return out, nil
+	return nil
 }
 
 // RunAblationRelevance compares information gain vs. Fisher score as

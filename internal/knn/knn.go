@@ -164,12 +164,3 @@ func (s *Scorer) Predict(x []int32) int {
 	}
 	return best
 }
-
-// PredictAll predicts every row.
-func (m *Model) PredictAll(x [][]int32) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
-}

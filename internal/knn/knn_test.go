@@ -119,11 +119,10 @@ func TestPredictAll(t *testing.T) {
 	x := [][]int32{{0}, {1}, {0}, {1}}
 	y := []int{0, 1, 0, 1}
 	m, _ := Train(x, y, 2, Config{K: 1})
-	got := m.PredictAll(x)
 	s := m.NewScorer()
-	for i := range got {
-		if got[i] != y[i] {
-			t.Fatalf("PredictAll[%d] = %d, want %d", i, got[i], y[i])
+	for i := range x {
+		if p := m.Predict(x[i]); p != y[i] {
+			t.Fatalf("Predict(row %d) = %d, want %d", i, p, y[i])
 		}
 		// The scorer's reused scratch must not carry votes across rows.
 		if p := s.Predict(x[i]); p != y[i] {

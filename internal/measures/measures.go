@@ -51,16 +51,6 @@ func Entropy(counts []float64) float64 {
 	return h
 }
 
-// ClassEntropy returns H(C) for the class masks (one bitset of rows per
-// class).
-func ClassEntropy(classMasks []*bitset.Bitset) float64 {
-	counts := make([]float64, len(classMasks))
-	for i, m := range classMasks {
-		counts[i] = float64(m.Count())
-	}
-	return Entropy(counts)
-}
-
 // InfoGain returns IG(C|X) = H(C) − H(C|X) (Eq. 1) where X is the
 // binary feature "pattern present", cover is the rows where X = 1, and
 // classMasks partition all n rows by class.

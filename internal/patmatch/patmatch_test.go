@@ -229,23 +229,3 @@ func TestMatchAppendOffsetsAndOrder(t *testing.T) {
 		t.Fatalf("MatchAppend = %v, want %v (ascending IDs after the prefix)", dst, want)
 	}
 }
-
-func BenchmarkMatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	patterns := make([][]int32, 64)
-	for i := range patterns {
-		patterns[i] = randomSortedSet(rng, 2+rng.Intn(4), 60)
-	}
-	m := Compile(patterns)
-	txs := make([][]int32, 128)
-	for i := range txs {
-		txs[i] = randomSortedSet(rng, 14, 60)
-	}
-	var s Scratch
-	s.Grow(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Match(txs[i%len(txs)], &s)
-	}
-}

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"sort"
 
 	"dfpc/internal/dataset"
 )
@@ -181,17 +180,4 @@ func (m *CMARModel) Predict(tx []int32) int {
 		}
 	}
 	return best
-}
-
-// TopRules returns the k highest-precedence rules (diagnostics).
-func (m *CMARModel) TopRules(k int) []Rule {
-	if k > len(m.Rules) {
-		k = len(m.Rules)
-	}
-	out := make([]Rule, k)
-	for i := 0; i < k; i++ {
-		out[i] = m.Rules[i].Rule
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Confidence > out[j].Confidence })
-	return out
 }

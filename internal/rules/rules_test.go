@@ -261,20 +261,3 @@ func TestCMAREmptyTraining(t *testing.T) {
 		t.Fatal("empty training should error")
 	}
 }
-
-func TestCMARTopRules(t *testing.T) {
-	b := patternedDS()
-	m, err := TrainCMAR(b, CMAROptions{MinSupport: 0.2, MinConfidence: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := m.TopRules(3)
-	if len(top) == 0 || len(top) > 3 {
-		t.Fatalf("TopRules = %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Confidence > top[i-1].Confidence+1e-12 {
-			t.Fatal("TopRules not confidence-ordered")
-		}
-	}
-}

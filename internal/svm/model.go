@@ -83,9 +83,6 @@ type Model struct {
 	// singleClass >= 0 marks a degenerate training set with only one
 	// class: Predict always returns it.
 	singleClass int
-	// platt holds per-pair sigmoid calibration, fitted on demand by
-	// CalibrateProbabilities.
-	platt []plattParams
 }
 
 // Train fits an SVM on sparse binary rows x with class labels y in
@@ -363,14 +360,4 @@ func (m *Model) PredictAll(x [][]int32) []int {
 		out[i] = m.Predict(row)
 	}
 	return out
-}
-
-// NumSupportVectors returns the total support-vector count across all
-// binary subproblems (a model-complexity diagnostic).
-func (m *Model) NumSupportVectors() int {
-	n := 0
-	for _, bm := range m.pairs {
-		n += len(bm.svX)
-	}
-	return n
 }

@@ -12,8 +12,6 @@ type modelSnapshot struct {
 	PairClass   [][2]int
 	SingleClass int
 	Pairs       []binarySnapshot
-	Platt       []plattSnapshot
-	HasPlatt    bool
 }
 
 type binarySnapshot struct {
@@ -24,17 +22,12 @@ type binarySnapshot struct {
 	Gamma  float64
 }
 
-type plattSnapshot struct {
-	A, B float64
-}
-
 // MarshalBinary encodes the trained model (encoding.BinaryMarshaler).
 func (m *Model) MarshalBinary() ([]byte, error) {
 	snap := modelSnapshot{
 		NumClasses:  m.numClasses,
 		PairClass:   m.pairClass,
 		SingleClass: m.singleClass,
-		HasPlatt:    m.platt != nil,
 	}
 	for _, bm := range m.pairs {
 		snap.Pairs = append(snap.Pairs, binarySnapshot{
@@ -44,9 +37,6 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 			Kernel: bm.kernel,
 			Gamma:  bm.gamma,
 		})
-	}
-	for _, p := range m.platt {
-		snap.Platt = append(snap.Platt, plattSnapshot{A: p.a, B: p.b})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
@@ -76,12 +66,6 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 			kernel: bs.Kernel,
 			gamma:  bs.Gamma,
 		})
-	}
-	m.platt = nil
-	if snap.HasPlatt {
-		for _, p := range snap.Platt {
-			m.platt = append(m.platt, plattParams{a: p.A, b: p.B})
-		}
 	}
 	return nil
 }

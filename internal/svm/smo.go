@@ -137,7 +137,7 @@ func trainBinary(x [][]int32, y []float64, cfg smoConfig) (*binaryModel, error) 
 			break
 		}
 
-		// Two-variable analytic update (Platt's clipping form).
+		// Two-variable analytic update, clipped to the box (the SMO step).
 		s := y[i] * y[j]
 		var lo, hi float64
 		if s < 0 {

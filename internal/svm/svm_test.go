@@ -265,7 +265,7 @@ func TestPredictAll(t *testing.T) {
 func TestNumSupportVectors(t *testing.T) {
 	x, y := sep2D(10)
 	m, _ := Train(x, y, 2, Config{NumFeatures: 2})
-	if m.NumSupportVectors() == 0 {
+	if m.SupportVectors() == 0 {
 		t.Fatal("no support vectors on a non-trivial problem")
 	}
 }
@@ -279,28 +279,5 @@ func TestLargeGramPathMatchesUncached(t *testing.T) {
 	m2, _ := Train(x, y, 2, Config{C: 1, NumFeatures: 2})
 	if math.Abs(m1.pairs[0].bias-m2.pairs[0].bias) > 1e-12 {
 		t.Fatal("training is not deterministic")
-	}
-}
-
-func BenchmarkTrainLinear500(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	var x [][]int32
-	var y []int
-	for i := 0; i < 500; i++ {
-		c := r.Intn(2)
-		row := []int32{int32(c)}
-		for f := int32(2); f < 20; f++ {
-			if r.Intn(3) == 0 {
-				row = append(row, f)
-			}
-		}
-		x = append(x, row)
-		y = append(y, c)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(x, y, 2, Config{C: 1, NumFeatures: 20}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -48,7 +48,7 @@ func fitIntrospected(t *testing.T, d *Dataset, workers int) introspectionSignatu
 	if err := clf.Fit(d, train); err != nil {
 		t.Fatalf("workers=%d: fit: %v", workers, err)
 	}
-	pred, err := clf.Predict(d, test)
+	pred, err := predict(clf, d, test)
 	if err != nil {
 		t.Fatalf("workers=%d: predict: %v", workers, err)
 	}
