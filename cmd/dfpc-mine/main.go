@@ -118,6 +118,12 @@ func main() {
 	ctx, stopSignals := telemetry.HandleSignals(ctx, ses.Log)
 	defer stopSignals()
 
+	switch *sortBy {
+	case "ig", "fisher", "support":
+	default:
+		fail(fmt.Errorf("unknown -sort ranking %q (want ig, fisher, or support)", *sortBy))
+	}
+
 	sp := o.Start("load")
 	d, err := load(*dataPath, *arffPath, *lucsPath, *bundled, *seed)
 	sp.End()

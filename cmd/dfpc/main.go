@@ -160,14 +160,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	lrn := dfpc.SVM
-	switch strings.ToLower(*learner) {
-	case "c45", "c4.5":
-		lrn = dfpc.C45
-	case "nbayes", "nb", "naivebayes":
-		lrn = dfpc.NaiveBayes
-	case "knn":
-		lrn = dfpc.KNN
+	lrn, err := parseLearner(*learner)
+	if err != nil {
+		fail(err)
 	}
 
 	opts := []dfpc.Option{
@@ -533,5 +528,20 @@ func parseFamily(s string) (dfpc.Family, error) {
 		return dfpc.PatFS, nil
 	default:
 		return 0, fmt.Errorf("unknown family %q", s)
+	}
+}
+
+func parseLearner(s string) (dfpc.Learner, error) {
+	switch strings.ToLower(s) {
+	case "svm":
+		return dfpc.SVM, nil
+	case "c45", "c4.5":
+		return dfpc.C45, nil
+	case "nbayes", "nb", "naivebayes":
+		return dfpc.NaiveBayes, nil
+	case "knn":
+		return dfpc.KNN, nil
+	default:
+		return 0, fmt.Errorf("unknown learner %q (want svm, c45, nbayes, or knn)", s)
 	}
 }

@@ -288,8 +288,8 @@ func WithOnBudget(policy BudgetPolicy, retries int, backoff float64) Option {
 }
 
 // WithWorkers bounds the classifier's internal parallelism: per-class
-// mining, the MMRFS gain scan, and the one-vs-one SVM subproblems fan
-// out across up to n goroutines (0 = GOMAXPROCS, 1 = sequential, the
+// mining, MMRFS relevance scoring, and the one-vs-one SVM subproblems
+// fan out across up to n goroutines (0 = GOMAXPROCS, 1 = sequential, the
 // default). Every parallel region merges deterministically, so the
 // fitted model, the selected patterns, and all predictions are
 // identical at any worker count. The setting is never serialized with

@@ -140,8 +140,8 @@ type Config struct {
 	// mining package default, 2).
 	BudgetBackoff float64
 
-	// Workers bounds the intra-fit parallelism: per-class mining, the
-	// MMRFS gain scan, and the one-vs-one SVM subproblems all fan out
+	// Workers bounds the intra-fit parallelism: per-class mining, MMRFS
+	// relevance scoring, and the one-vs-one SVM subproblems all fan out
 	// under this one knob (0 = GOMAXPROCS, 1 — the zero value's
 	// effective meaning — = sequential). Every parallel region merges
 	// deterministically, so the fitted model is identical at any worker

@@ -12,6 +12,7 @@ import (
 	"dfpc/internal/eval"
 	"dfpc/internal/featsel"
 	"dfpc/internal/mining"
+	"dfpc/internal/patmatch"
 	"dfpc/internal/svm"
 )
 
@@ -115,7 +116,7 @@ type variantPipeline struct {
 
 	disc     *discretize.Discretizer
 	numItems int
-	patterns []mining.Pattern
+	matcher  *patmatch.Matcher // compiled selected patterns
 	model    *svm.Model
 	pool     int // mined pool size of the last Fit
 }
@@ -154,18 +155,23 @@ func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, ro
 	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3, Ctx: ctx}); err != nil {
 		return err
 	}
-	p.patterns = make([]mining.Pattern, len(sel.Selected))
+	patterns := make([]mining.Pattern, len(sel.Selected))
 	for i, idx := range sel.Selected {
-		p.patterns[i] = mined[idx]
+		patterns[i] = mined[idx]
 	}
-	mining.SortPatterns(p.patterns)
-	mining.ReleaseCovers(p.patterns)
+	mining.SortPatterns(patterns)
+	items := make([][]int32, len(patterns))
+	for i := range patterns {
+		items[i] = patterns[i].Items
+	}
+	p.matcher = patmatch.Compile(items)
 
+	var ms patmatch.Scratch
 	x := make([][]int32, b.NumRows())
 	for i := range x {
-		x[i] = p.fv(b.Rows[i])
+		x[i] = p.fv(b.Rows[i], &ms)
 	}
-	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(p.patterns), Ctx: ctx})
+	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(patterns), Ctx: ctx})
 	return err
 }
 
@@ -177,15 +183,10 @@ func (p *variantPipeline) encode(d *dataset.Dataset) (*dataset.Binary, error) {
 	return dataset.Encode(cat)
 }
 
-func (p *variantPipeline) fv(tx []int32) []int32 {
-	out := make([]int32, 0, len(tx)+len(p.patterns))
+func (p *variantPipeline) fv(tx []int32, ms *patmatch.Scratch) []int32 {
+	out := make([]int32, 0, len(tx)+p.matcher.NumPatterns())
 	out = append(out, tx...)
-	for j := range p.patterns {
-		if patternMatches(tx, p.patterns[j].Items) {
-			out = append(out, int32(p.numItems+j))
-		}
-	}
-	return out
+	return p.matcher.MatchAppend(out, tx, int32(p.numItems), ms)
 }
 
 func (p *variantPipeline) PredictBatch(_ context.Context, d *dataset.Dataset, rows []int, out []int) error {
@@ -193,8 +194,9 @@ func (p *variantPipeline) PredictBatch(_ context.Context, d *dataset.Dataset, ro
 	if err != nil {
 		return err
 	}
+	var ms patmatch.Scratch
 	for i := range rows {
-		out[i] = p.model.Predict(p.fv(b.Rows[i]))
+		out[i] = p.model.Predict(p.fv(b.Rows[i], &ms))
 	}
 	return nil
 }

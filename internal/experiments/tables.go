@@ -25,6 +25,7 @@ import (
 	"dfpc/internal/mining"
 	"dfpc/internal/obs"
 	"dfpc/internal/parallel"
+	"dfpc/internal/patmatch"
 	"dfpc/internal/rules"
 	"dfpc/internal/svm"
 )
@@ -402,16 +403,16 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 		}
 		mining.SortPatterns(selected)
 
+		items := make([][]int32, len(selected))
+		for i := range selected {
+			items[i] = selected[i].Items
+		}
+		matcher := patmatch.Compile(items)
+		var ms patmatch.Scratch
 		fx := func(bb *dataset.Binary) [][]int32 {
 			out := make([][]int32, bb.NumRows())
 			for i := range out {
-				fv := append([]int32(nil), bb.Rows[i]...)
-				for j := range selected {
-					if patternMatches(bb.Rows[i], selected[j].Items) {
-						fv = append(fv, int32(b.NumItems()+j))
-					}
-				}
-				out[i] = fv
+				out[i] = matcher.MatchAppend(append([]int32(nil), bb.Rows[i]...), bb.Rows[i], int32(b.NumItems()), &ms)
 			}
 			return out
 		}
@@ -435,20 +436,6 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-func patternMatches(tx, items []int32) bool {
-	i := 0
-	for _, it := range items {
-		for i < len(tx) && tx[i] < it {
-			i++
-		}
-		if i >= len(tx) || tx[i] != it {
-			return false
-		}
-		i++
-	}
-	return true
 }
 
 func accuracyPct(pred, truth []int) float64 {

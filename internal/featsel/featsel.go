@@ -80,11 +80,10 @@ type Options struct {
 	// selection run (candidates, selected, coverage residual). Nil
 	// disables logging.
 	Log *slog.Logger
-	// Workers bounds the per-iteration gain scan's worker pool
-	// (0 = GOMAXPROCS, 1 = sequential). Selection is deterministic for
-	// any worker count: the scan is a chunked reduction merged in chunk
-	// order with a strict-inequality tie-break, so the selected feature
-	// set is bit-for-bit identical to the sequential run.
+	// Workers bounds the worker pool that scores S(α) for every
+	// candidate (0 = GOMAXPROCS, 1 = sequential); pools smaller than
+	// parallelMinCandidates are scored in place. The greedy loop is
+	// sequential, so the selected set is identical at any worker count.
 	Workers parallel.Workers
 	// Faults, when non-nil, enables deterministic fault injection at
 	// the selection entry (point featsel.mmrfs). Nil is free.
@@ -114,7 +113,7 @@ type Result struct {
 }
 
 // AuditEntry records one MMRFS iteration's decision: which candidate
-// the gain scan picked, the Eq. 10 quantities behind the pick, and
+// the gain argmax picked, the Eq. 10 quantities behind the pick, and
 // whether the coverage test accepted it.
 type AuditEntry struct {
 	// Iteration numbers decisions from 1.
@@ -135,9 +134,9 @@ type AuditEntry struct {
 	Reason   string `json:"reason"`
 }
 
-// parallelMinCandidates is the candidate-pool size below which the
-// gain scan stays sequential: spawning a chunk per worker costs more
-// than scanning a few hundred candidates in place.
+// parallelMinCandidates is the candidate-pool size below which
+// scoreAll stays sequential: spawning a chunk per worker costs more
+// than scoring a few hundred candidates in place.
 const parallelMinCandidates = 512
 
 // scoreAll computes S(α) for each candidate, fanning the (independent,
@@ -204,6 +203,37 @@ func majorityClass(cov *bitset.Bitset, classMasks []*bitset.Bitset) int {
 	return best
 }
 
+// gainHeap is MMRFS's max-heap of candidate indices, ordered by gain
+// rel[i] − maxRed[i] descending, then index ascending (the eager
+// scan's first-index-wins tie-break).
+type gainHeap struct {
+	idx         []int32
+	rel, maxRed []float64
+}
+
+// above reports whether candidate a orders before candidate b.
+func (h *gainHeap) above(a, b int32) bool {
+	ga, gb := h.rel[a]-h.maxRed[a], h.rel[b]-h.maxRed[b]
+	return ga > gb || (ga == gb && a < b)
+}
+
+// down restores the heap order below position k.
+func (h *gainHeap) down(k int) {
+	for {
+		top := k
+		for _, c := range [2]int{2*k + 1, 2*k + 2} {
+			if c < len(h.idx) && h.above(h.idx[c], h.idx[top]) {
+				top = c
+			}
+		}
+		if top == k {
+			return
+		}
+		h.idx[k], h.idx[top] = h.idx[top], h.idx[k]
+		k = top
+	}
+}
+
 // MMRFS runs Algorithm 1 over the candidates. labels[i] is the class of
 // training row i; classMasks partition the rows by class. It returns
 // the selected candidate indices in selection order.
@@ -266,61 +296,23 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 	}
 	fullyCovered := 0
 
-	// maxRed[i] tracks max_{β∈Fs} R(candidate_i, β), updated
-	// incrementally as features join Fs.
+	// maxRed[i] is max R(candidate_i, β) over the first seen[i]
+	// members of Fs. maxRed only grows as Fs grows, so a stale gain
+	// S(α) − maxRed(α) bounds the true gain from above: lazy greedy
+	// (Minoux 1978; CELF) refreshes only the heap's top against the
+	// selections it has not seen and accepts it once it is fresh,
+	// which is exactly the eager argmax, lowest-index tie-break
+	// included.
 	maxRed := make([]float64, len(cands))
-	inSel := make([]bool, len(cands))
-
-	// The per-iteration scans (gain argmax, redundancy update) go wide
-	// only past the pool-size threshold; each chunk touches its own
-	// index range, and chunk results merge in chunk order with strict
-	// inequalities, reproducing the sequential lowest-index tie-break.
-	workers := opt.Workers.Resolve()
-	if len(cands) < parallelMinCandidates {
-		workers = 1
+	seen := make([]int32, len(cands))
+	h := gainHeap{rel: res.Relevance, maxRed: maxRed, idx: make([]int32, 0, len(cands))}
+	for i := range cands {
+		if majority[i] >= 0 {
+			h.idx = append(h.idx, int32(i))
+		}
 	}
-	chunks := parallel.Chunks(len(cands), workers)
-
-	// scanGain returns the best candidate in [lo, hi), first index wins
-	// ties via the strict >.
-	scanGain := func(lo, hi int) (int, float64) {
-		best, bestGain := -1, math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			if inSel[i] || majority[i] < 0 {
-				continue
-			}
-			gain := res.Relevance[i] - maxRed[i]
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		return best, bestGain
-	}
-
-	// pick returns the unselected candidate with maximal gain, or -1.
-	pick := func() int {
-		if workers <= 1 {
-			best, _ := scanGain(0, len(cands))
-			return best
-		}
-		type chunkBest struct {
-			idx  int
-			gain float64
-		}
-		bests := make([]chunkBest, len(chunks))
-		// Chunks write only their own bests[c] slot and cannot fail.
-		_ = parallel.ForEach(opt.Workers, len(chunks), func(c int) error {
-			idx, gain := scanGain(chunks[c][0], chunks[c][1])
-			bests[c] = chunkBest{idx: idx, gain: gain}
-			return nil
-		})
-		best, bestGain := -1, math.Inf(-1)
-		for _, b := range bests {
-			if b.idx >= 0 && b.gain > bestGain {
-				best, bestGain = b.idx, b.gain
-			}
-		}
-		return best
+	for k := len(h.idx)/2 - 1; k >= 0; k-- {
+		h.down(k)
 	}
 
 	// correctlyCoversUncovered reports whether candidate i correctly
@@ -335,22 +327,7 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		return found
 	}
 
-	// updateRed refreshes maxRed[j] for j in [lo, hi) against the newly
-	// selected candidate i; writes are index-partitioned by chunk.
-	updateRed := func(i, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if inSel[j] || majority[j] < 0 {
-				continue
-			}
-			r := redundancy(cands[j], cands[i], res.Relevance[j], res.Relevance[i])
-			if r > maxRed[j] {
-				maxRed[j] = r
-			}
-		}
-	}
-
 	add := func(i int) {
-		inSel[i] = true
 		res.Selected = append(res.Selected, i)
 		cands[i].Cover.ForEach(func(row int) {
 			if labels[row] == majority[i] {
@@ -360,27 +337,17 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 				}
 			}
 		})
-		if workers <= 1 {
-			updateRed(i, 0, len(cands))
-			return
-		}
-		// Chunks write disjoint maxRed ranges and cannot fail.
-		_ = parallel.ForEach(opt.Workers, len(chunks), func(c int) error {
-			updateRed(i, chunks[c][0], chunks[c][1])
-			return nil
-		})
 	}
 
 	sp.Attr("coverable", coverable)
 	iterations := opt.Obs.Counter("mmrfs.iterations")
 	rejected := opt.Obs.Counter("mmrfs.rejected_no_coverage")
+	redEvals := opt.Obs.Counter("mmrfs.redundancy_evals")
 	gainHist := opt.Obs.Histogram("mmrfs.gain_microbits")
 	audit := opt.Obs.Enabled()
 	dropped := 0
 	for {
-		// Each iteration scans the whole candidate pool (pick + add are
-		// O(|F|)), so poll the guard eagerly rather than amortized.
-		if err := g.CheckNow(); err != nil {
+		if err := g.Check(); err != nil {
 			sp.End()
 			return nil, err
 		}
@@ -390,10 +357,32 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		if fullyCovered >= coverable {
 			break
 		}
-		i := pick()
-		if i < 0 {
+		// Refresh the top until it has seen every selection (Eq. 9
+		// against the new members of Fs only), re-sifting each time.
+		for len(h.idx) > 0 && int(seen[h.idx[0]]) < len(res.Selected) {
+			if err := g.Check(); err != nil {
+				sp.End()
+				return nil, err
+			}
+			i := int(h.idx[0])
+			for _, j := range res.Selected[seen[i]:] {
+				if r := redundancy(cands[i], cands[j], res.Relevance[i], res.Relevance[j]); r > maxRed[i] {
+					maxRed[i] = r
+				}
+			}
+			redEvals.Add(int64(len(res.Selected) - int(seen[i])))
+			seen[i] = int32(len(res.Selected))
+			h.down(0)
+		}
+		if len(h.idx) == 0 {
 			break // pool exhausted
 		}
+		i := int(h.idx[0])
+		// Algorithm 1 line 7 removes the pick from F whether or not it
+		// is selected.
+		h.idx[0] = h.idx[len(h.idx)-1]
+		h.idx = h.idx[:len(h.idx)-1]
+		h.down(0)
 		iterations.Inc()
 		accepted := correctlyCoversUncovered(i)
 		if audit {
@@ -417,9 +406,7 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		if accepted {
 			add(i)
 		} else {
-			// Cannot contribute coverage: drop from the pool without
-			// selecting (Algorithm 1 line 7 removes β from F either way).
-			inSel[i] = true
+			// Cannot contribute coverage: dropped without selecting.
 			dropped++
 			rejected.Inc()
 		}
@@ -437,9 +424,6 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 			slog.Int("dropped", dropped),
 			slog.Int("coverage_residual", coverable-fullyCovered))
 	}
-
-	// inSel was reused to mark dropped candidates; rebuild Selected-only
-	// marks are already in res.Selected, nothing to undo.
 	return res, nil
 }
 

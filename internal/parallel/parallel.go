@@ -1,8 +1,8 @@
 // Package parallel is the pipeline's deterministic execution layer: a
 // bounded worker pool over index ranges, built only on the stdlib.
-// Every compute stage that fans out — CV folds, per-class mining, the
-// MMRFS gain scan, one-vs-one SVM subproblems — schedules through
-// ForEach/Map so the concurrency discipline lives in one place.
+// Every compute stage that fans out — CV folds, per-class mining,
+// MMRFS relevance scoring, one-vs-one SVM subproblems — schedules
+// through ForEach/Map so the concurrency discipline lives in one place.
 //
 // The layer's contract is determinism: for any worker count, the same
 // inputs produce the same outputs. The primitives make that easy to

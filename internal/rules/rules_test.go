@@ -187,77 +187,3 @@ func TestGenerateRulesConfidence(t *testing.T) {
 		}
 	}
 }
-
-func TestCMARTrainPredict(t *testing.T) {
-	b := patternedDS()
-	m, err := TrainCMAR(b, CMAROptions{MinSupport: 0.3, MinConfidence: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Rules) == 0 {
-		t.Fatal("no rules kept")
-	}
-	for i := 0; i < b.NumRows(); i++ {
-		if got := m.Predict(b.Rows[i]); got != b.Labels[i] {
-			t.Fatalf("row %d = %d, want %d", i, got, b.Labels[i])
-		}
-	}
-	if got := m.Predict([]int32{}); got != m.DefaultClass {
-		t.Fatalf("unmatched predicts %d, want default", got)
-	}
-}
-
-func TestCMARChiSquaredStats(t *testing.T) {
-	// Perfect association: 10 of 20 rows have the antecedent, all of
-	// them in the class (class also has exactly those 10) → χ² = maxχ².
-	chi2, maxChi2 := chi2Stats(10, 10, 10, 20)
-	if chi2 <= 0 || maxChi2 <= 0 {
-		t.Fatalf("chi2=%v max=%v", chi2, maxChi2)
-	}
-	if chi2 > maxChi2+1e-9 {
-		t.Fatalf("chi2 %v exceeds max %v", chi2, maxChi2)
-	}
-	if maxChi2-chi2 > 1e-9 {
-		t.Fatalf("perfect association should reach the max: %v vs %v", chi2, maxChi2)
-	}
-	// Independence: antecedent spread evenly across classes → χ² ≈ 0.
-	chi2, _ = chi2Stats(10, 10, 5, 20)
-	if chi2 > 1e-9 {
-		t.Fatalf("independent rule has χ² %v", chi2)
-	}
-	// Degenerate margins are safe.
-	if c, m := chi2Stats(0, 5, 0, 10); c != 0 || m != 1 {
-		t.Fatalf("degenerate = %v,%v", c, m)
-	}
-}
-
-func TestCMARWeightedScoreUsesMultipleRules(t *testing.T) {
-	b := patternedDS()
-	m, err := TrainCMAR(b, CMAROptions{MinSupport: 0.2, MinConfidence: 0.6, Coverage: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Count matching rules for a class-0 row: the multiple-rule scorer
-	// should see more than one.
-	matches := 0
-	for i := range m.Rules {
-		if m.Rules[i].matches(b.Rows[0]) {
-			matches++
-		}
-	}
-	if matches < 2 {
-		t.Fatalf("only %d matching rules; CMAR should keep several", matches)
-	}
-}
-
-func TestCMAREmptyTraining(t *testing.T) {
-	d := &dataset.Dataset{
-		Name:    "empty",
-		Attrs:   []dataset.Attribute{{Name: "a", Kind: dataset.Categorical, Values: []string{"0"}}},
-		Classes: []string{"x"},
-	}
-	b, _ := dataset.Encode(d)
-	if _, err := TrainCMAR(b, CMAROptions{}); err == nil {
-		t.Fatal("empty training should error")
-	}
-}
