@@ -35,7 +35,7 @@ var benchTable1Names = []string{"austral", "breast", "heart", "zoo"}
 
 func BenchmarkTable1SVM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(benchTable1Names, benchProto)
+		rows, err := experiments.RunTable1(context.Background(), benchTable1Names, benchProto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkTable1SVM(b *testing.B) {
 
 func BenchmarkTable2C45(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable2(benchTable1Names, benchProto)
+		rows, err := experiments.RunTable2(context.Background(), benchTable1Names, benchProto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkTable2C45(b *testing.B) {
 func benchScalability(b *testing.B, cfg experiments.ScalabilityConfig) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunScalability(cfg)
+		rows, err := experiments.RunScalability(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

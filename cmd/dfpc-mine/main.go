@@ -27,6 +27,7 @@ import (
 	"dfpc/internal/discretize"
 	"dfpc/internal/durable"
 	"dfpc/internal/faults"
+	"dfpc/internal/guard"
 	"dfpc/internal/measures"
 	"dfpc/internal/mining"
 	"dfpc/internal/obs"
@@ -152,7 +153,7 @@ func main() {
 		MaxLen:      *maxLen,
 		MaxPatterns: 2_000_000,
 		MinLen:      2,
-		Ctx:         ctx,
+		Guard:       guard.New(ctx, guard.Limits{}),
 		Obs:         o,
 		Log:         obs.StageLogger(ses.Log, "mine"),
 		Workers:     parallel.Workers(*workers),

@@ -85,8 +85,8 @@ func main() {
 		stageTimeout: *stageTimeout,
 		contOnError:  *contOnError,
 		workers:      parallel.Workers(*workers),
-		ctx:          context.Background(),
 	}
+	ctx := context.Background()
 	switch strings.ToLower(*onBudget) {
 	case "", "fail":
 		cfg.onBudget = core.FailOnBudget
@@ -97,13 +97,13 @@ func main() {
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
-		cfg.ctx, cancel = context.WithTimeout(cfg.ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 	if *verbose || *reportTo != "" || *traceTo != "" || tf.NeedsObserver() {
 		cfg.obs = obs.New()
 	}
-	ses, err = tf.Start(cfg.ctx, "experiments", cfg.obs, *verbose)
+	ses, err = tf.Start(ctx, "experiments", cfg.obs, *verbose)
 	if err != nil {
 		fail(err)
 	}
@@ -122,7 +122,7 @@ func main() {
 	// First SIGINT/SIGTERM cancels the campaign gracefully (journal and
 	// completed CSVs intact); a second hard-exits with 130.
 	var stopSignals context.CancelFunc
-	cfg.ctx, stopSignals = telemetry.HandleSignals(cfg.ctx, ses.Log)
+	ctx, stopSignals = telemetry.HandleSignals(ctx, ses.Log)
 	defer stopSignals()
 
 	if cfg.csvDir != "" {
@@ -140,9 +140,9 @@ func main() {
 	start := time.Now()
 	switch {
 	case *all:
-		err = runAll(cfg)
+		err = runAll(ctx, cfg)
 	case *table != "":
-		err = runTable(cfg, *table)
+		err = runTable(ctx, cfg, *table)
 	case *figure != "":
 		err = runFigure(cfg, *figure)
 	case *ablations:
@@ -211,8 +211,6 @@ type runConfig struct {
 	log    *slog.Logger  // the telemetry session's root logger
 
 	// bounded-execution settings threaded into every experiment
-	//vet:ignore ctxfirst per-run CLI config carrier: built once in main, read-only after
-	ctx          context.Context
 	stageTimeout time.Duration
 	onBudget     core.BudgetPolicy
 	contOnError  bool
@@ -225,7 +223,6 @@ type runConfig struct {
 func (c runConfig) protocol() experiments.Protocol {
 	return experiments.Protocol{
 		Folds:           c.folds,
-		Ctx:             c.ctx,
 		StageTimeout:    c.stageTimeout,
 		OnBudget:        c.onBudget,
 		ContinueOnError: c.contOnError,
@@ -243,9 +240,9 @@ func (c runConfig) emitCSV(name string, write func(w io.Writer) error) error {
 	return durable.WriteAtomic(filepath.Join(c.csvDir, name), c.faults, write)
 }
 
-func runAll(cfg runConfig) error {
+func runAll(ctx context.Context, cfg runConfig) error {
 	for _, t := range []string{"1", "2", "3", "4", "5", "harmony"} {
-		if err := runTable(cfg, t); err != nil {
+		if err := runTable(ctx, cfg, t); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -259,13 +256,13 @@ func runAll(cfg runConfig) error {
 	return runAblations(cfg)
 }
 
-func runTable(cfg runConfig, table string) error {
+func runTable(ctx context.Context, cfg runConfig, table string) error {
 	sp := cfg.obs.Start("table").Attr("table", table).Attr("folds", cfg.folds)
 	defer sp.End()
 	proto := cfg.protocol()
 	switch table {
 	case "1":
-		rows, err := experiments.RunTable1(datagen.Table1Names(), proto)
+		rows, err := experiments.RunTable1(ctx, datagen.Table1Names(), proto)
 		if err != nil {
 			return err
 		}
@@ -274,7 +271,7 @@ func runTable(cfg runConfig, table string) error {
 			return err
 		}
 	case "2":
-		rows, err := experiments.RunTable2(datagen.Table1Names(), proto)
+		rows, err := experiments.RunTable2(ctx, datagen.Table1Names(), proto)
 		if err != nil {
 			return err
 		}
@@ -283,9 +280,7 @@ func runTable(cfg runConfig, table string) error {
 			return err
 		}
 	case "3", "4", "5":
-		sc := scalabilityConfig(table, cfg.quick)
-		sc.Ctx = cfg.ctx
-		rows, err := experiments.RunScalability(sc)
+		rows, err := experiments.RunScalability(ctx, scalabilityConfig(table, cfg.quick))
 		if err != nil {
 			return err
 		}

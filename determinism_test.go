@@ -2,10 +2,12 @@ package dfpc
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // The parallel execution layer's contract (internal/parallel, threaded
@@ -126,6 +128,77 @@ func TestDeterminismCrossValidation(t *testing.T) {
 				if got.Mean != base.Mean || got.Std != base.Std {
 					t.Errorf("workers=%d: mean/std (%v, %v) != (%v, %v)",
 						w, got.Mean, got.Std, base.Mean, base.Std)
+				}
+			}
+		})
+	}
+}
+
+// TestDeterminismUnderLiveGuard: with a cancellable context, a stage
+// timeout, and a memory limit, every stage polls a live guard, and the
+// parallel regions (per-class mining, one-vs-one SMO) must each poll
+// their own fork, which -race checks. The saved model is
+// byte-identical at workers 1, 2, and 8, and its predictions and
+// selected patterns equal a fit whose guards are all nil.
+func TestDeterminismUnderLiveGuard(t *testing.T) {
+	for _, tc := range []struct {
+		dataset string
+		learner Learner
+	}{
+		{"vehicle", SVM}, // 4 classes: 6 one-vs-one SMO pairs
+		{"glass", C45},
+	} {
+		t.Run(tc.dataset+"/"+tc.learner.String(), func(t *testing.T) {
+			d, err := Generate(tc.dataset, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.NumClasses() < 3 {
+				t.Fatalf("%s has %d classes; the test needs a multi-class set", tc.dataset, d.NumClasses())
+			}
+			train, test, err := TrainTestSplit(d, 0.3, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := NewClassifier(PatFS, tc.learner, WithMinSupport(0.1))
+			if err := ref.Fit(d, train); err != nil {
+				t.Fatalf("background fit: %v", err)
+			}
+			refPred, err := predict(ref, d, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.Explain()) == 0 {
+				t.Fatal("reference selected no patterns; test would be vacuous")
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var base []byte
+			for _, w := range []int{1, 2, 8} {
+				clf := NewClassifier(PatFS, tc.learner, WithMinSupport(0.1), WithWorkers(w),
+					WithStageTimeout(time.Hour), WithMemoryLimit(1<<40))
+				if err := clf.FitContext(ctx, d, train); err != nil {
+					t.Fatalf("workers=%d: fit: %v", w, err)
+				}
+				var buf bytes.Buffer
+				if err := SaveModel(&buf, clf); err != nil {
+					t.Fatalf("workers=%d: save: %v", w, err)
+				}
+				if base == nil {
+					base = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), base) {
+					t.Errorf("workers=%d: saved model bytes diverge from workers=1", w)
+				}
+				pred := make([]int, len(test))
+				if err := clf.PredictBatch(ctx, d, test, pred); err != nil {
+					t.Fatalf("workers=%d: predict: %v", w, err)
+				}
+				if !reflect.DeepEqual(pred, refPred) {
+					t.Errorf("workers=%d: predictions diverge from the background-context fit", w)
+				}
+				if !reflect.DeepEqual(clf.Explain(), ref.Explain()) {
+					t.Errorf("workers=%d: selected patterns diverge from the background-context fit", w)
 				}
 			}
 		})

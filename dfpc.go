@@ -236,13 +236,7 @@ func WithMDLDiscretization() Option {
 	return func(c *core.Config) { c.Disc = discretize.Options{Method: discretize.EntropyMDL} }
 }
 
-// WithChiMergeDiscretization switches numeric discretization to
-// Kerber's ChiMerge (supervised bottom-up interval merging).
-func WithChiMergeDiscretization() Option {
-	return func(c *core.Config) { c.Disc = discretize.Options{Method: discretize.ChiMerge} }
-}
-
-// WithBins sets the bin count for equal-frequency/equal-width
+// WithBins sets the bin count for the default equal-frequency
 // discretization.
 func WithBins(n int) Option {
 	return func(c *core.Config) { c.Disc.Bins = n }
@@ -312,9 +306,9 @@ type Classifier = core.Pipeline
 type Observer = obs.Observer
 
 // RunReport is the machine-readable summary of an observed run; it
-// JSON round-trips losslessly and renders as a human-readable tree,
-// CSV, or a Chrome trace_event timeline loadable in Perfetto
-// (WriteTree/WriteJSON/WriteCSV/WriteTrace).
+// JSON round-trips losslessly and renders as a human-readable tree
+// or a Chrome trace_event timeline loadable in Perfetto
+// (WriteTree/WriteJSON/WriteTrace).
 type RunReport = obs.RunReport
 
 // PredictionExplanation is the per-row evidence returned by

@@ -362,9 +362,8 @@ func TestDiscretizationOptionsPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range map[string]Option{
-		"mdl":      WithMDLDiscretization(),
-		"chimerge": WithChiMergeDiscretization(),
-		"bins":     WithBins(4),
+		"mdl":  WithMDLDiscretization(),
+		"bins": WithBins(4),
 	} {
 		clf := NewClassifier(PatFS, SVM, WithMinSupport(0.15), opt)
 		res, err := CrossValidate(clf, d, 3, 1)

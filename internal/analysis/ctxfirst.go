@@ -17,10 +17,9 @@ var Ctxfirst = &Analyzer{
 		"Exported functions/methods named *Context must take context.Context\n" +
 		"as their first parameter; any function taking a context must take it\n" +
 		"first; and no struct may declare a context.Context field — contexts\n" +
-		"are call-scoped, not state. Sanctioned carriers (guard.Guard, which\n" +
-		"scopes one stage's ctx, and the Ctx field of per-call Options/Config\n" +
-		"structs from the bounded-execution API) each carry a //vet:ignore\n" +
-		"with their justification.",
+		"are call-scoped, not state. guard.Guard, which scopes one stage's\n" +
+		"ctx, is the only sanctioned carrier and holds the one waiver: stages\n" +
+		"receive a caller-built *guard.Guard in their options, never a ctx.",
 	Run: runCtxfirst,
 }
 
@@ -117,7 +116,7 @@ func checkCtxFields(p *Pass, st *ast.StructType) {
 	for _, f := range st.Fields.List {
 		if isContextType(p.TypeOf(f.Type)) {
 			p.Reportf(f.Type.Pos(),
-				"struct stores a context.Context field; contexts are call-scoped — pass them as the first parameter instead (//vet:ignore ctxfirst with a reason for sanctioned carriers)")
+				"struct stores a context.Context field; contexts are call-scoped — pass them as the first parameter, or hand a stage a *guard.Guard built with guard.New")
 		}
 	}
 }

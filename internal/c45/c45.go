@@ -6,12 +6,10 @@
 package c45
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math"
 	"sort"
-	"time"
 
 	"dfpc/internal/faults"
 	"dfpc/internal/guard"
@@ -28,13 +26,11 @@ type Config struct {
 	Confidence float64
 	// MaxDepth optionally caps tree depth; 0 means unbounded.
 	MaxDepth int
-	// Ctx, when non-nil, makes tree growth cancellable; Train aborts
-	// with an error satisfying errors.Is(err, guard.ErrCanceled) (or
-	// guard.ErrDeadline). Nil costs nothing.
-	//vet:ignore ctxfirst per-call Config carrier: Config lives only for one Train call
-	Ctx context.Context
-	// Deadline aborts growth once passed (0 = none).
-	Deadline time.Time
+	// Guard, when non-nil, bounds tree growth; Train aborts with an
+	// error satisfying errors.Is(err, guard.ErrCanceled) (or
+	// guard.ErrDeadline). The caller builds it; nil costs nothing, and
+	// the type gob-encodes as nothing so Config stays serializable.
+	Guard *guard.Guard
 	// Obs, when non-nil, records node-count and depth metrics per Train
 	// call. Nil disables recording.
 	Obs *obs.Observer
@@ -94,9 +90,8 @@ func Train(x [][]int32, y []int, numClasses int, cfg Config) (*Model, error) {
 		}
 	}
 	cfg = cfg.withDefaults()
-	b := &builder{x: x, y: y, numClasses: numClasses, cfg: cfg,
-		g: guard.New(cfg.Ctx, guard.Limits{Deadline: cfg.Deadline})}
-	if err := b.g.CheckNow(); err != nil {
+	b := &builder{x: x, y: y, numClasses: numClasses, cfg: cfg}
+	if err := cfg.Guard.CheckNow(); err != nil {
 		return nil, err
 	}
 	if err := cfg.Faults.Hit(faults.C45Build); err != nil {
@@ -131,7 +126,6 @@ type builder struct {
 	y          []int
 	numClasses int
 	cfg        Config
-	g          *guard.Guard
 	// err records the first guard failure; once set, grow collapses to
 	// leaves immediately and Train returns the error instead of a model.
 	err error
@@ -256,7 +250,7 @@ func (b *builder) grow(rows []int, depth int) *node {
 	if b.err != nil {
 		return nd
 	}
-	if err := b.g.Check(); err != nil {
+	if err := b.cfg.Guard.Check(); err != nil {
 		b.err = err
 		return nd
 	}

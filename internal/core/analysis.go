@@ -33,7 +33,7 @@ type AnalyzeOptions struct {
 	// IncludeSingles adds every single item as a length-1 entry, so the
 	// Figure 1 comparison of single features vs. patterns is possible.
 	IncludeSingles bool
-	// Disc configures discretization (default entropy-MDL).
+	// Disc configures discretization (default equal-frequency).
 	Disc discretize.Options
 }
 

@@ -116,7 +116,7 @@ type Config struct {
 	Tree c45.Config
 
 	// Disc configures discretization of numeric attributes (default
-	// entropy-MDL).
+	// equal-frequency).
 	Disc discretize.Options
 
 	// StageTimeout bounds each pipeline stage (mining, selection,
@@ -291,13 +291,11 @@ func (p *Pipeline) warn(stage, msg string) {
 	}
 }
 
-// stageDeadline resolves the per-stage wall-clock bound.
-func (p *Pipeline) stageDeadline() time.Time {
-	if p.cfg.StageTimeout <= 0 {
-		return time.Time{}
-	}
-	//vet:ignore nondeterm wall-clock deadline arming; affects only cancellation, never reported results
-	return time.Now().Add(p.cfg.StageTimeout)
+// stageGuard builds one stage's guard: ctx plus Config.StageTimeout,
+// and memLimit as the soft heap ceiling (0 = none). It is nil, and
+// free, for a background context with no configured bounds.
+func (p *Pipeline) stageGuard(ctx context.Context, memLimit uint64) *guard.Guard {
+	return guard.New(ctx, guard.Limits{Timeout: p.cfg.StageTimeout, SoftMemoryBytes: memLimit})
 }
 
 // FeatureReport describes one selected pattern feature for
@@ -700,8 +698,7 @@ func (p *Pipeline) selectItems(ctx context.Context, b *dataset.Binary) error {
 	res, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{
 		Relevance: p.cfg.Relevance,
 		Coverage:  p.cfg.Coverage,
-		Ctx:       ctx,
-		Deadline:  p.stageDeadline(),
+		Guard:     p.stageGuard(ctx, 0),
 		Obs:       o,
 		Log:       obs.StageLogger(p.cfg.Log.Logger, "select-items"),
 		Workers:   p.cfg.Workers,
@@ -746,9 +743,7 @@ func (p *Pipeline) generatePatterns(ctx context.Context, b *dataset.Binary) erro
 		MaxPatterns: p.cfg.MaxPatterns,
 		MaxLen:      p.cfg.MaxPatternLen,
 		MinLen:      2, // single items are already in the space
-		Ctx:         ctx,
-		Deadline:    p.stageDeadline(),
-		MemLimit:    p.cfg.MemLimit,
+		Guard:       p.stageGuard(ctx, p.cfg.MemLimit),
 		Obs:         o,
 		Log:         obs.StageLogger(p.cfg.Log.Logger, "mine"),
 		Workers:     p.cfg.Workers,
@@ -810,8 +805,7 @@ func (p *Pipeline) generatePatterns(ctx context.Context, b *dataset.Binary) erro
 	res, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{
 		Relevance: p.cfg.Relevance,
 		Coverage:  p.cfg.Coverage,
-		Ctx:       ctx,
-		Deadline:  p.stageDeadline(),
+		Guard:     p.stageGuard(ctx, 0),
 		Obs:       o,
 		Log:       obs.StageLogger(p.cfg.Log.Logger, "select"),
 		Workers:   p.cfg.Workers,
@@ -896,7 +890,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 		return fmt.Errorf("core: learn: %w", err)
 	}
 	numFeatures := p.numItems + len(p.patterns)
-	deadline := p.stageDeadline()
+	g := p.stageGuard(ctx, 0)
 	var (
 		m   predictor
 		err error
@@ -906,8 +900,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 		tree := p.cfg.Tree
 		tree.Obs = p.cfg.Obs
 		tree.Log = obs.Log(obs.StageLogger(p.cfg.Log.Logger, "learn"))
-		tree.Ctx = ctx
-		tree.Deadline = deadline
+		tree.Guard = g
 		tree.Faults = p.cfg.Faults
 		m, err = c45.Train(x, y, numClasses, tree)
 	case NaiveBayes:
@@ -919,8 +912,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 			C:           p.cfg.SVMC,
 			Kernel:      svm.Kernel{Type: svm.RBF, Gamma: p.cfg.RBFGamma},
 			NumFeatures: numFeatures,
-			Ctx:         ctx,
-			Deadline:    deadline,
+			Guard:       g,
 			Obs:         p.cfg.Obs,
 			Log:         obs.StageLogger(p.cfg.Log.Logger, "learn"),
 			Workers:     p.cfg.Workers,
@@ -930,8 +922,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 		m, err = svm.Train(x, y, numClasses, svm.Config{
 			C:           p.cfg.SVMC,
 			NumFeatures: numFeatures,
-			Ctx:         ctx,
-			Deadline:    deadline,
+			Guard:       g,
 			Obs:         p.cfg.Obs,
 			Log:         obs.StageLogger(p.cfg.Log.Logger, "learn"),
 			Workers:     p.cfg.Workers,

@@ -6,7 +6,6 @@ import (
 
 	"dfpc/internal/c45"
 	"dfpc/internal/dataset"
-	"dfpc/internal/guard"
 	"dfpc/internal/svm"
 )
 
@@ -61,7 +60,7 @@ func (p *Pipeline) PredictExplain(ctx context.Context, d *dataset.Dataset, rows 
 	if p.model == nil {
 		return nil, errors.New("core: PredictExplain before Fit")
 	}
-	g := guard.New(ctx, guard.Limits{Deadline: p.stageDeadline()})
+	g := p.stageGuard(ctx, 0)
 	if err := g.CheckNow(); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"dfpc/internal/dataset"
 	"dfpc/internal/discretize"
 	"dfpc/internal/faults"
-	"dfpc/internal/guard"
 	"dfpc/internal/knn"
 	"dfpc/internal/modelobs"
 	"dfpc/internal/patmatch"
@@ -223,7 +222,7 @@ func (b *BatchPredictor) PredictInto(ctx context.Context, d *dataset.Dataset, ro
 	if len(out) != len(rows) {
 		return fmt.Errorf("core: PredictInto: out has %d slots for %d rows", len(out), len(rows))
 	}
-	g := guard.New(ctx, guard.Limits{Deadline: p.stageDeadline()})
+	g := p.stageGuard(ctx, 0)
 	if err := g.CheckNow(); err != nil {
 		return err
 	}

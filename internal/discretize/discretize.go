@@ -1,10 +1,10 @@
 // Package discretize converts numeric attributes into categorical ones,
 // a prerequisite for the binary item encoding (the paper, Section 2:
 // "For numerical attributes, the continuous values are discretized
-// first"). Three methods are provided: the entropy-based MDL method of
-// Fayyad & Irani (the standard choice for classification pipelines of
-// this era, including the LUCS-KDD discretized UCI sets the paper uses),
-// equal-width binning, and equal-frequency binning.
+// first"). Two methods are provided: equal-frequency binning (the
+// default) and the entropy-based MDL method of Fayyad & Irani (the
+// standard supervised choice for classification pipelines of this era,
+// including the LUCS-KDD discretized UCI sets the paper uses).
 package discretize
 
 import (
@@ -18,7 +18,8 @@ import (
 	"dfpc/internal/dataset"
 )
 
-// Method selects a discretization algorithm.
+// Method selects a discretization algorithm. The values are explicit
+// because Options.Method is gob-encoded in every saved model's config.
 type Method int
 
 const (
@@ -27,28 +28,18 @@ const (
 	// unsupervised quantile cuts preserve marginally-invisible
 	// interaction structure that supervised methods discard — the
 	// situation the paper's XOR example describes.
-	EqualFrequency Method = iota
-	// EqualWidth splits the observed range into equal-width bins.
-	EqualWidth
+	EqualFrequency Method = 0
 	// EntropyMDL is Fayyad–Irani recursive entropy minimization with the
 	// MDL stopping criterion. Supervised: uses the class labels.
-	EntropyMDL
-	// ChiMerge is Kerber's bottom-up interval merging by chi-squared
-	// similarity of adjacent class distributions (95% significance).
-	// Supervised.
-	ChiMerge
+	EntropyMDL Method = 2
 )
 
 func (m Method) String() string {
 	switch m {
 	case EntropyMDL:
 		return "entropy-mdl"
-	case EqualWidth:
-		return "equal-width"
 	case EqualFrequency:
 		return "equal-frequency"
-	case ChiMerge:
-		return "chimerge"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -57,10 +48,10 @@ func (m Method) String() string {
 // Options configures Discretize.
 type Options struct {
 	Method Method
-	// Bins is the bin count for EqualWidth/EqualFrequency (default 3).
+	// Bins is the bin count for EqualFrequency (default 3).
 	Bins int
-	// MaxCuts caps the number of cut points EntropyMDL or ChiMerge may
-	// produce per attribute (default 8); 0 means the default.
+	// MaxCuts caps the number of cut points EntropyMDL may produce per
+	// attribute (default 8); 0 means the default.
 	MaxCuts int
 }
 
@@ -99,13 +90,8 @@ func Fit(d *dataset.Dataset, opts Options) (*Discretizer, error) {
 		switch opts.Method {
 		case EntropyMDL:
 			cuts = mdlCuts(vals, labels, d.NumClasses(), opts.MaxCuts)
-		case EqualWidth:
-			cuts = equalWidthCuts(vals, opts.Bins)
 		case EqualFrequency:
 			cuts = equalFrequencyCuts(vals, opts.Bins)
-		case ChiMerge:
-			cuts = chiMergeCuts(vals, labels, d.NumClasses(),
-				chiMergeThreshold(d.NumClasses()), opts.MaxCuts+1)
 		default:
 			return nil, fmt.Errorf("discretize: unknown method %v", opts.Method)
 		}
@@ -228,26 +214,6 @@ func column(d *dataset.Dataset, a int) ([]float64, []int) {
 		labels = append(labels, d.Labels[i])
 	}
 	return vals, labels
-}
-
-func equalWidthCuts(vals []float64, bins int) []float64 {
-	if len(vals) == 0 || bins < 2 {
-		return nil
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi <= lo {
-		return nil
-	}
-	w := (hi - lo) / float64(bins)
-	cuts := make([]float64, 0, bins-1)
-	for b := 1; b < bins; b++ {
-		cuts = append(cuts, lo+float64(b)*w)
-	}
-	return cuts
 }
 
 func equalFrequencyCuts(vals []float64, bins int) []float64 {

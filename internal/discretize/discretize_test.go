@@ -1,7 +1,6 @@
 package discretize
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -98,7 +97,7 @@ func TestApplyProducesCategorical(t *testing.T) {
 func TestApplyPreservesMissing(t *testing.T) {
 	d := numericDS(20)
 	d.Rows[3][0] = dataset.Missing
-	out, err := FitApply(d, Options{Method: EqualWidth, Bins: 4})
+	out, err := FitApply(d, Options{Method: EqualFrequency, Bins: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,35 +117,12 @@ func TestApplyLeavesCategoricalAlone(t *testing.T) {
 		Rows:    [][]float64{{0, 1.0}, {1, 2.0}, {0, 3.0}, {1, 4.0}},
 		Labels:  []int{0, 0, 1, 1},
 	}
-	out, err := FitApply(d, Options{Method: EqualWidth, Bins: 2})
+	out, err := FitApply(d, Options{Method: EqualFrequency, Bins: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Attrs[0].Values[1] != "v" || out.Rows[1][0] != 1 {
 		t.Fatal("categorical attribute was modified")
-	}
-}
-
-func TestEqualWidthCuts(t *testing.T) {
-	vals := []float64{0, 10}
-	cuts := equalWidthCuts(vals, 4)
-	want := []float64{2.5, 5, 7.5}
-	if len(cuts) != len(want) {
-		t.Fatalf("cuts = %v", cuts)
-	}
-	for i := range want {
-		if math.Abs(cuts[i]-want[i]) > 1e-9 {
-			t.Fatalf("cuts = %v, want %v", cuts, want)
-		}
-	}
-}
-
-func TestEqualWidthDegenerate(t *testing.T) {
-	if cuts := equalWidthCuts([]float64{5, 5, 5}, 4); cuts != nil {
-		t.Fatalf("constant column should yield nil cuts, got %v", cuts)
-	}
-	if cuts := equalWidthCuts(nil, 4); cuts != nil {
-		t.Fatalf("empty column should yield nil cuts, got %v", cuts)
 	}
 }
 
@@ -210,7 +186,7 @@ func TestBinLabels(t *testing.T) {
 
 func TestSchemaMismatch(t *testing.T) {
 	d := numericDS(20)
-	disc, err := Fit(d, Options{Method: EqualWidth})
+	disc, err := Fit(d, Options{Method: EqualFrequency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +238,7 @@ func TestQuickApplyAlwaysValid(t *testing.T) {
 			d.Rows = append(d.Rows, []float64{r.NormFloat64() * 10, r.Float64()})
 			d.Labels = append(d.Labels, r.Intn(3))
 		}
-		for _, m := range []Method{EntropyMDL, EqualWidth, EqualFrequency} {
+		for _, m := range []Method{EntropyMDL, EqualFrequency} {
 			out, err := FitApply(d, Options{Method: m, Bins: 2 + r.Intn(5)})
 			if err != nil || out.Validate() != nil || !out.AllCategorical() {
 				return false
@@ -271,91 +247,6 @@ func TestQuickApplyAlwaysValid(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChiMergeFindsSeparatingCut(t *testing.T) {
-	d := numericDS(40)
-	disc, err := Fit(d, Options{Method: ChiMerge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := disc.Cuts(0)
-	if len(cuts) == 0 {
-		t.Fatal("ChiMerge found no cut on separable data")
-	}
-	found := false
-	for _, c := range cuts {
-		if c > 9 && c < 10 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("cuts = %v, want one in (9,10)", cuts)
-	}
-}
-
-func TestChiMergeMergesNoise(t *testing.T) {
-	// Labels independent of value: ChiMerge should merge down to few
-	// intervals.
-	r := rand.New(rand.NewSource(9))
-	d := &dataset.Dataset{
-		Name:    "noise",
-		Attrs:   []dataset.Attribute{{Name: "x", Kind: dataset.Numeric}},
-		Classes: []string{"a", "b"},
-	}
-	for i := 0; i < 300; i++ {
-		d.Rows = append(d.Rows, []float64{r.Float64()})
-		d.Labels = append(d.Labels, r.Intn(2))
-	}
-	disc, err := Fit(d, Options{Method: ChiMerge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(disc.Cuts(0)); got > 9 {
-		t.Fatalf("ChiMerge kept %d cuts on noise", got)
-	}
-}
-
-func TestChiMergeRespectsMaxCuts(t *testing.T) {
-	d := numericDS(60)
-	disc, err := Fit(d, Options{Method: ChiMerge, MaxCuts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(disc.Cuts(0)); got > 2 {
-		t.Fatalf("cuts = %d, want <= 2", got)
-	}
-}
-
-func TestChiMergeThreshold(t *testing.T) {
-	// df=1 → 3.841; df=2 → 5.991.
-	if got := chiMergeThreshold(2); math.Abs(got-3.841) > 1e-9 {
-		t.Fatalf("threshold df=1 = %v", got)
-	}
-	if got := chiMergeThreshold(3); math.Abs(got-5.991) > 1e-9 {
-		t.Fatalf("threshold df=2 = %v", got)
-	}
-	// Large df via Wilson–Hilferty: df=30 → ≈43.77.
-	if got := chiMergeThreshold(31); math.Abs(got-43.77) > 0.5 {
-		t.Fatalf("threshold df=30 = %v", got)
-	}
-	if got := chiMergeThreshold(1); got != 3.841 {
-		t.Fatalf("degenerate threshold = %v", got)
-	}
-}
-
-func TestChiMergeEndToEnd(t *testing.T) {
-	d := numericDS(40)
-	out, err := FitApply(d, Options{Method: ChiMerge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllCategorical() {
-		t.Fatal("not categorical after ChiMerge")
-	}
-	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

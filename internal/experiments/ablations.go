@@ -11,6 +11,7 @@ import (
 	"dfpc/internal/discretize"
 	"dfpc/internal/eval"
 	"dfpc/internal/featsel"
+	"dfpc/internal/guard"
 	"dfpc/internal/mining"
 	"dfpc/internal/patmatch"
 	"dfpc/internal/svm"
@@ -106,7 +107,7 @@ func RunAblationRedundancy(name string, minSup float64, folds int) ([]AblationRo
 // variantPipeline is core Pat_FS with one stage swapped: allFrequent
 // mines all frequent patterns (FPGrowth) instead of the closed ones,
 // and topK > 0 keeps the topK most informative patterns instead of
-// running MMRFS. Everything else is core's default: entropy-MDL
+// running MMRFS. Everything else is core's default: equal-frequency
 // discretization, the full item space, patterns of length 2..6 under a
 // 2,000,000-pattern budget, δ = 3, and a linear SVM with C = 1.
 type variantPipeline struct {
@@ -133,13 +134,14 @@ func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, ro
 		return err
 	}
 	p.numItems = b.NumItems()
+	g := guard.New(ctx, guard.Limits{})
 	mined, err := mining.MinePerClass(b, mining.PerClassOptions{
 		MinSupport:  p.minSup,
 		Closed:      !p.allFrequent,
 		MaxPatterns: 2_000_000,
 		MaxLen:      6,
 		MinLen:      2,
-		Ctx:         ctx,
+		Guard:       g,
 	})
 	if err != nil {
 		return err
@@ -152,7 +154,7 @@ func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, ro
 	var sel *featsel.Result
 	if p.topK > 0 {
 		sel = featsel.TopK(cands, b.ClassMasks, featsel.InfoGain, p.topK)
-	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3, Ctx: ctx}); err != nil {
+	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3, Guard: g}); err != nil {
 		return err
 	}
 	patterns := make([]mining.Pattern, len(sel.Selected))
@@ -171,7 +173,7 @@ func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, ro
 	for i := range x {
 		x[i] = p.fv(b.Rows[i], &ms)
 	}
-	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(patterns), Ctx: ctx})
+	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(patterns), Guard: g})
 	return err
 }
 

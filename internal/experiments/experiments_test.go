@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // qualitative properties the paper reports, not absolute numbers.
 
 func TestRunTable1Smoke(t *testing.T) {
-	rows, err := RunTable1([]string{"labor", "zoo"}, Protocol{Folds: 3, MinSupport: 0.4})
+	rows, err := RunTable1(context.Background(), []string{"labor", "zoo"}, Protocol{Folds: 3, MinSupport: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestRunTable1Smoke(t *testing.T) {
 }
 
 func TestRunTable2Smoke(t *testing.T) {
-	rows, err := RunTable2([]string{"labor"}, Protocol{Folds: 3, MinSupport: 0.4})
+	rows, err := RunTable2(context.Background(), []string{"labor"}, Protocol{Folds: 3, MinSupport: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestRunTable2Smoke(t *testing.T) {
 }
 
 func TestRunScalabilitySmoke(t *testing.T) {
-	rows, err := RunScalability(ScalabilityConfig{
+	rows, err := RunScalability(context.Background(), ScalabilityConfig{
 		Dataset:     "chess",
 		AbsSupports: []int{700, 650},
 		SampleRows:  800,
@@ -74,7 +75,7 @@ func TestRunScalabilitySmoke(t *testing.T) {
 }
 
 func TestScalabilityInfeasibleRow(t *testing.T) {
-	rows, err := RunScalability(ScalabilityConfig{
+	rows, err := RunScalability(context.Background(), ScalabilityConfig{
 		Dataset:     "chess",
 		AbsSupports: []int{1},
 		SampleRows:  400,

@@ -22,6 +22,7 @@ import (
 	"dfpc/internal/discretize"
 	"dfpc/internal/eval"
 	"dfpc/internal/featsel"
+	"dfpc/internal/guard"
 	"dfpc/internal/mining"
 	"dfpc/internal/obs"
 	"dfpc/internal/parallel"
@@ -62,11 +63,6 @@ type Protocol struct {
 	MinSupport float64
 	// Coverage is MMRFS's δ.
 	Coverage int
-	// Ctx, when non-nil, makes every CV run cancellable; a canceled or
-	// expired context aborts the sweep with the partial rows collected
-	// so far.
-	//vet:ignore ctxfirst per-call Protocol carrier: Protocol lives only for one experiment run
-	Ctx context.Context
 	// StageTimeout bounds each pipeline stage within every fit
 	// (0 = unbounded).
 	StageTimeout time.Duration
@@ -122,10 +118,10 @@ func minSupFor(name string, proto Protocol) float64 {
 	return 0.15
 }
 
-// cvProto cross-validates under the protocol's context and fold-
-// isolation settings and returns the mean accuracy in percent.
-func cvProto(p *core.Pipeline, d *dataset.Dataset, proto Protocol) (float64, error) {
-	res, err := eval.CrossValidateContext(proto.Ctx, p, d, proto.Folds, Seed, eval.CVOptions{
+// cvProto cross-validates under ctx and the protocol's fold-isolation
+// settings and returns the mean accuracy in percent.
+func cvProto(ctx context.Context, p *core.Pipeline, d *dataset.Dataset, proto Protocol) (float64, error) {
+	res, err := eval.CrossValidateContext(ctx, p, d, proto.Folds, Seed, eval.CVOptions{
 		ContinueOnError: proto.ContinueOnError,
 		Log:             proto.Log,
 		Workers:         proto.Workers,
@@ -134,10 +130,6 @@ func cvProto(p *core.Pipeline, d *dataset.Dataset, proto Protocol) (float64, err
 		return 0, err
 	}
 	return 100 * res.Mean, nil
-}
-
-func cv(p *core.Pipeline, d *dataset.Dataset, folds int) (float64, error) {
-	return cvProto(p, d, Protocol{Folds: folds})
 }
 
 // mk wraps a pipeline constructor, annotating its error. Callers must
@@ -178,8 +170,9 @@ func pipelineFor(family string, learner core.Learner, proto Protocol) (*core.Pip
 }
 
 // RunTable1 reproduces Table 1: SVM accuracy of the five model
-// families on the given datasets.
-func RunTable1(names []string, proto Protocol) ([]Table1Row, error) {
+// families on the given datasets. A canceled or expired ctx aborts the
+// sweep with the rows collected so far.
+func RunTable1(ctx context.Context, names []string, proto Protocol) ([]Table1Row, error) {
 	proto = proto.withDefaults()
 	var rows []Table1Row
 	for _, name := range names {
@@ -204,7 +197,7 @@ func RunTable1(names []string, proto Protocol) ([]Table1Row, error) {
 			if err != nil {
 				return rows, fmt.Errorf("table1 %s/%s: %w", name, fam.name, err)
 			}
-			acc, err := cvProto(p, d, dsProto)
+			acc, err := cvProto(ctx, p, d, dsProto)
 			if err != nil {
 				return rows, fmt.Errorf("table1 %s/%s: %w", name, fam.name, err)
 			}
@@ -216,7 +209,9 @@ func RunTable1(names []string, proto Protocol) ([]Table1Row, error) {
 }
 
 // RunTable2 reproduces Table 2: C4.5 accuracy of four model families.
-func RunTable2(names []string, proto Protocol) ([]Table2Row, error) {
+// A canceled or expired ctx aborts the sweep with the rows collected
+// so far.
+func RunTable2(ctx context.Context, names []string, proto Protocol) ([]Table2Row, error) {
 	proto = proto.withDefaults()
 	var rows []Table2Row
 	for _, name := range names {
@@ -240,7 +235,7 @@ func RunTable2(names []string, proto Protocol) ([]Table2Row, error) {
 			if err != nil {
 				return rows, fmt.Errorf("table2 %s/%s: %w", name, fam.name, err)
 			}
-			acc, err := cvProto(p, d, dsProto)
+			acc, err := cvProto(ctx, p, d, dsProto)
 			if err != nil {
 				return rows, fmt.Errorf("table2 %s/%s: %w", name, fam.name, err)
 			}
@@ -302,10 +297,6 @@ type ScalabilityConfig struct {
 	// the row infeasible, like the paper's "cannot complete in days"
 	// note for min_sup = 1 (default 2 minutes).
 	MaxMiningTime time.Duration
-	// Ctx, when non-nil, makes the sweep cancellable; unlike the
-	// per-row MaxMiningTime, cancellation aborts the whole run.
-	//vet:ignore ctxfirst per-call ScalabilityConfig carrier: lives only for one sweep
-	Ctx context.Context
 }
 
 func (c ScalabilityConfig) withDefaults() ScalabilityConfig {
@@ -326,8 +317,9 @@ func (c ScalabilityConfig) withDefaults() ScalabilityConfig {
 
 // RunScalability reproduces one of Tables 3–5: per min_sup, the closed
 // pattern count, mining+selection time, and SVM/C4.5 accuracy on the
-// pattern-based feature space.
-func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
+// pattern-based feature space. Unlike the per-row MaxMiningTime, a
+// canceled ctx aborts the whole sweep.
+func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 	cfg = cfg.withDefaults()
 	d, err := datagen.ByName(cfg.Dataset, Seed)
 	if err != nil {
@@ -368,10 +360,9 @@ func RunScalability(cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 			MaxPatterns: cfg.MaxPatterns,
 			MaxLen:      cfg.MaxLen,
 			MinLen:      2,
-			Ctx:         cfg.Ctx,
-			Deadline:    t0.Add(cfg.MaxMiningTime),
+			Guard:       guard.New(ctx, guard.Limits{Timeout: cfg.MaxMiningTime}),
 		})
-		if err != nil && cfg.Ctx != nil && cfg.Ctx.Err() != nil {
+		if err != nil && ctx.Err() != nil {
 			// Run-level cancellation, not a per-row infeasibility.
 			return rows, fmt.Errorf("scalability %s min_sup=%d: %w", cfg.Dataset, abs, err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"dfpc/internal/bitset"
 	"dfpc/internal/faults"
-	"dfpc/internal/guard"
 	"dfpc/internal/parallel"
 )
 
@@ -20,7 +19,7 @@ import (
 // eager work count the lazy loop must never exceed.
 func mmrfsEager(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	g := guard.New(opt.Ctx, guard.Limits{Deadline: opt.Deadline})
+	g := opt.Guard
 	if err := g.CheckNow(); err != nil {
 		return nil, err
 	}

@@ -7,12 +7,10 @@
 package featsel
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math"
 	"sort"
-	"time"
 
 	"dfpc/internal/bitset"
 	"dfpc/internal/faults"
@@ -66,13 +64,10 @@ type Options struct {
 	// MaxFeatures optionally caps the number of selected features;
 	// 0 means unbounded (the coverage constraint decides).
 	MaxFeatures int
-	// Ctx, when non-nil, makes the greedy loop cancellable; selection
-	// aborts with an error satisfying errors.Is(err, guard.ErrCanceled)
-	// (or guard.ErrDeadline). Nil costs nothing.
-	//vet:ignore ctxfirst per-call Options carrier: Options lives only for one Select call
-	Ctx context.Context
-	// Deadline aborts selection once passed (0 = none).
-	Deadline time.Time
+	// Guard, when non-nil, bounds the greedy loop; selection aborts
+	// with an error satisfying errors.Is(err, guard.ErrCanceled) (or
+	// guard.ErrDeadline). The caller builds it; nil costs nothing.
+	Guard *guard.Guard
 	// Obs, when non-nil, records the MMRFS span, iteration/selection
 	// counters, and the final coverage residual. Nil disables recording.
 	Obs *obs.Observer
@@ -246,7 +241,7 @@ func (h *gainHeap) down(k int) {
 // exhausted.
 func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	g := guard.New(opt.Ctx, guard.Limits{Deadline: opt.Deadline})
+	g := opt.Guard
 	if err := g.CheckNow(); err != nil {
 		return nil, err
 	}

@@ -11,6 +11,12 @@
 // cancellation signal and no limit is set, which keeps the
 // no-context/no-limit configuration free.
 //
+// Callers own guard construction: whoever holds the context builds one
+// guard per stage with New and hands it to the stage through the
+// Guard field of the stage's options; stages only poll it (and Fork it
+// for parallel workers). The guard is therefore the one sanctioned
+// carrier of a context inside a struct.
+//
 // Placement rule for miners and learners (followed by every stage in
 // this repo; future miners must do the same): call Check at every
 // recursion entry and once per emitted pattern / loop iteration, and
@@ -50,11 +56,9 @@ var (
 
 // Limits bounds one guarded stage.
 type Limits struct {
-	// Deadline aborts work with ErrDeadline once passed. Zero means no
-	// deadline.
-	Deadline time.Time
-	// Timeout, when positive, is a convenience for Deadline =
-	// now+Timeout at New time; the earlier of the two wins.
+	// Timeout, when positive, aborts work with ErrDeadline once
+	// Timeout has passed since New. Zero means no wall-clock bound
+	// beyond the context's own deadline.
 	Timeout time.Duration
 	// SoftMemoryBytes aborts work with ErrMemoryLimit once the Go
 	// heap's live allocation exceeds it. Zero disables the watchdog.
@@ -90,12 +94,10 @@ const memCheckEvery = 16
 // disabled fast path — when ctx carries no cancellation signal and no
 // limit is set. A nil ctx is treated as context.Background().
 func New(ctx context.Context, lim Limits) *Guard {
-	deadline := lim.Deadline
+	var deadline time.Time
 	if lim.Timeout > 0 {
 		//vet:ignore nondeterm wall-clock deadline arming; affects only cancellation, never reported results
-		if t := time.Now().Add(lim.Timeout); deadline.IsZero() || t.Before(deadline) {
-			deadline = t
-		}
+		deadline = time.Now().Add(lim.Timeout)
 	}
 	var done <-chan struct{}
 	if ctx != nil {
@@ -172,10 +174,10 @@ func (g *Guard) CheckNow() error {
 	return nil
 }
 
-// Deadline returns the guard's effective deadline (zero when none).
-func (g *Guard) Deadline() time.Time {
-	if g == nil {
-		return time.Time{}
-	}
-	return g.deadline
-}
+// GobEncode makes a Guard transparent to gob: stage configs that get
+// saved with a model (c45.Config inside core.Config) serialize their
+// Guard field as nothing, mirroring obs.Observer and faults.Registry.
+func (g *Guard) GobEncode() ([]byte, error) { return nil, nil }
+
+// GobDecode restores the transparent encoding as a disabled guard.
+func (g *Guard) GobDecode([]byte) error { return nil }

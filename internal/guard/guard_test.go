@@ -1,7 +1,9 @@
 package guard
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"testing"
 	"time"
@@ -19,9 +21,6 @@ func TestNilGuardIsNoOp(t *testing.T) {
 	}
 	if err := g.CheckNow(); err != nil {
 		t.Fatalf("nil guard CheckNow = %v", err)
-	}
-	if !g.Deadline().IsZero() {
-		t.Fatal("nil guard has a deadline")
 	}
 }
 
@@ -86,19 +85,17 @@ func TestContextDeadlineMapsToErrDeadline(t *testing.T) {
 }
 
 func TestWallClockDeadline(t *testing.T) {
-	g := New(nil, Limits{Deadline: time.Now().Add(-time.Second)})
+	g := New(nil, Limits{Timeout: time.Nanosecond})
+	time.Sleep(time.Millisecond)
 	if err := g.CheckNow(); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if err := g.Fork().CheckNow(); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("fork err = %v, want ErrDeadline", err)
 	}
 	g = New(nil, Limits{Timeout: time.Hour})
 	if err := g.CheckNow(); err != nil {
 		t.Fatalf("future deadline CheckNow = %v", err)
-	}
-	// Timeout earlier than Deadline wins.
-	far := time.Now().Add(time.Hour)
-	g = New(nil, Limits{Deadline: far, Timeout: time.Minute})
-	if !g.Deadline().Before(far) {
-		t.Fatal("Timeout should tighten the later Deadline")
 	}
 }
 
@@ -143,5 +140,29 @@ func BenchmarkCheckEnabled(b *testing.B) {
 		if err := g.Check(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestGobTransparent(t *testing.T) {
+	// A config carrying a live guard saves and loads without it.
+	type config struct {
+		N     int
+		Guard *Guard
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(config{N: 3, Guard: New(ctx, Limits{Timeout: time.Hour})}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var got config
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.N != 3 {
+		t.Fatalf("N = %d, want 3", got.N)
+	}
+	if err := got.Guard.CheckNow(); err != nil {
+		t.Fatalf("decoded guard CheckNow = %v", err)
 	}
 }

@@ -48,7 +48,7 @@ func FPClose(tx [][]int32, opt Options) ([]Pattern, error) {
 		opt:      opt,
 		numItems: numItems,
 		index:    map[int][]itemMask{},
-		g:        opt.guard(),
+		g:        opt.Guard,
 		nodes:    opt.Obs.Counter("mine.fptree_nodes"),
 		emitted:  opt.Obs.Counter("mine.patterns_emitted"),
 		subsumed: opt.Obs.Counter("mine.subsumption_pruned"),

@@ -25,7 +25,7 @@ func FPGrowth(tx [][]int32, opt Options) ([]Pattern, error) {
 	}
 	m := &growthMiner{
 		opt:     opt,
-		g:       opt.guard(),
+		g:       opt.Guard,
 		nodes:   opt.Obs.Counter("mine.fptree_nodes"),
 		emitted: opt.Obs.Counter("mine.patterns_emitted"),
 		ss:      newSearchSpace(opt.Obs),

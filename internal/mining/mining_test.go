@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dfpc/internal/guard"
 )
 
 // classicTx is the textbook FP-growth example (Han et al., SIGMOD'00),
@@ -384,13 +386,12 @@ func BenchmarkFPCloseClassic(b *testing.B) {
 }
 
 func TestMiningDeadline(t *testing.T) {
-	// A deadline in the past aborts promptly with ErrDeadline (after at
+	// An expired deadline aborts promptly with ErrDeadline (after at
 	// most checkEvery emissions).
 	tx := classicTx()
-	past := time.Now().Add(-time.Second)
 	for name, run := range map[string]func() error{
-		"fpgrowth": func() error { _, err := FPGrowth(tx, Options{MinSupport: 1, Deadline: past}); return err },
-		"fpclose":  func() error { _, err := FPClose(tx, Options{MinSupport: 1, Deadline: past}); return err },
+		"fpgrowth": func() error { _, err := FPGrowth(tx, Options{MinSupport: 1, Guard: expiredGuard()}); return err },
+		"fpclose":  func() error { _, err := FPClose(tx, Options{MinSupport: 1, Guard: expiredGuard()}); return err },
 	} {
 		err := run()
 		// The classic example has fewer than checkEvery patterns, so the
@@ -401,7 +402,7 @@ func TestMiningDeadline(t *testing.T) {
 		}
 	}
 	// A generous deadline changes nothing.
-	got, err := FPGrowth(tx, Options{MinSupport: 2, Deadline: time.Now().Add(time.Hour)})
+	got, err := FPGrowth(tx, Options{MinSupport: 2, Guard: guard.New(nil, guard.Limits{Timeout: time.Hour})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,10 @@
 package mining
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
-	"time"
 
 	"dfpc/internal/bitset"
 	"dfpc/internal/faults"
@@ -26,8 +24,8 @@ import (
 // rows at min_sup = 1.
 var ErrPatternBudget = errors.New("mining: pattern budget exceeded")
 
-// ErrDeadline is returned when a miner runs past Options.Deadline (or
-// its context's deadline). Like ErrPatternBudget it marks an
+// ErrDeadline is returned when a miner runs past its guard's deadline
+// (a stage timeout or a context deadline). Like ErrPatternBudget it marks an
 // enumeration as infeasible; the partial pattern set found so far is
 // still returned. It is an alias for guard.ErrDeadline so errors.Is
 // works across both packages.
@@ -86,18 +84,11 @@ type Options struct {
 	MaxPatterns int
 	// MaxLen caps pattern length; 0 means unlimited.
 	MaxLen int
-	// Ctx, when non-nil, makes the run cancellable: the miners poll
-	// Ctx.Done at recursion and loop boundaries and abort with an error
-	// wrapping guard.ErrCanceled (or guard.ErrDeadline for a context
-	// deadline). Nil behaves like context.Background at no cost.
-	//vet:ignore ctxfirst per-call Options carrier: Options lives only for one mining run
-	Ctx context.Context
-	// Deadline aborts the run with ErrDeadline once passed (checked
-	// periodically). Zero means no deadline.
-	Deadline time.Time
-	// MemLimit, when > 0, is a soft heap-allocation ceiling in bytes;
-	// exceeding it aborts the run with guard.ErrMemoryLimit.
-	MemLimit uint64
+	// Guard, when non-nil, bounds the run: the miners poll it at
+	// recursion and loop boundaries and abort with an error wrapping
+	// guard.ErrCanceled, guard.ErrDeadline, or guard.ErrMemoryLimit.
+	// The caller builds it (guard.New); nil costs nothing.
+	Guard *guard.Guard
 	// Obs, when non-nil, receives mining vitals: patterns emitted,
 	// FP-tree nodes built, subsumption prunes, per-depth search-space
 	// counters. Nil disables recording at no cost.
@@ -138,12 +129,6 @@ func (o Options) logDone(algo string, patterns int, err error) {
 		slog.String("algo", algo),
 		slog.Int("min_sup", o.MinSupport),
 		slog.Int("patterns", patterns))
-}
-
-// guard builds the run's execution guard; nil (free) when the options
-// carry no context, deadline, or memory limit.
-func (o Options) guard() *guard.Guard {
-	return guard.New(o.Ctx, guard.Limits{Deadline: o.Deadline, SoftMemoryBytes: o.MemLimit})
 }
 
 func (o Options) validate() error {

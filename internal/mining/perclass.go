@@ -1,11 +1,9 @@
 package mining
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"time"
 
 	"dfpc/internal/dataset"
 	"dfpc/internal/faults"
@@ -35,14 +33,9 @@ type PerClassOptions struct {
 	// classification framework sets MinLen = 2 because single items are
 	// already part of the feature space I. 0 or 1 keeps everything.
 	MinLen int
-	// Ctx, when non-nil, makes mining cancellable; see Options.Ctx.
-	//vet:ignore ctxfirst per-call Options carrier: lives only for one per-class run
-	Ctx context.Context
-	// Deadline aborts mining with ErrDeadline once passed (0 = none).
-	Deadline time.Time
-	// MemLimit is a soft heap-allocation ceiling in bytes (0 = none);
-	// see Options.MemLimit.
-	MemLimit uint64
+	// Guard, when non-nil, bounds the whole run; every class partition
+	// mines under its own Fork (see Options.Guard). Nil costs nothing.
+	Guard *guard.Guard
 	// Obs, when non-nil, records one span per class partition plus the
 	// mining counters (see Options.Obs). Nil disables recording.
 	Obs *obs.Observer
@@ -103,7 +96,7 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 		return nil, fmt.Errorf("mining: relative MinSupport = %v, want (0,1]", opt.MinSupport)
 	}
 	// Fail fast on a pre-canceled context before any partition work.
-	if err := guard.New(opt.Ctx, guard.Limits{Deadline: opt.Deadline}).CheckNow(); err != nil {
+	if err := opt.Guard.CheckNow(); err != nil {
 		return nil, err
 	}
 
@@ -145,9 +138,7 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 				MinSupport:  abs,
 				MaxLen:      opt.MaxLen,
 				MaxPatterns: cap,
-				Ctx:         opt.Ctx,
-				Deadline:    opt.Deadline,
-				MemLimit:    opt.MemLimit,
+				Guard:       opt.Guard.Fork(),
 				Obs:         o,
 				Log:         opt.Log,
 				Faults:      opt.Faults,

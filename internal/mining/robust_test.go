@@ -61,7 +61,7 @@ func denseTx(nTx, nItems int) [][]int32 {
 func TestMinePerClassPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MinePerClass(twoClassDS(), PerClassOptions{MinSupport: 0.5, Ctx: ctx})
+	_, err := MinePerClass(twoClassDS(), PerClassOptions{MinSupport: 0.5, Guard: guard.New(ctx, guard.Limits{})})
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
@@ -76,16 +76,23 @@ func TestMineCanceledMidRecursion(t *testing.T) {
 	// 2^18 − 1 itemsets takes far longer than the 1ms fuse; the
 	// amortized guard check inside the recursion must observe the
 	// cancellation and abort.
-	_, err := FPGrowth(denseTx(2, 18), Options{MinSupport: 1, Ctx: ctx})
+	_, err := FPGrowth(denseTx(2, 18), Options{MinSupport: 1, Guard: guard.New(ctx, guard.Limits{})})
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 }
 
+// expiredGuard returns a guard whose wall-clock deadline has passed.
+func expiredGuard() *guard.Guard {
+	g := guard.New(nil, guard.Limits{Timeout: time.Nanosecond})
+	time.Sleep(time.Millisecond)
+	return g
+}
+
 func TestMineDeadlineExceeded(t *testing.T) {
 	_, err := MinePerClass(twoClassDS(), PerClassOptions{
 		MinSupport: 0.5,
-		Deadline:   time.Now().Add(-time.Second),
+		Guard:      expiredGuard(),
 	})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -138,7 +145,7 @@ func TestAdaptiveExhaustsRetries(t *testing.T) {
 func TestAdaptivePassesNonBudgetErrorsThrough(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := PerClassOptions{MinSupport: 0.5, Ctx: ctx}
+	opt := PerClassOptions{MinSupport: 0.5, Guard: guard.New(ctx, guard.Limits{})}
 	_, degs, _, err := MinePerClassAdaptive(twoClassDS(), opt, Backoff{})
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)

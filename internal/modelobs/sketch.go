@@ -77,7 +77,7 @@ func NewSketch(windowSize, windows, numClasses, numPatterns int) *Sketch {
 			classes: chunk[:numClasses:numClasses],
 			fire:    chunk[numClasses : numClasses+numPatterns : numClasses+numPatterns],
 			conf:    chunk[numClasses+numPatterns : stride-obs.NumHistBuckets : stride-obs.NumHistBuckets],
-			density: chunk[stride-obs.NumHistBuckets : stride:stride],
+			density: chunk[stride-obs.NumHistBuckets : stride : stride],
 		}
 	}
 	return s

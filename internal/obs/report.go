@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -93,15 +92,6 @@ func (r *RunReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ParseReport reads a RunReport written by WriteJSON.
-func ParseReport(rd io.Reader) (*RunReport, error) {
-	var r RunReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("obs: parse report: %w", err)
-	}
-	return &r, nil
-}
-
 // WriteTree renders the report as a human-readable stage tree followed
 // by the counters and gauges:
 //
@@ -181,58 +171,4 @@ func fmtBytes(b uint64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// WriteCSV writes the report as flat CSV rows for the experiments
-// harness: kind,path,wall_ns,alloc_bytes,value,attrs. Span paths join
-// nested names with '/'; counters and gauges carry their value in the
-// value column.
-func (r *RunReport) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "path", "wall_ns", "alloc_bytes", "value", "attrs"}); err != nil {
-		return err
-	}
-	var walk func(prefix string, s *SpanReport) error
-	walk = func(prefix string, s *SpanReport) error {
-		path := s.Name
-		if prefix != "" {
-			path = prefix + "/" + s.Name
-		}
-		attrs := ""
-		for i, a := range s.Attrs {
-			if i > 0 {
-				attrs += " "
-			}
-			attrs += a.Key + "=" + a.Value
-		}
-		err := cw.Write([]string{"span", path,
-			strconv.FormatInt(s.WallNS, 10),
-			strconv.FormatUint(s.AllocBytes, 10), "", attrs})
-		if err != nil {
-			return err
-		}
-		for _, c := range s.Children {
-			if err := walk(path, c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, s := range r.Spans {
-		if err := walk("", s); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(r.Counters) {
-		if err := cw.Write([]string{"counter", k, "", "", strconv.FormatInt(r.Counters[k], 10), ""}); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(r.Gauges) {
-		if err := cw.Write([]string{"gauge", k, "", "", strconv.FormatFloat(r.Gauges[k], 'g', -1, 64), ""}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,10 +1,8 @@
 package svm
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
-	"time"
 
 	"dfpc/internal/faults"
 	"dfpc/internal/guard"
@@ -28,13 +26,11 @@ type Config struct {
 	// resolve the default γ = 1/numFeatures. Required for RBF/Poly with
 	// Gamma <= 0.
 	NumFeatures int
-	// Ctx, when non-nil, makes SMO iterations cancellable; training
-	// aborts with an error satisfying errors.Is(err, guard.ErrCanceled)
-	// (or guard.ErrDeadline). Nil costs nothing.
-	//vet:ignore ctxfirst per-call Config carrier: Config lives only for one Train call
-	Ctx context.Context
-	// Deadline aborts training once passed (0 = none).
-	Deadline time.Time
+	// Guard, when non-nil, bounds SMO iterations; training aborts with
+	// an error satisfying errors.Is(err, guard.ErrCanceled) (or
+	// guard.ErrDeadline). Every one-vs-one subproblem polls its own
+	// Fork. The caller builds it; nil costs nothing.
+	Guard *guard.Guard
 	// Obs, when non-nil, records SMO iteration and support-vector
 	// counters per Train call. Nil disables recording.
 	Obs *obs.Observer
@@ -98,8 +94,7 @@ func Train(x [][]int32, y []int, numClasses int, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("svm: numClasses = %d", numClasses)
 	}
 	cfg = cfg.withDefaults(len(x))
-	g := guard.New(cfg.Ctx, guard.Limits{Deadline: cfg.Deadline})
-	if err := g.CheckNow(); err != nil {
+	if err := cfg.Guard.CheckNow(); err != nil {
 		return nil, err
 	}
 	gamma := cfg.Kernel.resolveGamma(cfg.NumFeatures)
@@ -160,7 +155,7 @@ func Train(x [][]int32, y []int, numClasses int, cfg Config) (*Model, error) {
 			maxIter: cfg.MaxIter,
 			kernel:  cfg.Kernel,
 			gamma:   gamma,
-			g:       g.Fork(),
+			g:       cfg.Guard.Fork(),
 		})
 		if err != nil {
 			return fmt.Errorf("svm: pair (%d,%d): %w", a, b, err)

@@ -76,7 +76,7 @@ func TestTrainPreCanceledContext(t *testing.T) {
 	x, y := sep2D(40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Train(x, y, 2, Config{C: 1, NumFeatures: 2, Ctx: ctx}); !errors.Is(err, guard.ErrCanceled) {
+	if _, err := Train(x, y, 2, Config{C: 1, NumFeatures: 2, Guard: guard.New(ctx, guard.Limits{})}); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh — the repo's full verification gate: vet, the complete test
+# check.sh — the repo's full verification gate: gofmt, vet, the complete test
 # suite under the race detector (wall-clock bounded so a hung test fails
 # the gate instead of wedging it), and a short fuzz smoke over the
 # dataset parsers, plus vet and tests of the bench/ module. CI and
@@ -9,6 +9,16 @@
 # bench/README.md), not by this gate.
 set -eu
 cd "$(dirname "$0")/.."
+
+# Formatting gate: gofmt -l lists every file whose formatting differs
+# from gofmt's; any listed file fails the gate.
+echo ">> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "gofmt: the files above need gofmt -w"
+	exit 1
+fi
 
 echo ">> go vet ./..."
 go vet ./...
