@@ -106,7 +106,7 @@ func BenchmarkTable5Letter(b *testing.B) {
 
 func BenchmarkHarmonyComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunHarmonyComparison([]string{"waveform"}, 0.1, 2000)
+		rows, err := experiments.RunHarmonyComparison(context.Background(), []string{"waveform"}, 0.1, 2000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkFigure3(b *testing.B) {
 
 func BenchmarkMinSupSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunMinSupSweep("austral", []float64{0.4, 0.2, 0.1, 0.05}, 3)
+		rows, err := experiments.RunMinSupSweep(context.Background(), "austral", []float64{0.4, 0.2, 0.1, 0.05}, experiments.Protocol{Folds: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,31 +180,31 @@ func benchAblation(b *testing.B, run func() ([]experiments.AblationRow, error)) 
 
 func BenchmarkAblationClosedVsAll(b *testing.B) {
 	benchAblation(b, func() ([]experiments.AblationRow, error) {
-		return experiments.RunAblationClosedVsAll("austral", 0.15, 3)
+		return experiments.RunAblationClosedVsAll(context.Background(), "austral", 0.15, experiments.Protocol{Folds: 3})
 	})
 }
 
 func BenchmarkAblationRedundancy(b *testing.B) {
 	benchAblation(b, func() ([]experiments.AblationRow, error) {
-		return experiments.RunAblationRedundancy("austral", 0.15, 3)
+		return experiments.RunAblationRedundancy(context.Background(), "austral", 0.15, experiments.Protocol{Folds: 3})
 	})
 }
 
 func BenchmarkAblationRelevance(b *testing.B) {
 	benchAblation(b, func() ([]experiments.AblationRow, error) {
-		return experiments.RunAblationRelevance("austral", 0.15, 3)
+		return experiments.RunAblationRelevance(context.Background(), "austral", 0.15, experiments.Protocol{Folds: 3})
 	})
 }
 
 func BenchmarkAblationCoverage(b *testing.B) {
 	benchAblation(b, func() ([]experiments.AblationRow, error) {
-		return experiments.RunAblationCoverage("austral", 0.15, []int{1, 3, 5}, 3)
+		return experiments.RunAblationCoverage(context.Background(), "austral", 0.15, []int{1, 3, 5}, experiments.Protocol{Folds: 3})
 	})
 }
 
 func BenchmarkAblationMinSupStrategy(b *testing.B) {
 	benchAblation(b, func() ([]experiments.AblationRow, error) {
-		return experiments.RunAblationMinSupStrategy("austral", []float64{0.3, 0.1}, 3)
+		return experiments.RunAblationMinSupStrategy(context.Background(), "austral", []float64{0.3, 0.1}, experiments.Protocol{Folds: 3})
 	})
 }
 

@@ -144,9 +144,9 @@ func main() {
 	case *table != "":
 		err = runTable(ctx, cfg, *table)
 	case *figure != "":
-		err = runFigure(cfg, *figure)
+		err = runFigure(ctx, cfg, *figure)
 	case *ablations:
-		err = runAblations(cfg)
+		err = runAblations(ctx, cfg)
 	default:
 		flag.Usage()
 		stopProf()
@@ -248,12 +248,12 @@ func runAll(ctx context.Context, cfg runConfig) error {
 		fmt.Println()
 	}
 	for _, f := range []string{"1", "2", "3", "minsup"} {
-		if err := runFigure(cfg, f); err != nil {
+		if err := runFigure(ctx, cfg, f); err != nil {
 			return err
 		}
 		fmt.Println()
 	}
-	return runAblations(cfg)
+	return runAblations(ctx, cfg)
 }
 
 func runTable(ctx context.Context, cfg runConfig, table string) error {
@@ -293,7 +293,7 @@ func runTable(ctx context.Context, cfg runConfig, table string) error {
 		if cfg.quick {
 			sample = 2000
 		}
-		rows, err := experiments.RunHarmonyComparison([]string{"waveform", "letter"}, 0.1, sample)
+		rows, err := experiments.RunHarmonyComparison(ctx, []string{"waveform", "letter"}, 0.1, sample)
 		if err != nil {
 			return err
 		}
@@ -352,7 +352,7 @@ func scalabilityTitle(table string) string {
 	}
 }
 
-func runFigure(cfg runConfig, figure string) error {
+func runFigure(ctx context.Context, cfg runConfig, figure string) error {
 	sp := cfg.obs.Start("figure").Attr("figure", figure)
 	defer sp.End()
 	trio := []string{"austral", "breast", "sonar"}
@@ -387,8 +387,8 @@ func runFigure(cfg runConfig, figure string) error {
 			return err
 		}
 	case "minsup":
-		rows, err := experiments.RunMinSupSweep("austral",
-			[]float64{0.5, 0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05}, cfg.folds)
+		rows, err := experiments.RunMinSupSweep(ctx, "austral",
+			[]float64{0.5, 0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05}, cfg.protocol())
 		if err != nil {
 			return err
 		}
@@ -402,8 +402,9 @@ func runFigure(cfg runConfig, figure string) error {
 	return nil
 }
 
-func runAblations(cfg runConfig) error {
+func runAblations(ctx context.Context, cfg runConfig) error {
 	name := "austral"
+	proto := cfg.protocol()
 	type study struct {
 		title string
 		file  string
@@ -412,23 +413,23 @@ func runAblations(cfg runConfig) error {
 	studies := []study{
 		{"Ablation: closed vs all frequent patterns", "ablation_closed.csv",
 			func() ([]experiments.AblationRow, error) {
-				return experiments.RunAblationClosedVsAll(name, 0.15, cfg.folds)
+				return experiments.RunAblationClosedVsAll(ctx, name, 0.15, proto)
 			}},
 		{"Ablation: MMRFS vs top-k relevance", "ablation_redundancy.csv",
 			func() ([]experiments.AblationRow, error) {
-				return experiments.RunAblationRedundancy(name, 0.15, cfg.folds)
+				return experiments.RunAblationRedundancy(ctx, name, 0.15, proto)
 			}},
 		{"Ablation: information gain vs Fisher relevance", "ablation_relevance.csv",
 			func() ([]experiments.AblationRow, error) {
-				return experiments.RunAblationRelevance(name, 0.15, cfg.folds)
+				return experiments.RunAblationRelevance(ctx, name, 0.15, proto)
 			}},
 		{"Ablation: MMRFS coverage δ", "ablation_coverage.csv",
 			func() ([]experiments.AblationRow, error) {
-				return experiments.RunAblationCoverage(name, 0.15, []int{1, 2, 3, 5, 10}, cfg.folds)
+				return experiments.RunAblationCoverage(ctx, name, 0.15, []int{1, 2, 3, 5, 10}, proto)
 			}},
 		{"Ablation: θ*(IG0) strategy vs hand-set min_sup", "ablation_minsup_strategy.csv",
 			func() ([]experiments.AblationRow, error) {
-				return experiments.RunAblationMinSupStrategy(name, []float64{0.4, 0.2, 0.1, 0.05}, cfg.folds)
+				return experiments.RunAblationMinSupStrategy(ctx, name, []float64{0.4, 0.2, 0.1, 0.05}, proto)
 			}},
 	}
 	for i, s := range studies {

@@ -6,8 +6,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"dfpc/internal/obs"
 )
 
 // The parallel execution layer's contract (internal/parallel, threaded
@@ -131,6 +134,63 @@ func TestDeterminismCrossValidation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeterminismCVSpanTree: every fold's pipeline spans nest under
+// that fold's cv-fold span, in the same tree whether folds run on one
+// worker or four, and the classifier's own observer is back in place
+// after the run.
+func TestDeterminismCVSpanTree(t *testing.T) {
+	d, err := Generate("breast", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(w int) map[string]string {
+		o := NewObserver()
+		clf := NewClassifier(PatFS, SVM, WithMinSupport(0.15), WithWorkers(1), WithObserver(o))
+		if _, err := CrossValidateContext(context.Background(), clf, d, 3, 1, CVOptions{Obs: o, Workers: Workers(w)}); err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if clf.Observer() != o {
+			t.Fatalf("workers=%d: the classifier's observer was not restored after CV", w)
+		}
+		trees := map[string]string{}
+		for _, sp := range o.Report("cv").Spans {
+			if sp.Name != "cv-fold" {
+				t.Fatalf("workers=%d: top-level span %q, want only cv-fold", w, sp.Name)
+			}
+			fold := ""
+			for _, a := range sp.Attrs {
+				if a.Key == "fold" {
+					fold = a.Value
+				}
+			}
+			var b strings.Builder
+			for _, c := range sp.Children {
+				writeSpanNames(&b, c, 0)
+			}
+			if b.Len() == 0 {
+				t.Fatalf("workers=%d: fold %s recorded no pipeline spans under its cv-fold span", w, fold)
+			}
+			trees[fold] = b.String()
+		}
+		if len(trees) != 3 {
+			t.Fatalf("workers=%d: %d distinct cv-fold spans, want 3", w, len(trees))
+		}
+		return trees
+	}
+	base := run(1)
+	if got := run(4); !reflect.DeepEqual(got, base) {
+		t.Fatalf("fold span trees differ between workers 4 and 1:\n%v\nvs\n%v", got, base)
+	}
+}
+
+// writeSpanNames renders a span's name tree, one indented name a line.
+func writeSpanNames(b *strings.Builder, sp *obs.SpanReport, depth int) {
+	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), sp.Name)
+	for _, c := range sp.Children {
+		writeSpanNames(b, c, depth+1)
 	}
 }
 

@@ -405,17 +405,7 @@ func DatasetNames() []string { return datagen.Names() }
 // CrossValidate runs stratified k-fold cross validation (the paper's
 // protocol uses k = 10).
 func CrossValidate(c *Classifier, d *Dataset, k int, seed int64) (*CVResult, error) {
-	return eval.CrossValidate(c, d, k, seed)
-}
-
-// CrossValidateObserved is CrossValidate with observability: the
-// observer is installed on the classifier (so every fold's fit/predict
-// stages nest under per-fold spans) and progress, when non-nil, is
-// called after each fold — long runs can report "fold 3/10 done in
-// 1.2s". Snapshot the result with o.Report.
-func CrossValidateObserved(c *Classifier, d *Dataset, k int, seed int64, o *Observer, progress ProgressFunc) (*CVResult, error) {
-	c.SetObserver(o)
-	return eval.CrossValidateOpt(c, d, k, seed, eval.CVOptions{Obs: o, Progress: progress})
+	return CrossValidateContext(context.Background(), c, d, k, seed, CVOptions{})
 }
 
 // CrossValidateContext is CrossValidate under a context with full
@@ -424,7 +414,9 @@ func CrossValidateObserved(c *Classifier, d *Dataset, k int, seed int64, o *Obse
 // opt.ContinueOnError isolates fold failures into CVResult.Failures
 // instead of aborting — Mean/Std then cover the completed folds only,
 // and a run with no completed fold returns an error satisfying
-// errors.Is(err, ErrPartialResult).
+// errors.Is(err, ErrPartialResult). A non-nil opt.Obs is installed on
+// the classifier, so every fold's stage spans nest under its cv-fold
+// span; opt.Progress reports "fold 3/10 done in 1.2s" as folds finish.
 func CrossValidateContext(ctx context.Context, c *Classifier, d *Dataset, k int, seed int64, opt CVOptions) (*CVResult, error) {
 	if opt.Obs != nil {
 		c.SetObserver(opt.Obs)
@@ -447,7 +439,7 @@ func TrainTestSplit(d *Dataset, testFrac float64, seed int64) (train, test []int
 // Evaluate fits the classifier on train rows and returns its accuracy
 // on test rows.
 func Evaluate(c *Classifier, d *Dataset, train, test []int) (float64, error) {
-	return eval.HoldOut(c, d, train, test)
+	return eval.HoldOut(context.Background(), c, d, train, test)
 }
 
 // AnalyzePatterns mines a dataset's closed patterns and reports each

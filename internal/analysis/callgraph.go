@@ -55,16 +55,14 @@ type CGNode struct {
 // family, and the miner entry points. Name-based matching keeps the
 // graph usable from golden-test fixtures, which declare their own Fit.
 var determinismRoots = map[string]bool{
-	"Fit":                   true,
-	"FitContext":            true,
-	"CrossValidate":         true,
-	"CrossValidateContext":  true,
-	"CrossValidateOpt":      true,
-	"CrossValidateObserved": true,
-	"MinePerClass":          true,
-	"MinePerClassAdaptive":  true,
-	"FPClose":               true,
-	"FPGrowth":              true,
+	"Fit":                  true,
+	"FitContext":           true,
+	"CrossValidate":        true,
+	"CrossValidateContext": true,
+	"MinePerClass":         true,
+	"MinePerClassAdaptive": true,
+	"FPClose":              true,
+	"FPGrowth":             true,
 }
 
 // FuncKey returns the canonical graph key for a declared function, or

@@ -4,7 +4,7 @@
 // selection — MMRFS, and (3) model learning — SVM or C4.5 on the
 // extended feature space I ∪ Fs. It also provides the baseline model
 // families of Tables 1–2 (Item_All, Item_FS, Item_RBF, Pat_All,
-// Pat_FS) behind one Pipeline type that plugs into eval.CrossValidate.
+// Pat_FS) behind one Pipeline type that plugs into eval.CrossValidateContext.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestAllFamiliesCrossValidate(t *testing.T) {
 		"C45_Pat":  NewPatFS(C45Tree, 0.3),
 	}
 	for name, p := range fams {
-		res, err := eval.CrossValidate(p, d, 3, 7)
+		res, err := eval.CrossValidateContext(context.Background(), p, d, 3, 7, eval.CVOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -128,11 +129,11 @@ func TestPatFSBeatsItemAllOnPatternedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	itemAll, err := eval.CrossValidate(NewItemAll(SVMLinear), d, 5, 3)
+	itemAll, err := eval.CrossValidateContext(context.Background(), NewItemAll(SVMLinear), d, 5, 3, eval.CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	patFS, err := eval.CrossValidate(NewPatFS(SVMLinear, 0.1), d, 5, 3)
+	patFS, err := eval.CrossValidateContext(context.Background(), NewPatFS(SVMLinear, 0.1), d, 5, 3, eval.CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestNumericPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eval.CrossValidate(NewPatFS(SVMLinear, 0.15), d, 3, 1)
+	res, err := eval.CrossValidateContext(context.Background(), NewPatFS(SVMLinear, 0.15), d, 3, 1, eval.CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

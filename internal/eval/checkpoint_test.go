@@ -97,7 +97,7 @@ func TestResumeSkipsCheckpointedFolds(t *testing.T) {
 	const k, seed = 5, 1
 	key := CVKey("skewed", k, seed)
 
-	baseline, err := CrossValidate(oraclePipeline{}, d, k, seed)
+	baseline, err := CrossValidateContext(context.Background(), oraclePipeline{}, d, k, seed, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"sync"
 	"time"
 
 	"dfpc/internal/dataset"
@@ -41,8 +42,9 @@ type CVCloner interface {
 }
 
 // ObservablePipeline lets the CV harness install a per-fold observer
-// fork on cloned pipelines so concurrent folds record spans without
-// sharing one span stack. core.Pipeline implements it.
+// fork on the pipeline each fold fits, so the fold's fit/predict spans
+// nest under its cv-fold span and concurrent folds never share one span
+// stack. core.Pipeline implements it.
 type ObservablePipeline interface {
 	SetObserver(*obs.Observer)
 	Observer() *obs.Observer
@@ -113,9 +115,10 @@ type ProgressFunc func(fold, total int, elapsed time.Duration, accuracy float64)
 
 // CVOptions carries the optional observability hooks of a CV run.
 type CVOptions struct {
-	// Obs, when non-nil, records one span per fold. Pass the same
-	// observer installed on the pipeline (core.Config.Obs) so the
-	// pipeline's fit/predict spans nest under the fold spans.
+	// Obs, when non-nil, records one cv-fold span per fold on a fork of
+	// Obs. An ObservablePipeline records each fold's fit/predict spans
+	// on that fork, so they nest under the fold span; its own observer
+	// is restored when the run returns.
 	Obs *obs.Observer
 	// Progress, when non-nil, is called after every fold.
 	Progress ProgressFunc
@@ -134,9 +137,11 @@ type CVOptions struct {
 	// Workers bounds the fold fan-out (0 = GOMAXPROCS, 1 = sequential).
 	// Folds run concurrently only when the pipeline implements CVCloner
 	// (each fold fits its own clone); results are merged in fold order,
-	// so FoldAccuracies, Mean, Std, and the summed Train/TestTime are
-	// identical at any worker count. Progress and per-fold log records
-	// are emitted in fold order after all folds join.
+	// so FoldAccuracies, Mean, Std, the summed Train/TestTime, and the
+	// abort error are identical at any worker count. Progress and
+	// per-fold log records are emitted live, in fold order, at any
+	// worker count: a fold's are emitted once it and every earlier fold
+	// have finished.
 	Workers parallel.Workers
 	// Faults, when non-nil, enables deterministic fault injection at
 	// the start of every fold (point eval.fold). An injected panic is
@@ -153,23 +158,10 @@ type CVOptions struct {
 	Checkpoint *Checkpointer
 }
 
-// CrossValidate runs stratified k-fold cross validation of the pipeline
-// on the dataset (the paper's protocol: "Each dataset is partitioned
-// into ten parts evenly. Each time, one part is used for test and the
-// other nine are used for training").
-func CrossValidate(p Pipeline, d *dataset.Dataset, k int, seed int64) (*CVResult, error) {
-	return CrossValidateOpt(p, d, k, seed, CVOptions{})
-}
-
-// CrossValidateOpt is CrossValidate with per-fold observability.
-func CrossValidateOpt(p Pipeline, d *dataset.Dataset, k int, seed int64, opt CVOptions) (*CVResult, error) {
-	return CrossValidateContext(context.Background(), p, d, k, seed, opt)
-}
-
 // foldOutcome is the result of one executed fold, independent of any
 // shared CV state so folds can run concurrently and merge in order.
 type foldOutcome struct {
-	ran       bool
+	ran       bool // the outcome has arrived at the merge cursor
 	acc       float64
 	trainTime time.Duration
 	testTime  time.Duration
@@ -181,7 +173,6 @@ type foldOutcome struct {
 // runFold executes one fold end to end, converting panics in the
 // pipeline into errors so a single bad fold cannot crash a CV sweep.
 func runFold(ctx context.Context, p Pipeline, d *dataset.Dataset, train, test []int, fr *faults.Registry) (out foldOutcome) {
-	out.ran = true
 	defer func() {
 		if r := recover(); r != nil {
 			out.panicked = true
@@ -217,18 +208,24 @@ func runFold(ctx context.Context, p Pipeline, d *dataset.Dataset, train, test []
 	return out
 }
 
-// CrossValidateContext is CrossValidateOpt under a context. The context
-// applies to the whole run: cancellation aborts between and inside
-// folds, regardless of opt.ContinueOnError. With opt.ContinueOnError,
-// non-cancellation fold failures are isolated into CVResult.Failures
-// and the remaining folds still run; if no fold completes, the
-// returned error satisfies errors.Is(err, guard.ErrPartialResult).
+// CrossValidateContext runs stratified k-fold cross validation of the
+// pipeline on the dataset (the paper's protocol: "Each dataset is
+// partitioned into ten parts evenly. Each time, one part is used for
+// test and the other nine are used for training").
+//
+// The context applies to the whole run: cancellation aborts between and
+// inside folds, regardless of opt.ContinueOnError. With
+// opt.ContinueOnError, non-cancellation fold failures are isolated into
+// CVResult.Failures and the remaining folds still run; if no fold
+// completes, the returned error satisfies
+// errors.Is(err, guard.ErrPartialResult).
 //
 // An aborting run (cancellation, or a fold failure without
-// ContinueOnError) returns its error together with a non-nil result
-// carrying the statistics of the folds that completed before the abort,
-// so callers can report partial progress — e.g. a CLI interrupted by
-// SIGINT. The error still marks the run as incomplete.
+// ContinueOnError) returns its error, numbered with the fold that
+// aborted, together with a non-nil result carrying the statistics of
+// the folds that completed before the abort, so callers can report
+// partial progress — e.g. a CLI interrupted by SIGINT. The error still
+// marks the run as incomplete.
 func CrossValidateContext(ctx context.Context, p Pipeline, d *dataset.Dataset, k int, seed int64, opt CVOptions) (*CVResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -237,56 +234,25 @@ func CrossValidateContext(ctx context.Context, p Pipeline, d *dataset.Dataset, k
 	if err != nil {
 		return nil, err
 	}
+	last := len(folds) - 1
+	// aborts reports whether a fold failure ends the run. Cancellation
+	// is a run-level event, not a fold defect: it aborts even under
+	// ContinueOnError.
+	aborts := func(err error) bool {
+		return err != nil && (ctx.Err() != nil || !opt.ContinueOnError)
+	}
 	res := &CVResult{}
-	// fail finalizes the partial statistics before an abort so callers
-	// (e.g. a CLI handling Ctrl-C) can still report the folds that did
-	// complete; the non-nil error marks the run as aborted.
-	fail := func(err error) (*CVResult, error) {
-		res.Completed = len(res.FoldAccuracies)
-		res.Mean, res.Std = meanStd(res.FoldAccuracies)
-		return res, err
-	}
-	// restore replays a completed fold from the checkpoint directory.
-	// The final fold never restores: re-executing it leaves the
-	// pipeline's fitted state identical to an uninterrupted run, and
-	// the pipeline's determinism contract makes the re-run reproduce
-	// the checkpointed outcome exactly.
-	restore := func(f int) (foldOutcome, bool) {
-		if opt.Checkpoint == nil || f == len(folds)-1 {
-			return foldOutcome{}, false
-		}
-		return opt.Checkpoint.LoadFold(f)
-	}
-	// persist checkpoints a clean fold outcome; a checkpoint that
-	// cannot be written degrades the fold to failed rather than being
-	// silently dropped (a later resume would otherwise silently
-	// re-execute under a different schedule than the journal records).
-	persist := func(f int, out foldOutcome) foldOutcome {
-		if opt.Checkpoint == nil || out.err != nil {
-			return out
-		}
-		if err := opt.Checkpoint.SaveFold(f, out); err != nil {
-			out.err = fmt.Errorf("checkpoint fold %d: %w", f+1, err)
-		}
-		return out
-	}
-	// merge folds one outcome at a time, strictly in fold order, for
-	// both the sequential and the concurrent path — fold-order merging
-	// is what keeps FoldAccuracies, Mean/Std, the summed durations, and
-	// the abort error independent of the worker count. A non-nil return
-	// aborts the run.
+	// merge folds one outcome into res. The loop below calls it strictly
+	// in fold order, which is what keeps FoldAccuracies, Mean/Std, the
+	// summed durations, and the abort error independent of the worker
+	// count. A non-nil return aborts the run.
 	merge := func(f int, out foldOutcome) error {
 		res.TrainTime += out.trainTime
 		res.TestTime += out.testTime
+		if aborts(out.err) {
+			return fmt.Errorf("eval: fold %d: %w", f+1, out.err)
+		}
 		if out.err != nil {
-			// Cancellation is a run-level event, not a fold defect:
-			// stop even under ContinueOnError.
-			if ctx.Err() != nil {
-				return fmt.Errorf("eval: fold %d: %w", f+1, out.err)
-			}
-			if !opt.ContinueOnError {
-				return fmt.Errorf("eval: fold %d: %w", f+1, out.err)
-			}
 			res.Failures = append(res.Failures, FoldError{Fold: f + 1, Err: out.err, Panicked: out.panicked})
 			opt.Obs.Counter("cv.fold_failures").Inc()
 			if opt.Log != nil {
@@ -312,119 +278,138 @@ func CrossValidateContext(ctx context.Context, p Pipeline, d *dataset.Dataset, k
 		return nil
 	}
 
+	// Folds fan out only over independent clones (and, when opt.Obs is
+	// set, clones that take an observer fork); any other pipeline runs
+	// its folds in order on the caller's goroutine.
+	workers := 1
 	cloner, canClone := p.(CVCloner)
 	op, canObserve := p.(ObservablePipeline)
-	if opt.Workers.Resolve() > 1 && len(folds) > 1 && canClone && (opt.Obs == nil || canObserve) {
-		// Concurrent folds: every fold but the last fits a clone; the
-		// last fold fits the original pipeline so its post-CV state
-		// (stats, explanations) matches a sequential run. Each fold
-		// records on its own observer fork — span trees stay intact and
-		// counters land in the shared registry. An aborting fold stops
-		// further folds from being claimed; ForEach's ascending-claim
-		// guarantee means every earlier fold still ran to completion,
-		// which is all the fold-order merge below consumes.
-		outcomes := make([]foldOutcome, len(folds))
-		var origObs *obs.Observer
-		if canObserve {
-			origObs = op.Observer()
-		}
-		// Clone before fanning out: the last fold installs its observer
-		// fork on the original, and a clone taken concurrently would
-		// race with that write.
-		clones := make([]any, len(folds)-1)
+	if canClone && (opt.Obs == nil || canObserve) {
+		workers = min(opt.Workers.Resolve(), len(folds))
+	}
+	// Every fold but the last fits a clone when folds run concurrently;
+	// the last fold always fits the original pipeline so its post-CV
+	// state (stats, explanations) is the same at any worker count.
+	// Clone before fanning out: the last fold installs its observer fork
+	// on the original, and a clone taken concurrently would race with
+	// that write.
+	var clones []Pipeline
+	if workers > 1 {
+		clones = make([]Pipeline, last)
 		for f := range clones {
-			clones[f] = cloner.CloneForCV()
+			c := cloner.CloneForCV()
+			cp, ok := c.(Pipeline)
+			if !ok {
+				return nil, fmt.Errorf("eval: CloneForCV returned %T, not an eval.Pipeline", c)
+			}
+			clones[f] = cp
 		}
-		_ = parallel.ForEach(opt.Workers, len(folds), func(f int) error {
-			if err := guard.New(ctx, guard.Limits{}).CheckNow(); err != nil {
-				outcomes[f] = foldOutcome{ran: true, err: err}
-				return err
-			}
-			if out, ok := restore(f); ok {
-				opt.Obs.Fork().Start("cv-fold").
-					Attr("fold", f+1).Attr("restored", true).End()
-				outcomes[f] = out
-				return nil
-			}
-			fp := p
-			if f != len(folds)-1 {
-				cl, ok := clones[f].(Pipeline)
-				if !ok {
-					outcomes[f] = foldOutcome{ran: true,
-						err: fmt.Errorf("CloneForCV returned %T, not an eval.Pipeline", clones[f])}
-					return outcomes[f].err
-				}
-				fp = cl
-			}
-			fo := opt.Obs.Fork()
-			if fop, ok := fp.(ObservablePipeline); ok && opt.Obs != nil {
-				fop.SetObserver(fo)
-			}
-			train, test := dataset.TrainTestFromFolds(folds, f)
-			sp := fo.Start("cv-fold").
-				Attr("fold", f+1).Attr("train", len(train)).Attr("test", len(test))
-			//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
-			foldStart := time.Now()
-			out := runFold(ctx, fp, d, train, test, opt.Faults)
-			//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
-			out.elapsed = time.Since(foldStart)
-			out = persist(f, out)
-			if out.err != nil {
-				sp.Attr("error", out.err.Error()).End()
-			} else {
-				sp.Attr("accuracy", fmt.Sprintf("%.4f", out.acc)).End()
-			}
-			outcomes[f] = out
-			if out.err != nil && (ctx.Err() != nil || !opt.ContinueOnError) {
-				return out.err
-			}
-			return nil
-		})
-		if canObserve && opt.Obs != nil {
-			op.SetObserver(origObs)
+	}
+	if canObserve && opt.Obs != nil {
+		defer op.SetObserver(op.Observer())
+	}
+
+	// fold executes (or replays) fold f. It records on its own observer
+	// fork, so span trees stay intact at any worker count and counters
+	// land in the shared registry.
+	fold := func(f int) foldOutcome {
+		if err := guard.New(ctx, guard.Limits{}).CheckNow(); err != nil {
+			return foldOutcome{err: err}
 		}
-		for f := range folds {
-			if !outcomes[f].ran {
-				break // unreachable before an aborting merge below
-			}
-			if err := merge(f, outcomes[f]); err != nil {
-				return fail(err)
+		fo := opt.Obs.Fork()
+		// The final fold never restores: re-executing it leaves the
+		// pipeline's fitted state identical to an uninterrupted run, and
+		// the pipeline's determinism contract makes the re-run reproduce
+		// the checkpointed outcome exactly.
+		if opt.Checkpoint != nil && f != last {
+			if out, ok := opt.Checkpoint.LoadFold(f); ok {
+				fo.Start("cv-fold").Attr("fold", f+1).Attr("restored", true).End()
+				return out
 			}
 		}
-	} else {
-		for f := range folds {
-			if err := guard.New(ctx, guard.Limits{}).CheckNow(); err != nil {
-				return fail(err)
-			}
-			if out, ok := restore(f); ok {
-				opt.Obs.Start("cv-fold").
-					Attr("fold", f+1).Attr("restored", true).End()
-				if err := merge(f, out); err != nil {
-					return fail(err)
-				}
-				continue
-			}
-			train, test := dataset.TrainTestFromFolds(folds, f)
-			sp := opt.Obs.Start("cv-fold").
-				Attr("fold", f+1).Attr("train", len(train)).Attr("test", len(test))
-			//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
-			foldStart := time.Now()
-			out := runFold(ctx, p, d, train, test, opt.Faults)
-			//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
-			out.elapsed = time.Since(foldStart)
-			out = persist(f, out)
-			if out.err != nil {
-				sp.Attr("error", out.err.Error()).End()
-			} else {
-				sp.Attr("accuracy", fmt.Sprintf("%.4f", out.acc)).End()
-			}
-			if err := merge(f, out); err != nil {
-				return fail(err)
+		fp := p
+		if f < len(clones) {
+			fp = clones[f]
+		}
+		if fop, ok := fp.(ObservablePipeline); ok && opt.Obs != nil {
+			fop.SetObserver(fo)
+		}
+		train, test := dataset.TrainTestFromFolds(folds, f)
+		sp := fo.Start("cv-fold").
+			Attr("fold", f+1).Attr("train", len(train)).Attr("test", len(test))
+		//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
+		foldStart := time.Now()
+		out := runFold(ctx, fp, d, train, test, opt.Faults)
+		//vet:ignore nondeterm fold wall-time telemetry; timings are reported, never byte-compared
+		out.elapsed = time.Since(foldStart)
+		// A checkpoint that cannot be written degrades the fold to failed
+		// rather than being silently dropped (a later resume would
+		// otherwise re-execute under a different schedule than the
+		// journal records).
+		if opt.Checkpoint != nil && out.err == nil {
+			if err := opt.Checkpoint.SaveFold(f, out); err != nil {
+				out.err = fmt.Errorf("checkpoint fold %d: %w", f+1, err)
 			}
 		}
+		if out.err != nil {
+			sp.Attr("error", out.err.Error()).End()
+		} else {
+			sp.Attr("accuracy", fmt.Sprintf("%.4f", out.acc)).End()
+		}
+		return out
+	}
+
+	// Each arriving outcome advances the merge cursor over every fold
+	// whose predecessors have all arrived, so progress and fold log
+	// records stream live and in fold order. One worker at a time holds
+	// the merger role and runs merge — and so the caller's Progress and
+	// Log — outside the lock. At one worker each fold merges as soon as
+	// it finishes, exactly like a plain loop. An aborting fold stops
+	// further folds from being claimed; ForEach's ascending-claim
+	// guarantee means every earlier fold still arrives, so the cursor
+	// always reaches the abort.
+	outcomes := make([]foldOutcome, len(folds))
+	var (
+		mu       sync.Mutex
+		next     int  // next fold to merge
+		merging  bool // a worker holds the merger role
+		abortErr error
+	)
+	err = parallel.ForEach(parallel.Workers(workers), len(folds), func(f int) error {
+		out := fold(f)
+		out.ran = true
+		mu.Lock()
+		outcomes[f] = out
+		if !merging {
+			merging = true
+			for abortErr == nil && next < len(folds) && outcomes[next].ran {
+				g, o := next, outcomes[next]
+				next++
+				mu.Unlock()
+				err := merge(g, o)
+				mu.Lock()
+				abortErr = err
+			}
+			merging = false
+		}
+		err := abortErr
+		mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if aborts(out.err) {
+			return out.err
+		}
+		return nil
+	})
+	if abortErr != nil {
+		err = abortErr
 	}
 	res.Completed = len(res.FoldAccuracies)
 	res.Mean, res.Std = meanStd(res.FoldAccuracies)
+	if err != nil {
+		return res, err
+	}
 	if res.Completed == 0 && len(res.Failures) > 0 {
 		return res, fmt.Errorf("eval: all %d folds failed (first: %w): %w",
 			len(res.Failures), res.Failures[0], guard.ErrPartialResult)
@@ -437,21 +422,11 @@ func CrossValidateContext(ctx context.Context, p Pipeline, d *dataset.Dataset, k
 	return res, nil
 }
 
-// HoldOut trains on train rows and evaluates accuracy on test rows.
-func HoldOut(p Pipeline, d *dataset.Dataset, train, test []int) (float64, error) {
-	ctx := context.TODO()
-	if err := p.FitContext(ctx, d, train); err != nil {
-		return 0, err
-	}
-	pred := make([]int, len(test))
-	if err := p.PredictBatch(ctx, d, test, pred); err != nil {
-		return 0, err
-	}
-	truth := make([]int, len(test))
-	for i, r := range test {
-		truth[i] = d.Labels[r]
-	}
-	return Accuracy(pred, truth)
+// HoldOut trains on train rows and evaluates accuracy on test rows: one
+// fold of the cross-validation protocol, panics included.
+func HoldOut(ctx context.Context, p Pipeline, d *dataset.Dataset, train, test []int) (float64, error) {
+	out := runFold(ctx, p, d, train, test, nil)
+	return out.acc, out.err
 }
 
 func meanStd(xs []float64) (mean, std float64) {

@@ -100,7 +100,7 @@ func TestAccuracy(t *testing.T) {
 
 func TestCrossValidateMajority(t *testing.T) {
 	d := skewedDS(100)
-	res, err := CrossValidate(&majorityPipeline{}, d, 10, 1)
+	res, err := CrossValidateContext(context.Background(), &majorityPipeline{}, d, 10, 1, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCrossValidateMajority(t *testing.T) {
 
 func TestCrossValidateOracle(t *testing.T) {
 	d := skewedDS(60)
-	res, err := CrossValidate(oraclePipeline{}, d, 5, 2)
+	res, err := CrossValidateContext(context.Background(), oraclePipeline{}, d, 5, 2, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCrossValidateOracle(t *testing.T) {
 
 func TestCrossValidatePropagatesErrors(t *testing.T) {
 	d := skewedDS(20)
-	if _, err := CrossValidate(failingPipeline{}, d, 4, 1); err == nil {
+	if _, err := CrossValidateContext(context.Background(), failingPipeline{}, d, 4, 1, CVOptions{}); err == nil {
 		t.Fatal("expected fit error")
 	}
 }
@@ -138,7 +138,7 @@ func TestHoldOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := HoldOut(oraclePipeline{}, d, train, test)
+	acc, err := HoldOut(context.Background(), oraclePipeline{}, d, train, test)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dfpc/internal/dataset"
 	"dfpc/internal/obs"
@@ -27,12 +29,12 @@ func (p *cloneMajority) Observer() *obs.Observer     { return p.obs }
 // order), Mean, Std, and Completed are identical at any worker count.
 func TestCrossValidateParallelDeterminism(t *testing.T) {
 	d := skewedDS(64)
-	base, err := CrossValidateOpt(&cloneMajority{}, d, 8, 1, CVOptions{})
+	base, err := CrossValidateContext(context.Background(), &cloneMajority{}, d, 8, 1, CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []parallel.Workers{2, 8, 0} {
-		res, err := CrossValidateOpt(&cloneMajority{}, d, 8, 1, CVOptions{Workers: w})
+		res, err := CrossValidateContext(context.Background(), &cloneMajority{}, d, 8, 1, CVOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -53,7 +55,7 @@ func TestCrossValidateParallelSpans(t *testing.T) {
 	d := skewedDS(40)
 	o := obs.New()
 	p := &cloneMajority{obs: o}
-	if _, err := CrossValidateOpt(p, d, 5, 1, CVOptions{Obs: o, Workers: 4}); err != nil {
+	if _, err := CrossValidateContext(context.Background(), p, d, 5, 1, CVOptions{Obs: o, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	rep := o.Report("cv")
@@ -97,7 +99,7 @@ func (p *cloneFail) FitContext(ctx context.Context, d *dataset.Dataset, rows []i
 func TestCrossValidateParallelContinueOnError(t *testing.T) {
 	d := skewedDS(48)
 	var n atomic.Int64
-	res, err := CrossValidateOpt(&cloneFail{n: &n}, d, 6, 1,
+	res, err := CrossValidateContext(context.Background(), &cloneFail{n: &n}, d, 6, 1,
 		CVOptions{Workers: 3, ContinueOnError: true})
 	if err != nil {
 		t.Fatal(err)
@@ -110,5 +112,84 @@ func TestCrossValidateParallelContinueOnError(t *testing.T) {
 	}
 	if res.Completed != len(res.FoldAccuracies) {
 		t.Fatalf("Completed %d != len(FoldAccuracies) %d", res.Completed, len(res.FoldAccuracies))
+	}
+}
+
+// cloneFailFirst fails to fit exactly the first fold: the one whose
+// training rows lack that fold's first test row.
+type cloneFailFirst struct {
+	cloneMajority
+	bad int
+}
+
+func (p *cloneFailFirst) CloneForCV() any { return &cloneFailFirst{bad: p.bad} }
+func (p *cloneFailFirst) FitContext(ctx context.Context, d *dataset.Dataset, rows []int) error {
+	if !slices.Contains(rows, p.bad) {
+		return errors.New("first fold bomb")
+	}
+	return p.cloneMajority.FitContext(ctx, d, rows)
+}
+
+// TestCrossValidateParallelFailureSemantics: an aborted run reports the
+// same error text and partial statistics at any worker count.
+func TestCrossValidateParallelFailureSemantics(t *testing.T) {
+	d := skewedDS(40)
+	const k, seed = 4, 1
+	folds, err := dataset.StratifiedKFold(d.Labels, d.NumClasses(), k, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		canceled bool
+		p        func() Pipeline
+	}{
+		{"pre-canceled", true, func() Pipeline { return &cloneMajority{} }},
+		{"first fold fails", false, func() Pipeline { return &cloneFailFirst{bad: folds[0][0]} }},
+	}
+	for _, c := range cases {
+		var base *CVResult
+		var baseErr string
+		for _, w := range []parallel.Workers{1, 2, 8} {
+			ctx, cancel := context.WithCancel(context.Background())
+			if c.canceled {
+				cancel()
+			}
+			res, err := CrossValidateContext(ctx, c.p(), d, k, seed, CVOptions{Workers: w})
+			cancel()
+			if err == nil || res == nil {
+				t.Fatalf("%s, workers=%d: got (%v, %v), want an aborted run with partial stats", c.name, w, res, err)
+			}
+			if base == nil {
+				base, baseErr = res, err.Error()
+				continue
+			}
+			if err.Error() != baseErr {
+				t.Fatalf("%s, workers=%d: error %q, want %q (workers=1)", c.name, w, err, baseErr)
+			}
+			if res.Completed != base.Completed ||
+				!reflect.DeepEqual(res.FoldAccuracies, base.FoldAccuracies) ||
+				!reflect.DeepEqual(res.Failures, base.Failures) {
+				t.Fatalf("%s, workers=%d: partial result %+v, want %+v (workers=1)", c.name, w, res, base)
+			}
+		}
+	}
+}
+
+// TestCrossValidateParallelProgressOrder: concurrent folds report
+// progress once per fold, in fold order.
+func TestCrossValidateParallelProgressOrder(t *testing.T) {
+	d := skewedDS(64)
+	for _, w := range []parallel.Workers{1, 8} {
+		var got []int
+		opt := CVOptions{Workers: w, Progress: func(fold, _ int, _ time.Duration, _ float64) {
+			got = append(got, fold)
+		}}
+		if _, err := CrossValidateContext(context.Background(), &cloneMajority{}, d, 8, 1, opt); err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if want := []int{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: progress folds %v, want %v", w, got, want)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func (p *panicOncePipeline) PredictBatch(_ context.Context, d *dataset.Dataset, 
 
 func TestFoldPanicIsolatedUnderContinueOnError(t *testing.T) {
 	d := skewedDS(100)
-	res, err := CrossValidateOpt(&panicOncePipeline{}, d, 5, 1, CVOptions{ContinueOnError: true})
+	res, err := CrossValidateContext(context.Background(), &panicOncePipeline{}, d, 5, 1, CVOptions{ContinueOnError: true})
 	if err != nil {
 		t.Fatalf("isolated run should succeed, got %v", err)
 	}
@@ -54,7 +54,7 @@ func TestFoldPanicIsolatedUnderContinueOnError(t *testing.T) {
 
 func TestFoldPanicAbortsWithoutContinueOnError(t *testing.T) {
 	d := skewedDS(100)
-	res, err := CrossValidateOpt(&panicOncePipeline{}, d, 5, 1, CVOptions{})
+	res, err := CrossValidateContext(context.Background(), &panicOncePipeline{}, d, 5, 1, CVOptions{})
 	if err == nil {
 		t.Fatal("panicking fold without isolation should abort the run")
 	}
@@ -70,7 +70,7 @@ func TestFoldPanicAbortsWithoutContinueOnError(t *testing.T) {
 
 func TestAllFoldsFailedIsPartialResult(t *testing.T) {
 	d := skewedDS(40)
-	res, err := CrossValidateOpt(failingPipeline{}, d, 4, 1, CVOptions{ContinueOnError: true})
+	res, err := CrossValidateContext(context.Background(), failingPipeline{}, d, 4, 1, CVOptions{ContinueOnError: true})
 	if !errors.Is(err, guard.ErrPartialResult) {
 		t.Fatalf("err = %v, want guard.ErrPartialResult", err)
 	}

@@ -9,10 +9,10 @@ import (
 	"dfpc/internal/datagen"
 	"dfpc/internal/dataset"
 	"dfpc/internal/discretize"
-	"dfpc/internal/eval"
 	"dfpc/internal/featsel"
 	"dfpc/internal/guard"
 	"dfpc/internal/mining"
+	"dfpc/internal/parallel"
 	"dfpc/internal/patmatch"
 	"dfpc/internal/svm"
 )
@@ -36,72 +36,71 @@ func WriteAblation(w io.Writer, title string, rows []AblationRow) {
 }
 
 // runPatFS cross-validates core Pat_FS, the reference row of the
-// pool-kind and selector ablations.
-func runPatFS(d *dataset.Dataset, minSup float64, folds int) (*core.Pipeline, *eval.CVResult, error) {
-	p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: minSup, Coverage: 3}.withDefaults())
+// pool-kind and selector ablations, and returns its accuracy in
+// percent.
+func runPatFS(ctx context.Context, d *dataset.Dataset, minSup float64, proto Protocol) (*core.Pipeline, float64, error) {
+	p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: minSup, Coverage: 3, Workers: proto.Workers}.withDefaults())
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	res, err := eval.CrossValidate(p, d, folds, Seed)
-	return p, res, err
+	acc, err := cvProto(ctx, p, d, proto)
+	return p, acc, err
 }
 
 // RunAblationClosedVsAll compares closed patterns against all frequent
 // patterns as the feature pool (same min_sup, same MMRFS selection).
 // Closed mining should give an equally accurate model from a much
 // smaller pool.
-func RunAblationClosedVsAll(name string, minSup float64, folds int) ([]AblationRow, error) {
+func RunAblationClosedVsAll(ctx context.Context, name string, minSup float64, proto Protocol) ([]AblationRow, error) {
 	d, err := datagen.ByName(name, Seed)
 	if err != nil {
 		return nil, err
 	}
-	if folds <= 0 {
-		folds = 5
+	if proto.Folds <= 0 {
+		proto.Folds = 5
 	}
 	const closed = "closed (FPClose)"
-	ref, res, err := runPatFS(d, minSup, folds)
+	ref, acc, err := runPatFS(ctx, d, minSup, proto)
 	if err != nil {
 		return nil, fmt.Errorf("closed-vs-all %s/%s: %w", name, closed, err)
 	}
 	pool := ref.Stats.MinedCount
-	rows := []AblationRow{{Dataset: name, Variant: closed, Features: pool, Accuracy: 100 * res.Mean, Pool: pool}}
+	rows := []AblationRow{{Dataset: name, Variant: closed, Features: pool, Accuracy: acc, Pool: pool}}
 
 	const all = "all frequent (FPGrowth)"
-	v := &variantPipeline{minSup: minSup, allFrequent: true}
-	res, err = eval.CrossValidate(v, d, folds, Seed)
-	if err != nil {
+	v := &variantPipeline{minSup: minSup, allFrequent: true, workers: proto.Workers}
+	if acc, err = cvProto(ctx, v, d, proto); err != nil {
 		return rows, fmt.Errorf("closed-vs-all %s/%s: %w", name, all, err)
 	}
-	return append(rows, AblationRow{Dataset: name, Variant: all, Features: v.pool, Accuracy: 100 * res.Mean, Pool: v.pool}), nil
+	return append(rows, AblationRow{Dataset: name, Variant: all, Features: v.pool, Accuracy: acc, Pool: v.pool}), nil
 }
 
 // RunAblationRedundancy compares MMRFS against pure relevance top-k
 // selection with the same feature budget: the redundancy term should
 // not hurt, and typically helps, at equal feature count.
-func RunAblationRedundancy(name string, minSup float64, folds int) ([]AblationRow, error) {
+func RunAblationRedundancy(ctx context.Context, name string, minSup float64, proto Protocol) ([]AblationRow, error) {
 	d, err := datagen.ByName(name, Seed)
 	if err != nil {
 		return nil, err
 	}
-	if folds <= 0 {
-		folds = 5
+	if proto.Folds <= 0 {
+		proto.Folds = 5
 	}
 	// First, find how many features MMRFS selects so top-k gets the
 	// same budget.
-	ref, res, err := runPatFS(d, minSup, folds)
+	ref, acc, err := runPatFS(ctx, d, minSup, proto)
 	if err != nil {
 		return nil, fmt.Errorf("redundancy ablation %s mmrfs: %w", name, err)
 	}
 	rows := []AblationRow{{Dataset: name, Variant: "MMRFS (relevance+redundancy)",
-		Features: ref.Stats.FeatureCount, Accuracy: 100 * res.Mean, Pool: ref.Stats.MinedCount}}
+		Features: ref.Stats.FeatureCount, Accuracy: acc, Pool: ref.Stats.MinedCount}}
 
-	v := &variantPipeline{minSup: minSup, topK: ref.Stats.FeatureCount}
-	res, err = eval.CrossValidate(v, d, folds, Seed)
-	if err != nil {
+	v := &variantPipeline{minSup: minSup, topK: ref.Stats.FeatureCount, workers: proto.Workers}
+	if acc, err = cvProto(ctx, v, d, proto); err != nil {
 		return rows, fmt.Errorf("redundancy ablation %s topk: %w", name, err)
 	}
 	return append(rows, AblationRow{Dataset: name, Variant: "top-k relevance only",
-		Features: v.topK, Accuracy: 100 * res.Mean, Pool: v.pool}), nil
+		Features: v.topK, Accuracy: acc, Pool: v.pool}), nil
 }
 
 // variantPipeline is core Pat_FS with one stage swapped: allFrequent
@@ -114,6 +113,7 @@ type variantPipeline struct {
 	minSup      float64
 	allFrequent bool
 	topK        int
+	workers     parallel.Workers
 
 	disc     *discretize.Discretizer
 	numItems int
@@ -141,6 +141,7 @@ func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, ro
 		MaxPatterns: 2_000_000,
 		MaxLen:      6,
 		MinLen:      2,
+		Workers:     p.workers,
 		Guard:       g,
 	})
 	if err != nil {
@@ -154,7 +155,7 @@ func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, ro
 	var sel *featsel.Result
 	if p.topK > 0 {
 		sel = featsel.TopK(cands, b.ClassMasks, featsel.InfoGain, p.topK)
-	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3, Guard: g}); err != nil {
+	} else if sel, err = featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: 3, Workers: p.workers, Guard: g}); err != nil {
 		return err
 	}
 	patterns := make([]mining.Pattern, len(sel.Selected))
@@ -173,7 +174,7 @@ func (p *variantPipeline) FitContext(ctx context.Context, d *dataset.Dataset, ro
 	for i := range x {
 		x[i] = p.fv(b.Rows[i], &ms)
 	}
-	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(patterns), Guard: g})
+	p.model, err = svm.Train(x, b.Labels, b.NumClasses(), svm.Config{C: 1, NumFeatures: p.numItems + len(patterns), Workers: p.workers, Guard: g})
 	return err
 }
 
@@ -205,53 +206,53 @@ func (p *variantPipeline) PredictBatch(_ context.Context, d *dataset.Dataset, ro
 
 // RunAblationRelevance compares information gain vs. Fisher score as
 // MMRFS's relevance measure.
-func RunAblationRelevance(name string, minSup float64, folds int) ([]AblationRow, error) {
+func RunAblationRelevance(ctx context.Context, name string, minSup float64, proto Protocol) ([]AblationRow, error) {
 	d, err := datagen.ByName(name, Seed)
 	if err != nil {
 		return nil, err
 	}
-	if folds <= 0 {
-		folds = 5
+	if proto.Folds <= 0 {
+		proto.Folds = 5
 	}
 	var rows []AblationRow
 	for _, rel := range []featsel.Relevance{featsel.InfoGain, featsel.Fisher} {
-		cfg := core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup, Relevance: rel}
+		cfg := core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup, Relevance: rel, Workers: proto.Workers}
 		p, err := mk(func() (*core.Pipeline, error) { return core.New(cfg) })
 		if err != nil {
 			return rows, fmt.Errorf("relevance ablation %s/%v: %w", name, rel, err)
 		}
-		res, err := eval.CrossValidate(p, d, folds, Seed)
+		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("relevance ablation %s/%v: %w", name, rel, err)
 		}
-		rows = append(rows, AblationRow{Dataset: name, Variant: rel.String(), Features: p.Stats.FeatureCount, Accuracy: 100 * res.Mean})
+		rows = append(rows, AblationRow{Dataset: name, Variant: rel.String(), Features: p.Stats.FeatureCount, Accuracy: acc})
 	}
 	return rows, nil
 }
 
 // RunAblationCoverage sweeps MMRFS's δ.
-func RunAblationCoverage(name string, minSup float64, deltas []int, folds int) ([]AblationRow, error) {
+func RunAblationCoverage(ctx context.Context, name string, minSup float64, deltas []int, proto Protocol) ([]AblationRow, error) {
 	d, err := datagen.ByName(name, Seed)
 	if err != nil {
 		return nil, err
 	}
-	if folds <= 0 {
-		folds = 5
+	if proto.Folds <= 0 {
+		proto.Folds = 5
 	}
 	var rows []AblationRow
 	for _, delta := range deltas {
-		cfg := core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup, Coverage: delta}
+		cfg := core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup, Coverage: delta, Workers: proto.Workers}
 		p, err := mk(func() (*core.Pipeline, error) { return core.New(cfg) })
 		if err != nil {
 			return rows, fmt.Errorf("coverage ablation %s/δ=%d: %w", name, delta, err)
 		}
-		res, err := eval.CrossValidate(p, d, folds, Seed)
+		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("coverage ablation %s/δ=%d: %w", name, delta, err)
 		}
 		rows = append(rows, AblationRow{
 			Dataset: name, Variant: fmt.Sprintf("δ = %d", delta),
-			Features: p.Stats.FeatureCount, Accuracy: 100 * res.Mean,
+			Features: p.Stats.FeatureCount, Accuracy: acc,
 		})
 	}
 	return rows, nil
@@ -259,41 +260,41 @@ func RunAblationCoverage(name string, minSup float64, deltas []int, folds int) (
 
 // RunAblationMinSupStrategy compares the automatic θ*(IG0) min_sup
 // strategy against hand-set values.
-func RunAblationMinSupStrategy(name string, handSet []float64, folds int) ([]AblationRow, error) {
+func RunAblationMinSupStrategy(ctx context.Context, name string, handSet []float64, proto Protocol) ([]AblationRow, error) {
 	d, err := datagen.ByName(name, Seed)
 	if err != nil {
 		return nil, err
 	}
-	if folds <= 0 {
-		folds = 5
+	if proto.Folds <= 0 {
+		proto.Folds = 5
 	}
 	auto, err := mk(func() (*core.Pipeline, error) {
-		return core.New(core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: -1})
+		return core.New(core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: -1, Workers: proto.Workers})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("strategy ablation %s auto: %w", name, err)
 	}
-	res, err := eval.CrossValidate(auto, d, folds, Seed)
+	acc, err := cvProto(ctx, auto, d, proto)
 	if err != nil {
 		return nil, fmt.Errorf("strategy ablation %s auto: %w", name, err)
 	}
 	rows := []AblationRow{{
 		Dataset:  name,
 		Variant:  fmt.Sprintf("auto θ*(IG0) → %.3f", auto.Stats.MinSupport),
-		Features: auto.Stats.FeatureCount, Accuracy: 100 * res.Mean,
+		Features: auto.Stats.FeatureCount, Accuracy: acc,
 	}}
 	for _, ms := range handSet {
-		p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: ms}.withDefaults())
+		p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: ms, Workers: proto.Workers}.withDefaults())
 		if err != nil {
 			return rows, fmt.Errorf("strategy ablation %s/%v: %w", name, ms, err)
 		}
-		r, err := eval.CrossValidate(p, d, folds, Seed)
+		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("strategy ablation %s/%v: %w", name, ms, err)
 		}
 		rows = append(rows, AblationRow{
 			Dataset: name, Variant: fmt.Sprintf("hand-set %.3f", ms),
-			Features: p.Stats.FeatureCount, Accuracy: 100 * r.Mean,
+			Features: p.Stats.FeatureCount, Accuracy: acc,
 		})
 	}
 	return rows, nil

@@ -157,7 +157,7 @@ func TestRunFigure3BoundDominates(t *testing.T) {
 }
 
 func TestRunMinSupSweepSmoke(t *testing.T) {
-	rows, err := RunMinSupSweep("labor", []float64{0.5, 0.3}, 3)
+	rows, err := RunMinSupSweep(context.Background(), "labor", []float64{0.5, 0.3}, Protocol{Folds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRunMinSupSweepSmoke(t *testing.T) {
 }
 
 func TestRunHarmonyComparisonSmoke(t *testing.T) {
-	rows, err := RunHarmonyComparison([]string{"labor"}, 0.3, 0)
+	rows, err := RunHarmonyComparison(context.Background(), []string{"labor"}, 0.3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +194,19 @@ func TestRunHarmonyComparisonSmoke(t *testing.T) {
 }
 
 func TestAblationsSmoke(t *testing.T) {
-	if rows, err := RunAblationClosedVsAll("labor", 0.4, 3); err != nil || len(rows) != 2 {
+	if rows, err := RunAblationClosedVsAll(context.Background(), "labor", 0.4, Protocol{Folds: 3}); err != nil || len(rows) != 2 {
 		t.Fatalf("closed-vs-all: %v rows=%d", err, len(rows))
 	}
-	if rows, err := RunAblationRedundancy("labor", 0.4, 3); err != nil || len(rows) != 2 {
+	if rows, err := RunAblationRedundancy(context.Background(), "labor", 0.4, Protocol{Folds: 3}); err != nil || len(rows) != 2 {
 		t.Fatalf("redundancy: %v rows=%d", err, len(rows))
 	}
-	if rows, err := RunAblationRelevance("labor", 0.4, 3); err != nil || len(rows) != 2 {
+	if rows, err := RunAblationRelevance(context.Background(), "labor", 0.4, Protocol{Folds: 3}); err != nil || len(rows) != 2 {
 		t.Fatalf("relevance: %v rows=%d", err, len(rows))
 	}
-	if rows, err := RunAblationCoverage("labor", 0.4, []int{1, 3}, 3); err != nil || len(rows) != 2 {
+	if rows, err := RunAblationCoverage(context.Background(), "labor", 0.4, []int{1, 3}, Protocol{Folds: 3}); err != nil || len(rows) != 2 {
 		t.Fatalf("coverage: %v rows=%d", err, len(rows))
 	}
-	rows, err := RunAblationMinSupStrategy("labor", []float64{0.4}, 3)
+	rows, err := RunAblationMinSupStrategy(context.Background(), "labor", []float64{0.4}, Protocol{Folds: 3})
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("strategy: %v rows=%d", err, len(rows))
 	}
@@ -222,7 +222,7 @@ func TestAblationsSmoke(t *testing.T) {
 // patterns longer than five items, so a shorter length cap on either
 // row shows up as a pool mismatch.
 func TestAblationRedundancySamePool(t *testing.T) {
-	rows, err := RunAblationRedundancy("heart", 0.2, 3)
+	rows, err := RunAblationRedundancy(context.Background(), "heart", 0.2, Protocol{Folds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

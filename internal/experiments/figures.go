@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,7 +10,6 @@ import (
 	"dfpc/internal/c45"
 	"dfpc/internal/core"
 	"dfpc/internal/datagen"
-	"dfpc/internal/eval"
 )
 
 func c45Train(x [][]int32, y []int, numClasses int) (*c45.Model, error) {
@@ -208,21 +208,21 @@ type MinSupSweepRow struct {
 // min_sup decreases — the Section 3.2 analysis (accuracy rises as
 // medium-frequency discriminative patterns appear, then flattens or
 // drops from overfitting while cost explodes).
-func RunMinSupSweep(name string, minSups []float64, folds int) ([]MinSupSweepRow, error) {
+func RunMinSupSweep(ctx context.Context, name string, minSups []float64, proto Protocol) ([]MinSupSweepRow, error) {
 	d, err := datagen.ByName(name, Seed)
 	if err != nil {
 		return nil, err
 	}
-	if folds <= 0 {
-		folds = 5
+	if proto.Folds <= 0 {
+		proto.Folds = 5
 	}
 	var rows []MinSupSweepRow
 	for _, ms := range minSups {
-		p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: ms, Folds: folds}.withDefaults())
+		p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: ms, Workers: proto.Workers}.withDefaults())
 		if err != nil {
 			return rows, fmt.Errorf("minsup sweep %s@%v: %w", name, ms, err)
 		}
-		res, err := eval.CrossValidate(p, d, folds, Seed)
+		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("minsup sweep %s@%v: %w", name, ms, err)
 		}
@@ -230,7 +230,7 @@ func RunMinSupSweep(name string, minSups []float64, folds int) ([]MinSupSweepRow
 			Dataset:    name,
 			MinSupport: ms,
 			Patterns:   p.Stats.MinedCount,
-			Accuracy:   100 * res.Mean,
+			Accuracy:   acc,
 		})
 	}
 	return rows, nil

@@ -120,7 +120,7 @@ func minSupFor(name string, proto Protocol) float64 {
 
 // cvProto cross-validates under ctx and the protocol's fold-isolation
 // settings and returns the mean accuracy in percent.
-func cvProto(ctx context.Context, p *core.Pipeline, d *dataset.Dataset, proto Protocol) (float64, error) {
+func cvProto(ctx context.Context, p eval.Pipeline, d *dataset.Dataset, proto Protocol) (float64, error) {
 	res, err := eval.CrossValidateContext(ctx, p, d, proto.Folds, Seed, eval.CVOptions{
 		ContinueOnError: proto.ContinueOnError,
 		Log:             proto.Log,
@@ -467,7 +467,7 @@ type HarmonyRow struct {
 // RunHarmonyComparison reproduces the Section 5 claim: Pat_FS beats a
 // HARMONY-style rule-based classifier (and a CBA-style one) on the
 // dense datasets.
-func RunHarmonyComparison(names []string, minSup float64, sampleRows int) ([]HarmonyRow, error) {
+func RunHarmonyComparison(ctx context.Context, names []string, minSup float64, sampleRows int) ([]HarmonyRow, error) {
 	var rows []HarmonyRow
 	for _, name := range names {
 		d, err := datagen.ByName(name, Seed)
@@ -494,7 +494,7 @@ func RunHarmonyComparison(names []string, minSup float64, sampleRows int) ([]Har
 		if err != nil {
 			return rows, fmt.Errorf("harmony %s Pat_FS: %w", name, err)
 		}
-		acc, err := eval.HoldOut(patFS, d, trainRows, testRows)
+		acc, err := eval.HoldOut(ctx, patFS, d, trainRows, testRows)
 		if err != nil {
 			return rows, fmt.Errorf("harmony %s Pat_FS: %w", name, err)
 		}
