@@ -46,6 +46,12 @@ func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
+// Clear clears bit i.
+func (b *Bitset) Clear(i int) {
+	b.check(i)
+	b.words[i/wordBits] &^= 1 << uint(i%wordBits)
+}
+
 // Get reports whether bit i is set.
 func (b *Bitset) Get(i int) bool {
 	b.check(i)

@@ -44,6 +44,21 @@ func TestSetIdempotent(t *testing.T) {
 	}
 }
 
+func TestClear(t *testing.T) {
+	b := FromIndices(130, []int{0, 63, 64, 129})
+	b.Clear(64)
+	b.Clear(64)
+	b.Clear(5) // clearing an unset bit is a no-op
+	if b.Get(64) || b.Count() != 3 {
+		t.Fatalf("after Clear(64) twice: Count = %d, bits %v", b.Count(), b.Indices())
+	}
+	b.Clear(0)
+	b.Clear(129)
+	if got := b.Indices(); len(got) != 1 || got[0] != 63 {
+		t.Fatalf("Indices = %v, want [63]", got)
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	b := New(10)
 	for _, i := range []int{-1, 10, 1000} {
@@ -54,6 +69,14 @@ func TestOutOfRangePanics(t *testing.T) {
 				}
 			}()
 			b.Set(i)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Clear(%d) did not panic", i)
+				}
+			}()
+			b.Clear(i)
 		}()
 	}
 }
@@ -207,6 +230,34 @@ func TestQuickAndMatchesModel(t *testing.T) {
 			return false
 		}
 		a.And(b)
+		return a.Count() == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickClearMatchesModel clears a random subset of a random
+// bitset, some bits twice, and checks Get and Count against the
+// []bool model.
+func TestQuickClearMatchesModel(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, _, am, _ := randomPair(r)
+		for k := r.Intn(2 * a.Len()); k > 0; k-- {
+			i := r.Intn(a.Len())
+			a.Clear(i)
+			am[i] = false
+		}
+		want := 0
+		for i, set := range am {
+			if a.Get(i) != set {
+				return false
+			}
+			if set {
+				want++
+			}
+		}
 		return a.Count() == want
 	}
 	if err := quick.Check(f, nil); err != nil {

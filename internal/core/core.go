@@ -272,11 +272,13 @@ type FitStats struct {
 	// SMO solves. A model with warnings is usable but not pristine.
 	Warnings []Warning
 	// SelectionAudit is MMRFS's per-iteration decision trail — which
-	// candidate each iteration picked, its relevance/redundancy/gain,
-	// and the accept-or-drop outcome. Recorded only when an observer
-	// was installed during Fit and a selection stage ran; the greedy
-	// loop is sequential, so the trail is identical at any worker
-	// count.
+	// candidate each iteration selected or dropped, and its
+	// relevance/redundancy/gain. A drop entry is recorded when the
+	// candidate is retired: its redundancy is the max over the
+	// selections it had seen by then, a lower bound, so its gain is an
+	// upper bound. Recorded only when an observer was installed during
+	// Fit and a selection stage ran; the greedy loop is sequential, so
+	// the trail is identical at any worker count.
 	SelectionAudit []featsel.AuditEntry
 }
 

@@ -10,10 +10,13 @@ import (
 	"dfpc/internal/c45"
 	"dfpc/internal/core"
 	"dfpc/internal/datagen"
+	"dfpc/internal/guard"
 )
 
-func c45Train(x [][]int32, y []int, numClasses int) (*c45.Model, error) {
-	return c45.Train(x, y, numClasses, c45.Config{})
+// c45Train trains the paper's default C4.5 tree; g (nil = unbounded)
+// bounds tree growth.
+func c45Train(x [][]int32, y []int, numClasses int, g *guard.Guard) (*c45.Model, error) {
+	return c45.Train(x, y, numClasses, c45.Config{Guard: g})
 }
 
 // Figure1Row summarizes information gain at one pattern length on one

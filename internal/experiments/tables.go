@@ -382,7 +382,10 @@ func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRo
 		for i, pt := range mined {
 			cands[i] = featsel.Candidate{Items: pt.Items, Cover: pt.Cover()}
 		}
-		sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: cfg.Coverage})
+		// Selection and both learners poll one guard on ctx, so a
+		// canceled run stops mid-row instead of after it.
+		g := guard.New(ctx, guard.Limits{})
+		sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: cfg.Coverage, Guard: g})
 		if err != nil {
 			return rows, err
 		}
@@ -411,14 +414,14 @@ func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRo
 		xTest := fx(tb)
 
 		svmModel, err := svm.Train(xTrain, b.Labels, b.NumClasses(), svm.Config{
-			C: 1, NumFeatures: b.NumItems() + len(selected),
+			C: 1, NumFeatures: b.NumItems() + len(selected), Guard: g,
 		})
 		if err != nil {
 			return rows, err
 		}
 		row.SVMAcc = accuracyPct(svmModel.PredictAll(xTest), tb.Labels)
 
-		treeModel, err := c45Train(xTrain, b.Labels, b.NumClasses())
+		treeModel, err := c45Train(xTrain, b.Labels, b.NumClasses(), g)
 		if err != nil {
 			return rows, err
 		}

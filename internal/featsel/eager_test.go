@@ -147,7 +147,7 @@ func mmrfsEager(cands []Candidate, classMasks []*bitset.Bitset, labels []int, op
 				continue
 			}
 			redEvals.Inc()
-			r := redundancy(cands[j], cands[i], res.Relevance[j], res.Relevance[i])
+			r := redundancy(cands[j], cands[i], cands[j].Cover.Count(), cands[i].Cover.Count(), res.Relevance[j], res.Relevance[i])
 			if r > maxRed[j] {
 				maxRed[j] = r
 			}

@@ -108,8 +108,10 @@ type Result struct {
 }
 
 // AuditEntry records one MMRFS iteration's decision: which candidate
-// the gain argmax picked, the Eq. 10 quantities behind the pick, and
-// whether the coverage test accepted it.
+// was selected or dropped, and the Eq. 10 quantities behind it. A
+// selected candidate is the exact gain argmax. A dropped one is
+// recorded when it is retired, which can be before its redundancy was
+// brought up to date against every selection.
 type AuditEntry struct {
 	// Iteration numbers decisions from 1.
 	Iteration int `json:"iter"`
@@ -117,8 +119,11 @@ type AuditEntry struct {
 	Candidate int `json:"candidate"`
 	// Items is the candidate's itemset.
 	Items []int32 `json:"items"`
-	// Relevance is S(α); Redundancy is max over the selected set of
-	// R(α,β) at decision time; Gain is their difference (Eq. 10).
+	// Relevance is S(α); Redundancy is max R(α,β) over the selections
+	// the candidate had seen at decision time; Gain is their
+	// difference (Eq. 10). For a selected entry that is every
+	// selection, so both are exact. For a drop entry Redundancy is a
+	// lower bound and Gain an upper bound.
 	Relevance  float64 `json:"relevance"`
 	Redundancy float64 `json:"redundancy"`
 	Gain       float64 `json:"gain"`
@@ -171,10 +176,12 @@ func scoreAll(cands []Candidate, classMasks []*bitset.Bitset, rel Relevance, w p
 
 // redundancy implements Eq. 9: R(α,β) = P(α,β) / (P(α)+P(β)−P(α,β)) ×
 // min(S(α), S(β)), i.e. the Jaccard similarity of the coverage sets
-// scaled by the smaller relevance.
-func redundancy(a, b Candidate, sa, sb float64) float64 {
+// scaled by the smaller relevance. na and nb are the popcounts of a's
+// and b's covers, which the caller computes once per candidate, so one
+// evaluation costs a single AndCount.
+func redundancy(a, b Candidate, na, nb int, sa, sb float64) float64 {
 	inter := a.Cover.AndCount(b.Cover)
-	union := a.Cover.Count() + b.Cover.Count() - inter
+	union := na + nb - inter
 	if union == 0 {
 		return 0
 	}
@@ -239,6 +246,16 @@ func (h *gainHeap) down(k int) {
 // instance that is not yet covered δ times; it stops when every
 // coverable instance is covered δ times or the candidate pool is
 // exhausted.
+//
+// The loop is lazy greedy with early drop. A max-heap holds each
+// candidate's stale gain, an upper bound on its true gain. Each
+// iteration looks at the top: a candidate that can no longer
+// contribute coverage is dropped before any Eq. 9 work; a stale one is
+// refreshed against the selections it has not seen and re-sifted; a
+// fresh one is selected. Because "can no longer contribute" is
+// monotone, the early drop never changes the argmax among candidates
+// that still can, so Selected equals the eager rescan's, tie-break
+// included.
 func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	g := opt.Guard
@@ -267,29 +284,40 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		return res, nil
 	}
 
-	majority := make([]int, len(cands))
+	// majority[i] is the class candidate i correctly covers (-1 for an
+	// empty cover) and size[i] its popcount, both computed once; int32
+	// keeps the two arrays at the footprint of one []int.
+	majority := make([]int32, len(cands))
+	size := make([]int32, len(cands))
 	for i, c := range cands {
-		majority[i] = majorityClass(c.Cover, classMasks)
+		majority[i] = int32(majorityClass(c.Cover, classMasks))
+		size[i] = int32(c.Cover.Count())
 	}
 
-	// coverable[i]: some candidate correctly covers row i; rows no
-	// candidate can cover are excluded from the δ-coverage stopping
-	// test, otherwise selection could never terminate.
-	covered := make([]int, n)
-	coverable := 0
-	coverableMask := bitset.New(n)
+	// coverableMask holds the rows some candidate correctly covers;
+	// rows no candidate can cover are excluded from the δ-coverage
+	// stopping test, otherwise selection could never terminate.
+	coverableMask, scratch := bitset.New(n), bitset.New(n)
 	for i, c := range cands {
 		if majority[i] < 0 {
 			continue
 		}
-		c.Cover.ForEach(func(row int) {
-			if labels[row] == majority[i] && !coverableMask.Get(row) {
-				coverableMask.Set(row)
-				coverable++
-			}
-		})
+		scratch.CopyFrom(c.Cover)
+		scratch.And(classMasks[majority[i]])
+		coverableMask.Or(scratch)
 	}
+	coverable := coverableMask.Count()
 	fullyCovered := 0
+
+	// covered[row] counts the selections that correctly cover row;
+	// below[c] holds the rows of class c still covered fewer than δ
+	// times. Bits of below only ever clear, so a candidate whose cover
+	// misses below[majority] can never contribute again.
+	covered := make([]int, n)
+	below := make([]*bitset.Bitset, len(classMasks))
+	for c, mask := range classMasks {
+		below[c] = mask.Clone()
+	}
 
 	// maxRed[i] is max R(candidate_i, β) over the first seen[i]
 	// members of Fs. maxRed only grows as Fs grows, so a stale gain
@@ -310,25 +338,15 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		h.down(k)
 	}
 
-	// correctlyCoversUncovered reports whether candidate i correctly
-	// covers at least one instance still below δ.
-	correctlyCoversUncovered := func(i int) bool {
-		found := false
-		cands[i].Cover.ForEach(func(row int) {
-			if !found && labels[row] == majority[i] && covered[row] < opt.Coverage {
-				found = true
-			}
-		})
-		return found
-	}
-
 	add := func(i int) {
 		res.Selected = append(res.Selected, i)
+		c := majority[i]
 		cands[i].Cover.ForEach(func(row int) {
-			if labels[row] == majority[i] {
+			if labels[row] == int(c) {
 				covered[row]++
 				if covered[row] == opt.Coverage {
 					fullyCovered++
+					below[c].Clear(row)
 				}
 			}
 		})
@@ -349,37 +367,37 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		if opt.MaxFeatures > 0 && len(res.Selected) >= opt.MaxFeatures {
 			break
 		}
-		if fullyCovered >= coverable {
+		if fullyCovered >= coverable || len(h.idx) == 0 {
 			break
 		}
-		// Refresh the top until it has seen every selection (Eq. 9
-		// against the new members of Fs only), re-sifting each time.
-		for len(h.idx) > 0 && int(seen[h.idx[0]]) < len(res.Selected) {
-			if err := g.Check(); err != nil {
-				sp.End()
-				return nil, err
-			}
-			i := int(h.idx[0])
+		i := int(h.idx[0])
+		var accepted bool
+		switch {
+		case cands[i].Cover.AndCount(below[majority[i]]) == 0:
+			// It correctly covers no instance still below δ, and never
+			// will again: drop it before paying for Eq. 9.
+		case int(seen[i]) < len(res.Selected):
+			// Stale: refresh against the selections it has not seen
+			// (Eq. 9 against the new members of Fs only) and re-sift.
 			for _, j := range res.Selected[seen[i]:] {
-				if r := redundancy(cands[i], cands[j], res.Relevance[i], res.Relevance[j]); r > maxRed[i] {
+				if r := redundancy(cands[i], cands[j], int(size[i]), int(size[j]), res.Relevance[i], res.Relevance[j]); r > maxRed[i] {
 					maxRed[i] = r
 				}
 			}
 			redEvals.Add(int64(len(res.Selected) - int(seen[i])))
 			seen[i] = int32(len(res.Selected))
 			h.down(0)
+			continue
+		default:
+			// Fresh and able to contribute: the exact gain argmax.
+			accepted = true
 		}
-		if len(h.idx) == 0 {
-			break // pool exhausted
-		}
-		i := int(h.idx[0])
 		// Algorithm 1 line 7 removes the pick from F whether or not it
 		// is selected.
 		h.idx[0] = h.idx[len(h.idx)-1]
 		h.idx = h.idx[:len(h.idx)-1]
 		h.down(0)
 		iterations.Inc()
-		accepted := correctlyCoversUncovered(i)
 		if audit {
 			gain := res.Relevance[i] - maxRed[i]
 			reason := "selected"
@@ -401,7 +419,6 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		if accepted {
 			add(i)
 		} else {
-			// Cannot contribute coverage: dropped without selecting.
 			dropped++
 			rejected.Inc()
 		}

@@ -204,17 +204,17 @@ func TestRedundancyEq9(t *testing.T) {
 	a := cand(8, 0, 1, 2, 3)
 	b := cand(8, 2, 3, 4, 5)
 	// Jaccard = 2/6 = 1/3; min(S) = 0.5 → R = 1/6.
-	if got := redundancy(a, b, 0.5, 0.9); math.Abs(got-1.0/6) > 1e-12 {
+	if got := redundancy(a, b, 4, 4, 0.5, 0.9); math.Abs(got-1.0/6) > 1e-12 {
 		t.Fatalf("redundancy = %v, want 1/6", got)
 	}
 	// Disjoint covers → 0 regardless of relevance.
 	c := cand(8, 6, 7)
-	if got := redundancy(a, c, 1, 1); got != 0 {
+	if got := redundancy(a, c, 4, 2, 1, 1); got != 0 {
 		t.Fatalf("disjoint redundancy = %v", got)
 	}
 	// Two empty covers → union 0 → defined as 0.
 	e1, e2 := cand(8), cand(8)
-	if got := redundancy(e1, e2, 1, 1); got != 0 {
+	if got := redundancy(e1, e2, 0, 0, 1, 1); got != 0 {
 		t.Fatalf("empty redundancy = %v", got)
 	}
 }
