@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dfpc/internal/bitset"
 	"dfpc/internal/dataset"
 	"dfpc/internal/experiments"
 	"dfpc/internal/graphmining"
@@ -223,7 +224,7 @@ func benchBinary(b *testing.B, name string) *dataset.Binary {
 	return bin
 }
 
-func BenchmarkFPCloseChess(b *testing.B) {
+func BenchmarkMinePerClassChess(b *testing.B) {
 	bin := benchBinary(b, "chess")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -235,26 +236,28 @@ func BenchmarkFPCloseChess(b *testing.B) {
 	}
 }
 
-func BenchmarkFPGrowthVsFPClose(b *testing.B) {
+// BenchmarkMineClosedVsAll mines the first 800 chess rows at absolute
+// support 600, closed and all-frequent.
+func BenchmarkMineClosedVsAll(b *testing.B) {
 	bin := benchBinary(b, "chess")
-	tx := make([][]int32, 0, 800)
-	for i := 0; i < 800; i++ {
-		tx = append(tx, bin.Rows[i])
+	cols := make([]*bitset.Bitset, len(bin.Columns))
+	for i := range cols {
+		cols[i] = bitset.New(800)
 	}
-	b.Run("FPGrowth", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mining.FPGrowth(tx, mining.Options{MinSupport: 600}); err != nil {
-				b.Fatal(err)
-			}
+	for r, row := range bin.Rows[:800] {
+		for _, it := range row {
+			cols[it].Set(r)
 		}
-	})
-	b.Run("FPClose", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mining.FPClose(tx, mining.Options{MinSupport: 600}); err != nil {
-				b.Fatal(err)
+	}
+	for _, closed := range []bool{true, false} {
+		b.Run(map[bool]string{true: "closed", false: "all"}[closed], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := mining.Mine(cols, mining.Options{MinSupport: 600, Closed: closed}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFitInstrumentationOff is the no-observer, no-logger

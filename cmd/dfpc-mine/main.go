@@ -43,7 +43,7 @@ func main() {
 		bundled  = flag.String("dataset", "", "bundled synthetic dataset name")
 		seed     = flag.Int64("seed", 1, "seed for synthetic datasets")
 		minSup   = flag.Float64("minsup", 0.1, "relative per-class minimum support")
-		closed   = flag.Bool("closed", true, "mine closed patterns (FPClose); false mines all (FPGrowth)")
+		closed   = flag.Bool("closed", true, "mine closed patterns (the paper's choice); false mines all frequent patterns")
 		maxLen   = flag.Int("maxlen", 5, "maximum pattern length")
 		top      = flag.Int("top", 30, "print the top-N patterns by information gain")
 		sortBy   = flag.String("sort", "ig", "ranking: ig, fisher, or support")

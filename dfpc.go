@@ -299,7 +299,7 @@ type Classifier = core.Pipeline
 
 // Observer records a pipeline run: nestable stage spans (wall time,
 // allocation deltas, attributes) plus pipeline counters and gauges —
-// items mapped, FP-tree nodes built, patterns mined and pruned, MMRFS
+// items mapped, miner support tests, patterns mined and pruned, MMRFS
 // iterations and coverage residual, SMO iterations, tree size, per-fold
 // timings. A nil *Observer is valid everywhere and disables recording
 // at zero cost.

@@ -61,8 +61,7 @@ var determinismRoots = map[string]bool{
 	"CrossValidateContext": true,
 	"MinePerClass":         true,
 	"MinePerClassAdaptive": true,
-	"FPClose":              true,
-	"FPGrowth":             true,
+	"Mine":                 true,
 }
 
 // FuncKey returns the canonical graph key for a declared function, or

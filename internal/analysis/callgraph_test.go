@@ -37,7 +37,7 @@ func TestCallGraphReachability(t *testing.T) {
 	inDeterminism := []string{
 		"(*dfpc/internal/core.Pipeline).Fit",
 		"(*dfpc/internal/core.Pipeline).FitContext",
-		"dfpc/internal/mining.FPClose",
+		"dfpc/internal/mining.Mine",
 		"dfpc/internal/svm.Train", // training is part of Fit's cone
 	}
 	for _, key := range inDeterminism {

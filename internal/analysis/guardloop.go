@@ -9,7 +9,7 @@ import (
 // Guardloop enforces the guard-placement rule from internal/guard's doc
 // comment on the hot packages: every directly recursive function and
 // every condition-free (or constant-true) loop must reach a
-// guard.Check/CheckNow or a context poll, so one refactor of FPClose,
+// guard.Check/CheckNow or a context poll, so one refactor of the miner,
 // SMO, or the C4.5 builder cannot silently reintroduce an unbounded
 // computation that no deadline or cancellation can stop.
 var Guardloop = &Analyzer{

@@ -128,6 +128,32 @@ func (b *Bitset) AndCount(o *Bitset) int {
 	return c
 }
 
+// AndOf sets b = x ∩ y and returns |b|, in one pass without
+// allocating. All three lengths must match.
+func (b *Bitset) AndOf(x, y *Bitset) int {
+	b.mustMatch(x)
+	b.mustMatch(y)
+	c := 0
+	for i := range b.words {
+		w := x.words[i] & y.words[i]
+		b.words[i] = w
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// SubsetOf reports whether every bit set in b is also set in o. It
+// stops at the first word that has a bit outside o.
+func (b *Bitset) SubsetOf(o *Bitset) bool {
+	b.mustMatch(o)
+	for i, w := range b.words {
+		if w&^o.words[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Equal reports whether b and o have identical length and contents.
 func (b *Bitset) Equal(o *Bitset) bool {
 	if b.n != o.n {

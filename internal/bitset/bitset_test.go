@@ -293,6 +293,35 @@ func TestQuickSubsetAfterAnd(t *testing.T) {
 	}
 }
 
+// TestQuickAndOfSubsetOfMatchModel checks AndOf's bits and count and
+// SubsetOf against the []bool model.
+func TestQuickAndOfSubsetOfMatchModel(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b, am, bm := randomPair(r)
+		c := New(a.Len())
+		c.SetAll()
+		n := c.AndOf(a, b)
+		want, sub := 0, true
+		for i := range am {
+			if am[i] && bm[i] {
+				want++
+			}
+			if am[i] && !bm[i] {
+				sub = false
+			}
+			if c.Get(i) != (am[i] && bm[i]) {
+				return false
+			}
+		}
+		return n == want && c.Count() == want && a.SubsetOf(b) == sub &&
+			c.SubsetOf(a) && c.SubsetOf(b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickIndicesRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

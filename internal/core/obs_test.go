@@ -57,7 +57,7 @@ func TestFitRecordsStageSpansAndCounters(t *testing.T) {
 		t.Error("no predict span recorded")
 	}
 	for _, c := range []string{
-		"encode.items_mapped", "mine.fptree_nodes", "mine.patterns_emitted",
+		"encode.items_mapped", "mine.extensions", "mine.patterns_emitted",
 		"core.patterns_mined", "core.features_selected",
 		"mmrfs.iterations", "mmrfs.selected",
 		"svm.smo_iterations", "svm.support_vectors",

@@ -195,8 +195,9 @@ func NewSpace(d *Dataset) (*Space, error) {
 // Binary is a dataset encoded in the binary item space B^d: each row is
 // the set of items it contains (transaction form), and each item has a
 // column bitset over rows (vertical form). Both views are kept because
-// FP-tree construction consumes transactions while discriminative
-// measures and MMRFS consume coverage bitsets.
+// row-wise work (featurization, projecting columns onto a class
+// partition for the miner) consumes transactions while the miner,
+// discriminative measures and MMRFS consume coverage bitsets.
 type Binary struct {
 	Space      *Space
 	Name       string

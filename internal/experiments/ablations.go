@@ -59,7 +59,7 @@ func RunAblationClosedVsAll(ctx context.Context, name string, minSup float64, pr
 	if proto.Folds <= 0 {
 		proto.Folds = 5
 	}
-	const closed = "closed (FPClose)"
+	const closed = "closed"
 	ref, acc, err := runPatFS(ctx, d, minSup, proto)
 	if err != nil {
 		return nil, fmt.Errorf("closed-vs-all %s/%s: %w", name, closed, err)
@@ -67,7 +67,7 @@ func RunAblationClosedVsAll(ctx context.Context, name string, minSup float64, pr
 	pool := ref.Stats.MinedCount
 	rows := []AblationRow{{Dataset: name, Variant: closed, Features: pool, Accuracy: acc, Pool: pool}}
 
-	const all = "all frequent (FPGrowth)"
+	const all = "all frequent"
 	v := &variantPipeline{minSup: minSup, allFrequent: true, workers: proto.Workers}
 	if acc, err = cvProto(ctx, v, d, proto); err != nil {
 		return rows, fmt.Errorf("closed-vs-all %s/%s: %w", name, all, err)
@@ -104,7 +104,7 @@ func RunAblationRedundancy(ctx context.Context, name string, minSup float64, pro
 }
 
 // variantPipeline is core Pat_FS with one stage swapped: allFrequent
-// mines all frequent patterns (FPGrowth) instead of the closed ones,
+// mines all frequent patterns instead of the closed ones,
 // and topK > 0 keeps the topK most informative patterns instead of
 // running MMRFS. Everything else is core's default: equal-frequency
 // discretization, the full item space, patterns of length 2..6 under a

@@ -15,9 +15,12 @@ import (
 // per (class, cap) pair, so an interrupted per-class mining run resumes
 // by replaying the already-mined partitions into the exact same
 // class-order merge.
+//
+// Version 2 streams come from Mine. Version 1 streams could hold
+// length-capped sets that are not closed, so they are re-mined.
 const (
 	classKind    = "dfpc-mine-class"
-	classVersion = 1
+	classVersion = 2
 )
 
 // classCheckpoint is the gob payload of one partition's raw pattern

@@ -1,9 +1,12 @@
 package mining
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"testing"
 
+	"dfpc/internal/durable"
 	"dfpc/internal/faults"
 	"dfpc/internal/parallel"
 )
@@ -60,7 +63,7 @@ func TestPerClassCheckpointKeyedByCap(t *testing.T) {
 	if _, ok := ck.Load(0, 100); ok {
 		t.Fatal("empty dir loaded")
 	}
-	ps, err := FPClose([][]int32{{0, 1}, {0, 1}, {0, 2}}, Options{MinSupport: 2})
+	ps, err := mineClosed([][]int32{{0, 1}, {0, 1}, {0, 2}}, Options{MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,5 +83,27 @@ func TestPerClassCheckpointKeyedByCap(t *testing.T) {
 	ck2, _ := NewFileCheckpoint(dir, "other-key", nil)
 	if _, ok := ck2.Load(0, 100); ok {
 		t.Fatal("checkpoint replayed under a different run key")
+	}
+}
+
+// TestPerClassCheckpointRejectsVersion1: a version-1 stream, written
+// when MaxLen still admitted non-closed sets, is re-mined, not
+// replayed, even under a matching key, class and cap.
+func TestPerClassCheckpointRejectsVersion1(t *testing.T) {
+	ck, err := NewFileCheckpoint(t.TempDir(), "k", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(classCheckpoint{
+		Key: "k", Class: 0, Cap: 100, Patterns: []Pattern{{Items: []int32{0, 1}, Support: 2}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.SaveFile(ck.path(0, 100), classKind, 1, payload.Bytes(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ck.Load(0, 100); ok {
+		t.Fatal("version-1 checkpoint replayed")
 	}
 }

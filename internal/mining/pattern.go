@@ -1,9 +1,9 @@
-// Package mining implements the frequent-itemset miners the paper's
-// feature-generation step depends on: an FPClose-style closed-pattern
-// miner (the paper uses FPClose [Grahne & Zhu, FIMI'03] to generate
-// closed patterns) and FP-Growth for all frequent patterns, which the
-// closed-vs-all ablation compares against. Both consume transactions of
-// dense int32 item IDs as produced by dataset.Encode.
+// Package mining implements the paper's feature-generation step: each
+// class partition is mined for closed frequent patterns (the paper uses
+// FPClose [Grahne & Zhu, FIMI'03]; Mine computes the same sets with
+// LCM's closure extension over item-cover bitmaps), and MinePerClass
+// merges the partitions into one pool. Mine can also enumerate all
+// frequent patterns, which the closed-vs-all ablation compares against.
 package mining
 
 import (
@@ -82,53 +82,28 @@ type Options struct {
 	// MaxPatterns aborts the run with ErrPatternBudget once more than
 	// this many patterns have been produced. 0 means unlimited.
 	MaxPatterns int
-	// MaxLen caps pattern length; 0 means unlimited.
+	// MaxLen caps pattern length; 0 means unlimited. With Closed the
+	// result is the closed frequent sets of length ≤ MaxLen.
 	MaxLen int
-	// Guard, when non-nil, bounds the run: the miners poll it at
-	// recursion and loop boundaries and abort with an error wrapping
+	// Closed mines closed patterns; false mines all frequent patterns.
+	Closed bool
+	// Guard, when non-nil, bounds the run: Mine polls it once per
+	// extension and aborts with an error wrapping
 	// guard.ErrCanceled, guard.ErrDeadline, or guard.ErrMemoryLimit.
 	// The caller builds it (guard.New); nil costs nothing.
 	Guard *guard.Guard
 	// Obs, when non-nil, receives mining vitals: patterns emitted,
-	// FP-tree nodes built, subsumption prunes, per-depth search-space
-	// counters. Nil disables recording at no cost.
+	// support tests (mine.extensions), failed closure-extension tests
+	// (mine.subsumption_pruned), per-depth search-space counters. Nil
+	// disables recording at no cost.
 	Obs *obs.Observer
 	// Log, when non-nil, receives one structured DEBUG record per
-	// mining run (algorithm, min_sup, patterns found). Nil — the
+	// mining run (closed, min_sup, patterns found). Nil — the
 	// default — disables logging at the cost of one nil check.
 	Log *slog.Logger
 	// Faults, when non-nil, enables deterministic fault injection at
 	// the miner's entry (point mine.grow). Nil is free.
 	Faults *faults.Registry
-}
-
-// hitEntry fires the shared miner-entry injection point; every miner
-// calls it right after validate so an armed fault aborts the run with
-// a sentinel before any enumeration work.
-func (o Options) hitEntry(algo string) error {
-	if err := o.Faults.Hit(faults.MineGrow); err != nil {
-		return fmt.Errorf("mining: %s: %w", algo, err)
-	}
-	return nil
-}
-
-// logDone emits the run-completion record shared by both miners.
-func (o Options) logDone(algo string, patterns int, err error) {
-	if o.Log == nil {
-		return
-	}
-	if err != nil {
-		o.Log.Debug("mining run stopped",
-			slog.String("algo", algo),
-			slog.Int("min_sup", o.MinSupport),
-			slog.Int("patterns", patterns),
-			slog.String("err", err.Error()))
-		return
-	}
-	o.Log.Debug("mining run done",
-		slog.String("algo", algo),
-		slog.Int("min_sup", o.MinSupport),
-		slog.Int("patterns", patterns))
 }
 
 func (o Options) validate() error {
@@ -160,30 +135,4 @@ func SortPatterns(ps []Pattern) {
 		}
 		return false
 	})
-}
-
-// itemMask is a small bitmask over the global item universe, used for
-// O(d/64) subset tests in the closed-pattern index.
-type itemMask []uint64
-
-func newItemMask(numItems int) itemMask {
-	return make(itemMask, (numItems+63)/64)
-}
-
-func maskOf(items []int32, numItems int) itemMask {
-	m := newItemMask(numItems)
-	for _, it := range items {
-		m[it/64] |= 1 << uint(it%64)
-	}
-	return m
-}
-
-// subsetOf reports whether m ⊆ o.
-func (m itemMask) subsetOf(o itemMask) bool {
-	for i := range m {
-		if m[i]&^o[i] != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 
+	"dfpc/internal/bitset"
 	"dfpc/internal/dataset"
 	"dfpc/internal/faults"
 	"dfpc/internal/guard"
@@ -19,15 +20,15 @@ type PerClassOptions struct {
 	// MinSupport is the relative minimum support θ0 ∈ (0, 1], applied
 	// within each class partition.
 	MinSupport float64
-	// Closed selects closed-pattern mining (FPClose, the paper's
-	// choice); false mines all frequent patterns (the Pat_All ablation
-	// pool is still closed in the paper, but all-pattern pools are
-	// useful for the ablation benchmarks).
+	// Closed selects closed-pattern mining (the paper's choice); false
+	// mines all frequent patterns (the Pat_All ablation pool is still
+	// closed in the paper, but all-pattern pools are useful for the
+	// ablation benchmarks).
 	Closed bool
 	// MaxPatterns caps the total pattern count across partitions;
 	// exceeded → ErrPatternBudget. 0 = unlimited.
 	MaxPatterns int
-	// MaxLen caps pattern length. 0 = unlimited.
+	// MaxLen caps pattern length. 0 = unlimited. See Options.MaxLen.
 	MaxLen int
 	// MinLen drops patterns shorter than this after mining. The
 	// classification framework sets MinLen = 2 because single items are
@@ -50,7 +51,7 @@ type PerClassOptions struct {
 	// exactly, so the returned union is identical for any worker count.
 	Workers parallel.Workers
 	// Faults, when non-nil, enables deterministic fault injection: one
-	// mine.partition hit per class partition, plus the miners' own
+	// mine.partition hit per class partition, plus Mine's own
 	// mine.grow entry point. Nil is free.
 	Faults *faults.Registry
 	// Checkpoint, when non-nil, persists each class partition's raw
@@ -85,8 +86,8 @@ type PartitionCheckpoint interface {
 // support, and per-class supports are its intersections with
 // b.ClassMasks, which is how the measures package and MMRFS consume it.
 //
-// With Workers > 1 the class partitions mine concurrently. The miners
-// enumerate in a deterministic order and a capped run is an exact
+// With Workers > 1 the class partitions mine concurrently. Mine
+// enumerates in a deterministic order and a capped run is an exact
 // prefix of an uncapped one, so mining every class at the full budget
 // and then replaying the sequential remaining-budget arithmetic during
 // the class-order merge yields byte-identical unions — and the same
@@ -110,17 +111,13 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 
 	// mineClass mines one partition at the given raw-pattern cap,
 	// recording its span and counters on o (a per-worker fork when
-	// mining concurrently). It returns FPClose's raw pattern stream —
+	// mining concurrently). It returns Mine's raw pattern stream —
 	// filtering and budget accounting happen in the class-order merge.
 	mineClass := func(c, cap int, o *obs.Observer) ([]Pattern, error) {
 		if err := opt.Faults.Hit(faults.MinePartition); err != nil {
 			return nil, fmt.Errorf("mining: class %d partition: %w", c, err)
 		}
 		rows := b.ClassMasks[c].Indices()
-		tx := make([][]int32, len(rows))
-		for i, r := range rows {
-			tx[i] = b.Rows[r]
-		}
 		abs := int(opt.MinSupport*float64(len(rows)) + 0.5)
 		if abs < 1 {
 			abs = 1
@@ -134,20 +131,26 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 			ps, restored = opt.Checkpoint.Load(c, cap)
 		}
 		if !restored {
-			mopt := Options{
+			// The partition's item columns, projected onto its rows.
+			cols := make([]*bitset.Bitset, len(b.Columns))
+			for i := range cols {
+				cols[i] = bitset.New(len(rows))
+			}
+			for k, r := range rows {
+				for _, it := range b.Rows[r] {
+					cols[it].Set(k)
+				}
+			}
+			ps, err = Mine(cols, Options{
 				MinSupport:  abs,
 				MaxLen:      opt.MaxLen,
 				MaxPatterns: cap,
+				Closed:      opt.Closed,
 				Guard:       opt.Guard.Fork(),
 				Obs:         o,
 				Log:         opt.Log,
 				Faults:      opt.Faults,
-			}
-			if opt.Closed {
-				ps, err = FPClose(tx, mopt)
-			} else {
-				ps, err = FPGrowth(tx, mopt)
-			}
+			})
 			// Only clean partitions checkpoint: a budget-tripped or
 			// canceled stream is partial and must be re-mined on resume.
 			if err == nil && opt.Checkpoint != nil {
@@ -224,7 +227,7 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 		// arithmetic: remaining = budget − |union so far| (post-filter,
 		// exactly as the sequential path computes its caps), truncate
 		// the raw stream to it, and surface ErrPatternBudget exactly
-		// where a sequential run would have — the miners trip their cap
+		// where a sequential run would have — Mine trips its cap
 		// only on attempting pattern cap+1, so a full-budget run is a
 		// superset prefix of any tighter-capped run of the same class.
 		for k := range classes {

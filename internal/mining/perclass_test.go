@@ -2,9 +2,13 @@ package mining
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"dfpc/internal/bitset"
+	"dfpc/internal/datagen"
 	"dfpc/internal/dataset"
 	"dfpc/internal/parallel"
 )
@@ -175,6 +179,80 @@ func TestMinePerClassParallelDeterminism(t *testing.T) {
 					t.Fatalf("budget=%d workers=%d: pattern %d support %d != %d",
 						budget, w, i, got[i].Support, base[i].Support)
 				}
+			}
+		}
+	}
+}
+
+// relabel returns a copy of b whose item i is item perm[i]: the columns
+// move, and every row is re-mapped and re-sorted. Classes, labels and
+// the item space are shared with b.
+func relabel(b *dataset.Binary, perm []int32) *dataset.Binary {
+	rb := *b
+	rb.Columns = make([]*bitset.Bitset, len(b.Columns))
+	for i, c := range b.Columns {
+		rb.Columns[perm[i]] = c
+	}
+	rb.Rows = make([][]int32, len(b.Rows))
+	for r, row := range b.Rows {
+		out := make([]int32, len(row))
+		for k, it := range row {
+			out[k] = perm[it]
+		}
+		slices.Sort(out)
+		rb.Rows[r] = out
+	}
+	return &rb
+}
+
+// TestMinePerClassItemRelabeling is a metamorphic check: permuting the
+// item ids of a datagen waveform (1,500 rows) leaves the pool mined at
+// MaxLen 6, mapped back to the original ids, unchanged, covers
+// included. A miner whose length cap depends on enumeration order
+// fails it.
+func TestMinePerClassItemRelabeling(t *testing.T) {
+	d, err := datagen.ByName("waveform", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := dataset.Encode(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, 1500)
+	for i := range rows {
+		rows[i] = i
+	}
+	b := full.Subset(rows)
+	opt := PerClassOptions{MinSupport: 0.15, Closed: true, MinLen: 2, MaxLen: 6, Workers: 1}
+	want, err := MinePerClass(b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		perm := make([]int32, len(b.Columns))
+		inv := make([]int32, len(perm))
+		for i, j := range rand.New(rand.NewSource(seed)).Perm(len(perm)) {
+			perm[i], inv[j] = int32(j), int32(i)
+		}
+		got, err := MinePerClass(relabel(b, perm), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			for k, it := range got[i].Items {
+				got[i].Items[k] = inv[it]
+			}
+			slices.Sort(got[i].Items)
+		}
+		SortPatterns(got)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d patterns, want %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key() != want[i].Key() || got[i].Support != want[i].Support ||
+				!got[i].Cover().Equal(want[i].Cover()) {
+				t.Fatalf("seed %d: pattern %d = %v, want %v", seed, i, got[i], want[i])
 			}
 		}
 	}

@@ -76,7 +76,7 @@ func TestMineCanceledMidRecursion(t *testing.T) {
 	// 2^18 − 1 itemsets takes far longer than the 1ms fuse; the
 	// amortized guard check inside the recursion must observe the
 	// cancellation and abort.
-	_, err := FPGrowth(denseTx(2, 18), Options{MinSupport: 1, Guard: guard.New(ctx, guard.Limits{})})
+	_, err := mineAll(denseTx(2, 18), Options{MinSupport: 1, Guard: guard.New(ctx, guard.Limits{})})
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
 	}

@@ -6,7 +6,7 @@ import (
 	"dfpc/internal/obs"
 )
 
-// Per-depth search-space telemetry. Each miner classifies every visited
+// Per-depth search-space telemetry. Mine classifies every visited
 // candidate itemset by depth (its item count) and outcome — considered,
 // emitted, or pruned (and why) — so a live /metrics scrape or a
 // RunReport shows the shape of the enumeration the way the paper's
@@ -76,8 +76,10 @@ type searchSpace struct {
 	candidates *depthCounters
 	// emitted counts candidates that became output patterns.
 	emitted *depthCounters
-	// subsumed counts candidates pruned by closed-pattern subsumption
-	// (FPClose only); their entire subtrees are skipped.
+	// subsumed counts failed ppc tests (closed mining only): the
+	// extension's closure adds an item below it, so that closure was
+	// already reached from an earlier branch. Its subtree is skipped.
+	// These are counted at depth |P|+1, the extension's own length.
 	subsumed *depthCounters
 	// budget counts candidates refused because MaxPatterns tripped.
 	budget *depthCounters

@@ -28,31 +28,30 @@ func sumDepthCounters(counters map[string]int64, kind string) (total int64, dept
 	return total, depths
 }
 
-// TestSearchSpaceCountersPerMiner runs every miner over the classic
-// five-transaction dataset with an observer attached and checks the
-// bookkeeping identities: emitted totals equal the returned pattern
+// TestSearchSpaceCountersPerMiner runs Mine in both modes over the
+// classic five-transaction dataset with an observer attached and checks
+// the bookkeeping identities: emitted totals equal the returned pattern
 // count, candidates dominate emissions, and depth buckets exist for
 // each emitted pattern length.
 func TestSearchSpaceCountersPerMiner(t *testing.T) {
-	miners := []struct {
-		name string
-		run  func([][]int32, Options) ([]Pattern, error)
-	}{
-		{"fpclose", FPClose},
-		{"fpgrowth", FPGrowth},
-	}
-	tx := classicTx()
-	for _, m := range miners {
-		t.Run(m.name, func(t *testing.T) {
+	cols := columns(classicTx())
+	for _, closed := range []bool{true, false} {
+		name := map[bool]string{true: "closed", false: "all"}[closed]
+		t.Run(name, func(t *testing.T) {
 			o := obs.New()
-			ps, err := m.run(tx, Options{MinSupport: 2, MaxLen: 4, Obs: o})
+			ps, err := Mine(cols, Options{MinSupport: 2, MaxLen: 4, Closed: closed, Obs: o})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(ps) == 0 {
 				t.Fatal("no patterns mined")
 			}
-			r := o.Report(m.name)
+			r := o.Report(name)
+			// One support test per extension tried: at least one per
+			// candidate.
+			if ext := r.Counters["mine.extensions"]; ext < int64(len(ps)) {
+				t.Fatalf("mine.extensions = %d < %d patterns", ext, len(ps))
+			}
 
 			emitted, emittedByDepth := sumDepthCounters(r.Counters, "emitted")
 			if emitted != int64(len(ps)) {
@@ -82,35 +81,39 @@ func TestSearchSpaceCountersPerMiner(t *testing.T) {
 	}
 }
 
-// TestSearchSpacePruneCounters: FPClose's subsumption prune must be
-// visible on the classic dataset, and a pattern budget must record the
-// candidates it refused.
+// TestSearchSpacePruneCounters: failed closure-extension (ppc) tests
+// must be visible on the classic dataset, and a pattern budget must
+// record the candidates it refused.
 func TestSearchSpacePruneCounters(t *testing.T) {
 	tx := classicTx()
 	o := obs.New()
-	if _, err := FPClose(tx, Options{MinSupport: 2, Obs: o}); err != nil {
+	if _, err := mineClosed(tx, Options{MinSupport: 2, Obs: o}); err != nil {
 		t.Fatal(err)
 	}
-	r := o.Report("fpclose")
-	if sub, _ := sumDepthCounters(r.Counters, "pruned_subsumed"); sub == 0 {
-		t.Fatal("fpclose recorded no subsumption prunes on the classic dataset")
+	r := o.Report("closed")
+	sub, _ := sumDepthCounters(r.Counters, "pruned_subsumed")
+	if sub == 0 {
+		t.Fatal("closed mining recorded no failed ppc tests on the classic dataset")
+	}
+	if got := r.Counters["mine.subsumption_pruned"]; got != sub {
+		t.Fatalf("mine.subsumption_pruned = %d, per-depth total %d", got, sub)
 	}
 
 	o2 := obs.New()
-	if _, err := FPGrowth(tx, Options{MinSupport: 1, MaxPatterns: 3, Obs: o2}); !errors.Is(err, ErrPatternBudget) {
+	if _, err := mineAll(tx, Options{MinSupport: 1, MaxPatterns: 3, Obs: o2}); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("err = %v, want ErrPatternBudget", err)
 	}
-	r2 := o2.Report("fpgrowth")
+	r2 := o2.Report("all")
 	if refused, _ := sumDepthCounters(r2.Counters, "pruned_budget"); refused == 0 {
-		t.Fatal("fpgrowth recorded no budget prunes after tripping MaxPatterns")
+		t.Fatal("all-frequent mining recorded no budget prunes after tripping MaxPatterns")
 	}
 }
 
-// TestSearchSpaceNilObserver: both miners with no observer must
-// neither panic nor change their output.
+// TestSearchSpaceNilObserver: Mine in either mode with no observer
+// must neither panic nor change its output.
 func TestSearchSpaceNilObserver(t *testing.T) {
 	tx := classicTx()
-	for _, run := range []func([][]int32, Options) ([]Pattern, error){FPClose, FPGrowth} {
+	for _, run := range []func([][]int32, Options) ([]Pattern, error){mineClosed, mineAll} {
 		withObs, err := run(tx, Options{MinSupport: 2, MaxLen: 4, Obs: obs.New()})
 		if err != nil {
 			t.Fatal(err)
