@@ -398,8 +398,8 @@ func BenchmarkGraphExtension(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLearners compares the four learners on the same
-// Pat_FS feature space — the framework's learner-agnosticism in
+// BenchmarkAblationLearners compares the paper's two learners on the
+// same Pat_FS feature space — the framework's learner-agnosticism in
 // numbers.
 func BenchmarkAblationLearners(b *testing.B) {
 	d, err := Generate("heart", 1)
@@ -407,7 +407,7 @@ func BenchmarkAblationLearners(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		for _, l := range []Learner{SVM, C45, NaiveBayes, KNN} {
+		for _, l := range []Learner{SVM, C45} {
 			clf := NewClassifier(PatFS, l, WithMinSupport(0.15))
 			res, err := CrossValidate(clf, d, 3, 1)
 			if err != nil {

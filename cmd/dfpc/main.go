@@ -40,7 +40,7 @@ func main() {
 		bundled   = flag.String("dataset", "", "bundled synthetic dataset name (see -list)")
 		list      = flag.Bool("list", false, "list bundled dataset names and exit")
 		family    = flag.String("family", "Pat_FS", "model family: Item_All, Item_FS, Item_RBF, Pat_All, Pat_FS")
-		learner   = flag.String("learner", "svm", "learner: svm, c45, nbayes, or knn")
+		learner   = flag.String("learner", "svm", "learner: svm or c45")
 		folds     = flag.Int("folds", 10, "cross-validation folds")
 		seed      = flag.Int64("seed", 1, "random seed for folds and synthetic data")
 		minSup    = flag.Float64("minsup", 0, "relative min_sup; 0 derives it from -ig0 via the paper's strategy")
@@ -537,11 +537,7 @@ func parseLearner(s string) (dfpc.Learner, error) {
 		return dfpc.SVM, nil
 	case "c45", "c4.5":
 		return dfpc.C45, nil
-	case "nbayes", "nb", "naivebayes":
-		return dfpc.NaiveBayes, nil
-	case "knn":
-		return dfpc.KNN, nil
 	default:
-		return 0, fmt.Errorf("unknown learner %q (want svm, c45, nbayes, or knn)", s)
+		return 0, fmt.Errorf("unknown learner %q (want svm or c45)", s)
 	}
 }

@@ -36,10 +36,8 @@ func TestParseFamilyAndLearner(t *testing.T) {
 		{"SVM", dfpc.SVM, true},
 		{"c45", dfpc.C45, true},
 		{"C4.5", dfpc.C45, true},
-		{"nbayes", dfpc.NaiveBayes, true},
-		{"nb", dfpc.NaiveBayes, true},
-		{"naivebayes", dfpc.NaiveBayes, true},
-		{"knn", dfpc.KNN, true},
+		{"nbayes", 0, false}, // removed learners are unknown names now
+		{"knn", 0, false},
 		{"svn", 0, false}, // a typo must not silently train an SVM
 		{"tree", 0, false},
 		{"", 0, false},

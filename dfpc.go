@@ -158,13 +158,6 @@ const (
 	SVM Learner = iota
 	// C45 is a C4.5 decision tree.
 	C45
-	// NaiveBayes is a Bernoulli naive Bayes learner. Not part of the
-	// paper's tables; included because the framework is
-	// learner-agnostic.
-	NaiveBayes
-	// KNN is a k-nearest-neighbour learner over the binary feature
-	// space with Jaccard distance.
-	KNN
 )
 
 func (l Learner) String() string {
@@ -173,10 +166,6 @@ func (l Learner) String() string {
 		return "SVM"
 	case C45:
 		return "C4.5"
-	case NaiveBayes:
-		return "NaiveBayes"
-	case KNN:
-		return "kNN"
 	default:
 		return fmt.Sprintf("Learner(%d)", int(l))
 	}
@@ -345,16 +334,13 @@ func WithLogger(l *slog.Logger) Option {
 
 // NewClassifier builds a classifier of the given family and learner.
 func NewClassifier(f Family, l Learner, opts ...Option) *Classifier {
-	cfg := core.Config{}
+	// An unknown learner maps to a core value that Fit rejects.
+	cfg := core.Config{Learner: -1}
 	switch l {
+	case SVM:
+		cfg.Learner = core.SVMLinear
 	case C45:
 		cfg.Learner = core.C45Tree
-	case NaiveBayes:
-		cfg.Learner = core.NaiveBayes
-	case KNN:
-		cfg.Learner = core.KNN
-	default:
-		cfg.Learner = core.SVMLinear
 	}
 	switch f {
 	case ItemFS:

@@ -259,19 +259,22 @@ func TestCompareAcrossClassifiers(t *testing.T) {
 	}
 }
 
-func TestNBAndKNNLearnersPublic(t *testing.T) {
+// TestFitRejectsUnknownLearnerPublic pins that a Learner value outside
+// SVM and C45 fails Fit instead of training a linear SVM. 2 and 3 were
+// the removed NaiveBayes and KNN values.
+func TestFitRejectsUnknownLearnerPublic(t *testing.T) {
 	d, err := Generate("labor", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range []Learner{NaiveBayes, KNN} {
+	rows := make([]int, d.NumRows())
+	for i := range rows {
+		rows[i] = i
+	}
+	for _, l := range []Learner{-1, 2, 3, 7} {
 		clf := NewClassifier(PatFS, l, WithMinSupport(0.3))
-		res, err := CrossValidate(clf, d, 3, 1)
-		if err != nil {
-			t.Fatalf("%v: %v", l, err)
-		}
-		if res.Mean < 0.4 {
-			t.Fatalf("%v: accuracy %v", l, res.Mean)
+		if err := clf.Fit(d, rows); err == nil {
+			t.Fatalf("Fit with %v trained a model", l)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func runPredictAllocTable(t *testing.T, drift bool) {
 		family  family
 	}
 	var cases []budgetCase
-	for _, l := range []Learner{SVMLinear, C45Tree, NaiveBayes, KNN} {
+	for _, l := range []Learner{SVMLinear, C45Tree} {
 		for _, f := range families {
 			cases = append(cases, budgetCase{l, f})
 		}

@@ -50,32 +50,28 @@ func (p *Pipeline) computeBaseline(b *dataset.Binary, x [][]int32) {
 	sc := p.newRowScorer()
 	confs := make([]int64, 0, n)
 	for _, fv := range x {
-		cls, conf, hasConf := sc.predictConf(fv)
+		cls, conf := sc.predictConf(fv)
 		if cls >= 0 && cls < len(bl.PredMix) {
 			bl.PredMix[cls]++
 		}
 		bl.DensityHist[obs.BucketIndex(int64(len(fv)))]++
-		if hasConf {
-			m := modelobs.ConfMicro(conf)
-			bl.ConfHist[obs.BucketIndex(m)]++
-			confs = append(confs, m)
-		}
+		m := modelobs.ConfMicro(conf)
+		bl.ConfHist[obs.BucketIndex(m)]++
+		confs = append(confs, m)
 	}
 	for c := range bl.PredMix {
 		bl.PredMix[c] /= float64(n)
 	}
-	if len(confs) > 0 {
-		bl.HasConf = true
-		sort.Slice(confs, func(i, j int) bool { return confs[i] < confs[j] })
-		bl.LowConfCut = confs[(len(confs)-1)/10]
-		below := 0
-		for _, c := range confs {
-			if c <= bl.LowConfCut {
-				below++
-			}
+	bl.HasConf = true
+	sort.Slice(confs, func(i, j int) bool { return confs[i] < confs[j] })
+	bl.LowConfCut = confs[(n-1)/10]
+	below := 0
+	for _, c := range confs {
+		if c <= bl.LowConfCut {
+			below++
 		}
-		bl.LowConfRate = float64(below) / float64(len(confs))
 	}
+	bl.LowConfRate = float64(below) / float64(n)
 	p.baseline = bl
 	if o := p.cfg.Obs; o.Enabled() {
 		o.Counter("baseline.rows").Add(int64(n))

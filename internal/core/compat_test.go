@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dfpc/internal/datagen"
@@ -276,5 +278,62 @@ func TestLoadPlattEraArtifact(t *testing.T) {
 	}
 	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
 		t.Fatalf("re-saved artifact (%d B) differs from a fresh fit's save (%d B)", resaved.Len(), saved.Len())
+	}
+}
+
+// TestLoadRemovedModelArtifacts pins that artifacts of models this
+// build no longer has fail closed. The fixtures are labor (seed 1),
+// Pat_FS, min_sup 0.3, fitted on all rows by a build that still had
+// them: a naive-Bayes model, a kNN model, and a linear-SVM pipeline
+// whose SVM was retrained with the polynomial kernel (kernel type 2).
+// None of them can be regenerated by this build.
+func TestLoadRemovedModelArtifacts(t *testing.T) {
+	for path, want := range map[string]string{
+		"testdata/model_nbayes.dfpc": "naive Bayes",
+		"testdata/model_knn.dfpc":    "kNN",
+		"testdata/model_poly.dfpc":   "kernel type 2",
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Load(bytes.NewReader(raw))
+		if p != nil || !errors.Is(err, durable.ErrCorruptArtifact) || !strings.Contains(err.Error(), want) {
+			t.Errorf("Load %s: loaded = %v, err = %v; want ErrCorruptArtifact naming %q", path, p != nil, err, want)
+		}
+		if err != nil && strings.Contains(err.Error(), "gob") {
+			t.Errorf("Load %s: %v is a gob error", path, err)
+		}
+	}
+}
+
+// TestLoadRejectsUnknownLearner pins that Load decodes a model only for
+// the learner values this build trains; any other value fails closed
+// instead of decoding as an SVM.
+func TestLoadRejectsUnknownLearner(t *testing.T) {
+	raw, err := os.ReadFile(plattFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver, payload, err := durable.Decode(bytes.NewReader(raw), ModelKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap pipelineSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []Learner{-1, 3, 4, 7} {
+		snap.Learner = l
+		var buf, env bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := durable.Encode(&env, ModelKind, ver, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&env); !errors.Is(err, durable.ErrCorruptArtifact) {
+			t.Errorf("Load with learner %v: err = %v, want ErrCorruptArtifact", l, err)
+		}
 	}
 }

@@ -20,11 +20,9 @@ import (
 	"dfpc/internal/faults"
 	"dfpc/internal/featsel"
 	"dfpc/internal/guard"
-	"dfpc/internal/knn"
 	"dfpc/internal/measures"
 	"dfpc/internal/mining"
 	"dfpc/internal/modelobs"
-	"dfpc/internal/nbayes"
 	"dfpc/internal/obs"
 	"dfpc/internal/parallel"
 	"dfpc/internal/patmatch"
@@ -42,12 +40,6 @@ const (
 	SVMRBF
 	// C45Tree is the C4.5 decision tree (Table 2).
 	C45Tree
-	// NaiveBayes is a Bernoulli naive Bayes learner (not in the paper's
-	// tables; demonstrates the framework's learner-agnosticism).
-	NaiveBayes
-	// KNN is a k-nearest-neighbour learner with Jaccard distance (same
-	// purpose as NaiveBayes).
-	KNN
 )
 
 func (l Learner) String() string {
@@ -58,10 +50,6 @@ func (l Learner) String() string {
 		return "svm-rbf"
 	case C45Tree:
 		return "c4.5"
-	case NaiveBayes:
-		return "naive-bayes"
-	case KNN:
-		return "knn"
 	default:
 		return fmt.Sprintf("Learner(%d)", int(l))
 	}
@@ -905,10 +893,6 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 		tree.Guard = g
 		tree.Faults = p.cfg.Faults
 		m, err = c45.Train(x, y, numClasses, tree)
-	case NaiveBayes:
-		m, err = nbayes.Train(x, y, numClasses, numFeatures, nbayes.Config{})
-	case KNN:
-		m, err = knn.Train(x, y, numClasses, knn.Config{})
 	case SVMRBF:
 		m, err = svm.Train(x, y, numClasses, svm.Config{
 			C:           p.cfg.SVMC,
@@ -920,7 +904,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 			Workers:     p.cfg.Workers,
 			Faults:      p.cfg.Faults,
 		})
-	default:
+	case SVMLinear:
 		m, err = svm.Train(x, y, numClasses, svm.Config{
 			C:           p.cfg.SVMC,
 			NumFeatures: numFeatures,
@@ -930,6 +914,8 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 			Workers:     p.cfg.Workers,
 			Faults:      p.cfg.Faults,
 		})
+	default:
+		return fmt.Errorf("core: learn: unknown learner %v", p.cfg.Learner)
 	}
 	if err != nil {
 		return fmt.Errorf("core: %v: %w", p.cfg.Learner, err)

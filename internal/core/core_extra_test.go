@@ -7,7 +7,6 @@ import (
 
 	"dfpc/internal/datagen"
 	"dfpc/internal/dataset"
-	"dfpc/internal/eval"
 )
 
 func allRows(n int) []int {
@@ -24,31 +23,25 @@ func predict(p *Pipeline, d *dataset.Dataset, rows []int) ([]int, error) {
 	return out, p.PredictBatch(context.Background(), d, rows, out)
 }
 
-func TestNaiveBayesAndKNNLearners(t *testing.T) {
-	d := xorDataset(80)
-	for _, l := range []Learner{NaiveBayes, KNN} {
+// TestFitRejectsUnknownLearner pins that a Learner value no case of
+// learn names fails Fit instead of training a linear SVM. 3 and 4 were
+// the removed naive-Bayes and kNN learners.
+func TestFitRejectsUnknownLearner(t *testing.T) {
+	d := xorDataset(40)
+	for _, l := range []Learner{-1, 3, 4, 7} {
 		p := NewPatFS(l, 0.2)
-		if err := p.Fit(d, allRows(d.NumRows())); err != nil {
-			t.Fatalf("%v: %v", l, err)
-		}
-		pred, err := predict(p, d, allRows(d.NumRows()))
-		if err != nil {
-			t.Fatalf("%v: %v", l, err)
-		}
-		acc, _ := eval.Accuracy(pred, d.Labels)
-		if acc < 0.9 {
-			t.Fatalf("%v on XOR with patterns: accuracy %v", l, acc)
+		err := p.Fit(d, allRows(d.NumRows()))
+		if err == nil || !strings.Contains(err.Error(), l.String()) {
+			t.Fatalf("Fit with %v: err = %v, want one naming the learner", l, err)
 		}
 	}
 }
 
 func TestLearnerStringers(t *testing.T) {
 	for l, want := range map[Learner]string{
-		SVMLinear:  "svm-linear",
-		SVMRBF:     "svm-rbf",
-		C45Tree:    "c4.5",
-		NaiveBayes: "naive-bayes",
-		KNN:        "knn",
+		SVMLinear: "svm-linear",
+		SVMRBF:    "svm-rbf",
+		C45Tree:   "c4.5",
 	} {
 		if got := l.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(l), got, want)

@@ -109,8 +109,6 @@ func (p *Pipeline) PredictExplain(ctx context.Context, d *dataset.Dataset, rows 
 			tp := m.PredictPath(fv)
 			ex.Class = tp.Class
 			ex.Tree = tp
-		default:
-			ex.Class = p.model.Predict(fv)
 		}
 		if ex.Class >= 0 && ex.Class < len(d.Classes) {
 			ex.ClassName = d.Classes[ex.Class]

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dfpc/internal/datagen"
@@ -41,6 +43,18 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DFPA"))
 	f.Add([]byte("not a model at all"))
+	// The committed artifacts, including those of removed models.
+	fixtures, err := filepath.Glob("testdata/*.dfpc")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range fixtures {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Load(bytes.NewReader(data))
 		if err == nil {

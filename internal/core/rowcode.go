@@ -9,7 +9,6 @@ import (
 	"dfpc/internal/dataset"
 	"dfpc/internal/discretize"
 	"dfpc/internal/faults"
-	"dfpc/internal/knn"
 	"dfpc/internal/modelobs"
 	"dfpc/internal/patmatch"
 	"dfpc/internal/svm"
@@ -118,49 +117,30 @@ func (rc *rowCoder) encode(row []float64, rowIdx int) ([]int32, error) {
 
 // rowScorer scores fitted-space feature vectors with reusable scratch.
 // predictConf additionally reports the learner's native confidence
-// when it has one (SVM margin, C4.5 leaf purity); the class is always
-// identical to predict's.
+// (SVM margin, C4.5 leaf purity); the class is always identical to
+// predict's.
 type rowScorer interface {
 	predict(fv []int32) int
-	predictConf(fv []int32) (cls int, conf float64, hasConf bool)
+	predictConf(fv []int32) (cls int, conf float64)
 }
 
 type svmScorer struct{ s *svm.Scorer }
 
-func (s svmScorer) predict(fv []int32) int { return s.s.Predict(fv) }
-func (s svmScorer) predictConf(fv []int32) (int, float64, bool) {
-	cls, margin := s.s.PredictMargin(fv)
-	return cls, margin, true
-}
+func (s svmScorer) predict(fv []int32) int                { return s.s.Predict(fv) }
+func (s svmScorer) predictConf(fv []int32) (int, float64) { return s.s.PredictMargin(fv) }
 
 type c45Scorer struct{ m *c45.Model }
 
-func (s c45Scorer) predict(fv []int32) int { return s.m.Predict(fv) }
-func (s c45Scorer) predictConf(fv []int32) (int, float64, bool) {
-	cls, conf := s.m.PredictConf(fv)
-	return cls, conf, true
-}
+func (s c45Scorer) predict(fv []int32) int                { return s.m.Predict(fv) }
+func (s c45Scorer) predictConf(fv []int32) (int, float64) { return s.m.PredictConf(fv) }
 
-type plainScorer struct{ m predictor }
-
-func (s plainScorer) predict(fv []int32) int { return s.m.Predict(fv) }
-func (s plainScorer) predictConf(fv []int32) (int, float64, bool) {
-	return s.m.Predict(fv), 0, false
-}
-
-// newRowScorer wraps the fitted model in the scorer matching its
-// concrete type.
+// newRowScorer wraps the fitted model, an SVM or a C4.5 tree (the only
+// models learn trains and Load accepts), in its scorer.
 func (p *Pipeline) newRowScorer() rowScorer {
-	switch m := p.model.(type) {
-	case *svm.Model:
+	if m, ok := p.model.(*svm.Model); ok {
 		return svmScorer{s: m.NewScorer()}
-	case *c45.Model:
-		return c45Scorer{m: m}
-	case *knn.Model:
-		return plainScorer{m: m.NewScorer()}
-	default:
-		return plainScorer{m: p.model}
 	}
+	return c45Scorer{m: p.model.(*c45.Model)}
 }
 
 // BatchPredictor is a reusable, single-goroutine prediction context
@@ -249,9 +229,9 @@ func (b *BatchPredictor) PredictInto(ctx context.Context, d *dataset.Dataset, ro
 			if err != nil {
 				return err
 			}
-			cls, conf, hasConf := b.scorer.predictConf(fv)
+			cls, conf := b.scorer.predictConf(fv)
 			out[i] = cls
-			t.ObserveRow(cls, modelobs.ConfMicro(conf), hasConf, fv, lim)
+			t.ObserveRow(cls, modelobs.ConfMicro(conf), true, fv, lim)
 		}
 		return nil
 	}

@@ -9,10 +9,8 @@ import (
 	"dfpc/internal/c45"
 	"dfpc/internal/discretize"
 	"dfpc/internal/durable"
-	"dfpc/internal/knn"
 	"dfpc/internal/mining"
 	"dfpc/internal/modelobs"
-	"dfpc/internal/nbayes"
 	"dfpc/internal/obs"
 	"dfpc/internal/patmatch"
 	"dfpc/internal/svm"
@@ -54,6 +52,10 @@ const (
 	minSnapshotVersion = 1
 )
 
+// removedLearners names the Learner values that earlier builds saved
+// and this one cannot load, so Load can say what such an artifact holds.
+var removedLearners = map[Learner]string{3: "naive Bayes", 4: "kNN"}
+
 // ModelKind is the durable-envelope kind string for saved pipelines.
 const ModelKind = "dfpc-model"
 
@@ -65,7 +67,7 @@ const ModelKind = "dfpc-model"
 // zero value of each snapshot, in this order, pins the ids.
 func init() {
 	for _, m := range []interface{ MarshalBinary() ([]byte, error) }{
-		&discretize.Discretizer{}, &svm.Model{}, &c45.Model{}, &nbayes.Model{}, &knn.Model{},
+		&discretize.Discretizer{}, &svm.Model{}, &c45.Model{},
 	} {
 		if _, err := m.MarshalBinary(); err != nil {
 			panic(err)
@@ -190,14 +192,16 @@ func Load(r io.Reader) (p *Pipeline, err error) {
 		UnmarshalBinary([]byte) error
 	}
 	switch snap.Learner {
+	case SVMLinear, SVMRBF:
+		m = &svm.Model{}
 	case C45Tree:
 		m = &c45.Model{}
-	case NaiveBayes:
-		m = &nbayes.Model{}
-	case KNN:
-		m = &knn.Model{}
-	default: // SVMLinear, SVMRBF
-		m = &svm.Model{}
+	default:
+		if name, ok := removedLearners[snap.Learner]; ok {
+			return nil, fmt.Errorf("core: load: %w: learner %d is %s, which this build no longer has",
+				durable.ErrCorruptArtifact, int(snap.Learner), name)
+		}
+		return nil, fmt.Errorf("core: load: %w: unknown learner %v", durable.ErrCorruptArtifact, snap.Learner)
 	}
 	if err := m.UnmarshalBinary(snap.Model); err != nil {
 		return nil, fmt.Errorf("core: load: %w: %T: %v", durable.ErrCorruptArtifact, m, err)

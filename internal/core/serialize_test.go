@@ -32,7 +32,7 @@ func TestSaveLoadAllLearners(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := allRows(d.NumRows())
-	for _, l := range []Learner{SVMLinear, SVMRBF, C45Tree, NaiveBayes, KNN} {
+	for _, l := range []Learner{SVMLinear, SVMRBF, C45Tree} {
 		p := NewPatFS(l, 0.3)
 		if err := p.Fit(d, rows); err != nil {
 			t.Fatalf("%v: %v", l, err)

@@ -192,6 +192,66 @@ func TestIGUpperBoundDominatesEmpirical(t *testing.T) {
 	}
 }
 
+func TestIGUpperBoundMultiDominatesEmpirical(t *testing.T) {
+	// Property: for 2–6 classes under skewed random priors and random
+	// covers, the empirical IG never exceeds the multi-class bound at
+	// the cover's support and the empirical class distribution.
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 20 + r.Intn(300)
+		m := 2 + r.Intn(5)
+		// Cubing uniform weights skews the priors toward a few
+		// dominant classes.
+		cum := make([]float64, m)
+		total := 0.0
+		for c := range cum {
+			w := r.Float64()
+			total += w * w * w
+			cum[c] = total
+		}
+		labels := make([]int, n)
+		counts := make([]float64, m)
+		for i := range labels {
+			u := r.Float64() * total
+			c := 0
+			for c < m-1 && u > cum[c] {
+				c++
+			}
+			labels[i] = c
+			counts[c]++
+		}
+		priors := make([]float64, m)
+		for c := range priors {
+			priors[c] = counts[c] / float64(n)
+		}
+		// Half the covers are uniform noise at a random density; the
+		// other half mostly hit one class, which drives IG toward the
+		// bound.
+		cover := bitset.New(n)
+		density := r.Float64()
+		target := r.Intn(m)
+		pure := r.Intn(2) == 0
+		for i, y := range labels {
+			hit := r.Float64() < density
+			if pure {
+				hit = (y == target) != (r.Float64() < density/10)
+			}
+			if hit {
+				cover.Set(i)
+			}
+		}
+		sup := cover.Count()
+		if sup == 0 || sup == n {
+			return true
+		}
+		theta := float64(sup) / float64(n)
+		return InfoGain(cover, masksFor(labels, m)) <= IGUpperBoundMulti(theta, priors)+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFisherUpperBoundDominatesEmpirical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -20,7 +20,7 @@ type PairDecision struct {
 	Bias     float64 `json:"bias"`
 	// FeatureContrib maps each feature present in the row to its
 	// additive share of Decision − Bias. Linear kernel only; nil for
-	// RBF/Poly pairs.
+	// RBF pairs.
 	FeatureContrib map[int32]float64 `json:"feature_contrib,omitempty"`
 }
 

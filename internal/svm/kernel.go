@@ -2,9 +2,9 @@
 // sequential minimal optimization, standing in for LIBSVM in the
 // paper's experiments. It solves the standard C-SVC dual with
 // maximal-violating-pair working-set selection (Keerthi et al.), offers
-// linear, RBF and polynomial kernels over sparse binary feature
-// vectors, and handles multi-class problems with one-vs-one voting,
-// matching LIBSVM's scheme.
+// linear and RBF kernels over sparse binary feature vectors, and
+// handles multi-class problems with one-vs-one voting, matching
+// LIBSVM's scheme.
 package svm
 
 import (
@@ -20,9 +20,10 @@ const (
 	Linear KernelType = iota
 	// RBF is K(x,y) = exp(-γ ||x−y||²), the Item_RBF baseline kernel.
 	RBF
-	// Poly is K(x,y) = (γ<x,y> + c0)^d.
-	Poly
 )
+
+// valid reports whether k is a kernel this package evaluates.
+func (k KernelType) valid() bool { return k == Linear || k == RBF }
 
 func (k KernelType) String() string {
 	switch k {
@@ -30,8 +31,6 @@ func (k KernelType) String() string {
 		return "linear"
 	case RBF:
 		return "rbf"
-	case Poly:
-		return "poly"
 	default:
 		return fmt.Sprintf("KernelType(%d)", int(k))
 	}
@@ -39,10 +38,8 @@ func (k KernelType) String() string {
 
 // Kernel is a kernel specification. The zero value is a linear kernel.
 type Kernel struct {
-	Type   KernelType
-	Gamma  float64 // RBF/Poly scale; <= 0 means 1/numFeatures at train time
-	Coef0  float64 // Poly offset
-	Degree int     // Poly degree; <= 0 means 3
+	Type  KernelType
+	Gamma float64 // RBF scale; <= 0 means 1/numFeatures at train time
 }
 
 // dot computes the inner product of two sparse binary vectors given as
@@ -72,12 +69,6 @@ func (k Kernel) eval(a, b []int32, gamma float64) float64 {
 		d := dot(a, b)
 		sq := float64(len(a)) + float64(len(b)) - 2*d
 		return math.Exp(-gamma * sq)
-	case Poly:
-		deg := k.Degree
-		if deg <= 0 {
-			deg = 3
-		}
-		return math.Pow(gamma*dot(a, b)+k.Coef0, float64(deg))
 	default:
 		return dot(a, b)
 	}

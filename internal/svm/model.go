@@ -23,7 +23,7 @@ type Config struct {
 	// 100·n, at least 10000).
 	MaxIter int
 	// NumFeatures is the dimensionality of the feature space, used to
-	// resolve the default γ = 1/numFeatures. Required for RBF/Poly with
+	// resolve the default γ = 1/numFeatures. Required for RBF with
 	// Gamma <= 0.
 	NumFeatures int
 	// Guard, when non-nil, bounds SMO iterations; training aborts with
@@ -92,6 +92,9 @@ func Train(x [][]int32, y []int, numClasses int, cfg Config) (*Model, error) {
 	}
 	if numClasses < 1 {
 		return nil, fmt.Errorf("svm: numClasses = %d", numClasses)
+	}
+	if !cfg.Kernel.Type.valid() {
+		return nil, fmt.Errorf("svm: unknown kernel type %d", int(cfg.Kernel.Type))
 	}
 	cfg = cfg.withDefaults(len(x))
 	if err := cfg.Guard.CheckNow(); err != nil {

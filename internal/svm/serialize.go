@@ -54,12 +54,12 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	if snap.NumClasses < 1 {
 		return fmt.Errorf("svm: unmarshal: bad class count %d", snap.NumClasses)
 	}
-	m.numClasses = snap.NumClasses
-	m.pairClass = snap.PairClass
-	m.singleClass = snap.SingleClass
-	m.pairs = nil
-	for _, bs := range snap.Pairs {
-		m.pairs = append(m.pairs, &binaryModel{
+	var pairs []*binaryModel
+	for i, bs := range snap.Pairs {
+		if !bs.Kernel.Type.valid() {
+			return fmt.Errorf("svm: unmarshal: pair %d: unknown kernel type %d", i, int(bs.Kernel.Type))
+		}
+		pairs = append(pairs, &binaryModel{
 			svX:    bs.SVX,
 			svCoef: bs.SVCoef,
 			bias:   bs.Bias,
@@ -67,5 +67,9 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 			gamma:  bs.Gamma,
 		})
 	}
+	m.numClasses = snap.NumClasses
+	m.pairClass = snap.PairClass
+	m.singleClass = snap.SingleClass
+	m.pairs = pairs
 	return nil
 }

@@ -1,8 +1,11 @@
 package svm
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -57,11 +60,6 @@ func TestKernelEval(t *testing.T) {
 	// RBF of identical vectors is 1.
 	if got := rbf.eval(a, a, 0.7); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("rbf self = %v, want 1", got)
-	}
-	poly := Kernel{Type: Poly, Coef0: 1, Degree: 2}
-	// (γ·1 + 1)² with γ=1 → 4.
-	if got := poly.eval(a, b, 1); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("poly = %v, want 4", got)
 	}
 }
 
@@ -178,6 +176,42 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := Train([][]int32{{0}}, []int{0}, 0, Config{}); err == nil {
 		t.Fatal("numClasses=0 should error")
+	}
+	if _, err := Train([][]int32{{0}}, []int{0}, 1, Config{Kernel: Kernel{Type: 2}}); err == nil {
+		t.Fatal("unknown kernel type should error")
+	}
+}
+
+// TestUnmarshalRejectsUnknownKernel pins that a snapshot whose pair
+// carries a kernel type this package does not evaluate (2 was the
+// removed polynomial kernel) fails to load instead of scoring as
+// linear.
+func TestUnmarshalRejectsUnknownKernel(t *testing.T) {
+	x := [][]int32{{0}, {0}, {1}, {1}}
+	y := []int{0, 0, 1, 1}
+	m, err := Train(x, y, 2, Config{NumFeatures: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap modelSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Pairs[0].Kernel.Type = 2
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	var got Model
+	if err := got.UnmarshalBinary(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "kernel type 2") {
+		t.Fatalf("UnmarshalBinary with kernel type 2: err = %v", err)
+	}
+	if got.pairs != nil || got.numClasses != 0 {
+		t.Fatal("failed UnmarshalBinary left state behind")
 	}
 }
 

@@ -2,8 +2,8 @@
 # check.sh — the repo's full verification gate: gofmt, vet, the complete test
 # suite under the race detector (wall-clock bounded so a hung test fails
 # the gate instead of wedging it), and a short fuzz smoke over the
-# dataset parsers, plus vet and tests of the bench/ module. CI and
-# pre-commit both run this.
+# dataset parsers and the model loader, plus vet and tests of the
+# bench/ module. CI and pre-commit both run this.
 #
 # Performance is measured by the repo benchmark under bench/ (see
 # bench/README.md), not by this gate.
@@ -59,11 +59,16 @@ echo ">> (cd bench && go vet ./... && go run dfpc/cmd/dfpc-vet ./... && go test 
 (cd bench && go vet ./... && go run dfpc/cmd/dfpc-vet ./... && go test -race -timeout 5m ./...)
 
 # Short fuzz smoke: one target per invocation (go test accepts a single
-# -fuzz pattern), ~10s each. Catches shallow parser crashers early;
-# longer hunts are a manual `go test -fuzz=FuzzParseX ./internal/dataset/`.
-for target in FuzzParseARFF FuzzParseCSV FuzzParseLUCS; do
-	echo ">> go test -fuzz=$target -fuzztime=10s ./internal/dataset/"
-	go test -run='^$' -fuzz="$target\$" -fuzztime=10s ./internal/dataset/
+# -fuzz pattern), ~10s each, as target:package pairs. Catches shallow
+# crashers in the dataset parsers, the model loader and the artifact
+# envelope early; longer hunts are a manual
+# `go test -fuzz=FuzzParseX ./internal/dataset/`.
+for spec in FuzzParseARFF:./internal/dataset/ FuzzParseCSV:./internal/dataset/ \
+	FuzzParseLUCS:./internal/dataset/ FuzzLoadModel:./internal/core/ FuzzDecode:./internal/durable/; do
+	target=${spec%%:*}
+	pkg=${spec#*:}
+	echo ">> go test -fuzz=$target -fuzztime=10s $pkg"
+	go test -run='^$' -fuzz="^$target\$" -fuzztime=10s "$pkg"
 done
 
 echo "OK"
