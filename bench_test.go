@@ -364,7 +364,7 @@ func BenchmarkSequenceExtension(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clf := &seqmining.Classifier{MinSupport: 0.4, MaxLen: 3}
-		if err := clf.Fit(db, y, 2); err != nil {
+		if err := clf.Fit(context.Background(), db, y, 2); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := clf.PredictAll(db[:20]); err != nil {
@@ -389,7 +389,7 @@ func BenchmarkGraphExtension(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clf := &graphmining.Classifier{MinSupport: 0.5, MaxEdges: 3}
-		if err := clf.Fit(db, y, 2); err != nil {
+		if err := clf.Fit(context.Background(), db, y, 2); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := clf.PredictAll(db[:10]); err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -100,7 +101,7 @@ func main() {
 	fmt.Printf("%d training molecules, %d test molecules\n\n", len(train), len(test))
 
 	clf := &graphmining.Classifier{MinSupport: 0.4, MaxEdges: 3}
-	if err := clf.Fit(train, yTrain, 2); err != nil {
+	if err := clf.Fit(context.Background(), train, yTrain, 2); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("subgraphs mined: %d, selected by MMRFS: %d\n", clf.MinedCount, clf.SelectedCount)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -64,7 +65,7 @@ func main() {
 	fmt.Printf("%d training sessions, %d test sessions, 2 classes\n\n", len(train), len(test))
 
 	clf := &seqmining.Classifier{MinSupport: 0.4, MaxLen: 3, Coverage: 3}
-	if err := clf.Fit(train, yTrain, 2); err != nil {
+	if err := clf.Fit(context.Background(), train, yTrain, 2); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("subsequences mined: %d, selected by MMRFS: %d\n", clf.MinedCount, clf.SelectedCount)

@@ -9,20 +9,21 @@ import (
 // Guardloop enforces the guard-placement rule from internal/guard's doc
 // comment on the hot packages: every directly recursive function and
 // every condition-free (or constant-true) loop must reach a
-// guard.Check/CheckNow or a context poll, so one refactor of the miner,
+// guard.Check/CheckNow or a context poll, so one refactor of a miner,
 // SMO, or the C4.5 builder cannot silently reintroduce an unbounded
 // computation that no deadline or cancellation can stop.
 var Guardloop = &Analyzer{
 	Name: "guardloop",
 	Doc: "require guard.Check/ctx polls in hot-package recursions and unbounded loops\n\n" +
-		"The mining, svm, c45, and featsel packages run the pipeline's only\n" +
-		"super-linear computations; internal/guard's placement rule says every\n" +
-		"recursion entry and unbounded loop body must reach guard.Check (or a\n" +
-		"ctx.Err/ctx.Done poll) so cancellation, deadlines, and the memory\n" +
+		"The mining, seqmining, graphmining, svm, c45, and featsel packages\n" +
+		"run the pipeline's only super-linear computations; internal/guard's\n" +
+		"placement rule says every recursion entry and unbounded loop body\n" +
+		"must reach guard.Check (or a ctx.Err/ctx.Done poll) so\n" +
+		"cancellation, deadlines, and the memory\n" +
 		"watchdog can interrupt them. Flags directly recursive functions with\n" +
 		"no such call and `for { }` / `for true { }` loops with neither a\n" +
 		"check nor any break/return exit.",
-	Packages: []string{"mining", "svm", "c45", "featsel"},
+	Packages: []string{"mining", "seqmining", "graphmining", "svm", "c45", "featsel"},
 	Run:      runGuardloop,
 }
 

@@ -294,10 +294,14 @@ func Decode(r io.Reader, kind string) (payloadVersion uint32, payload []byte, er
 	if pl > maxPayload {
 		return corrupt("payload length %d exceeds cap", pl)
 	}
-	payload = make([]byte, pl)
-	if _, err := io.ReadFull(tr, payload); err != nil {
+	// The buffer grows with the bytes that arrive, not with the
+	// header's claim: a corrupt length costs only what the stream holds.
+	var pb bytes.Buffer
+	pb.Grow(int(min(pl, 64<<10)))
+	if n, err := pb.ReadFrom(io.LimitReader(tr, int64(pl))); err != nil || uint64(n) != pl {
 		return corrupt("truncated payload (want %d bytes)", pl)
 	}
+	payload = pb.Bytes()
 	var sum uint32
 	if err := binary.Read(r, binary.BigEndian, &sum); err != nil {
 		return corrupt("truncated checksum")

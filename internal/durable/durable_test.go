@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +189,31 @@ func TestDecodeCorruptions(t *testing.T) {
 	// Garbage is corrupt.
 	if _, _, err := Decode(strings.NewReader("not an artifact"), "dfpc-model"); !errors.Is(err, ErrCorruptArtifact) {
 		t.Fatalf("garbage err = %v", err)
+	}
+}
+
+// TestDecodeHugeLengthAllocatesLittle: a header that claims a 1 GiB
+// payload but ends there fails as truncation without allocating the
+// claimed size.
+func TestDecodeHugeLengthAllocatesLittle(t *testing.T) {
+	hdr := []byte(magic)
+	hdr = binary.BigEndian.AppendUint16(hdr, formatVersion)
+	hdr = binary.BigEndian.AppendUint16(hdr, 4)
+	hdr = append(hdr, "kind"...)
+	hdr = binary.BigEndian.AppendUint32(hdr, 1)
+	hdr = binary.BigEndian.AppendUint64(hdr, maxPayload)
+	if len(hdr) != 24 {
+		t.Fatalf("header is %d bytes, want 24", len(hdr))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(bytes.NewReader(hdr), "kind")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptArtifact) {
+		t.Fatalf("err = %v, want ErrCorruptArtifact", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Decode allocated %d bytes for an empty payload", grew)
 	}
 }
 

@@ -1,8 +1,9 @@
 package graphmining
 
 import (
-	"errors"
+	"context"
 
+	"dfpc/internal/guard"
 	"dfpc/internal/patclass"
 )
 
@@ -26,46 +27,30 @@ type Classifier struct {
 	model *patclass.Model[*Graph, Pattern]
 
 	// Stats from the last Fit.
-	MinedCount    int
-	SelectedCount int
-}
-
-func (c *Classifier) withDefaults() {
-	if c.MinSupport <= 0 {
-		c.MinSupport = 0.2
-	}
-	if c.Coverage <= 0 {
-		c.Coverage = 3
-	}
-	if c.MaxEdges <= 0 {
-		c.MaxEdges = 4
-	}
-	if c.MaxPatterns <= 0 {
-		c.MaxPatterns = 50_000
-	}
-	if c.SVMC <= 0 {
-		c.SVMC = 1
-	}
+	MinedCount, SelectedCount int
 }
 
 // Fit trains on the graph database with labels y in [0, numClasses).
 // Single-edge patterns stay in the pool: they correlate with the
 // vertex-label features but are the graph analogue of length-2
 // itemsets.
-func (c *Classifier) Fit(db []*Graph, y []int, numClasses int) error {
-	c.withDefaults()
-	m, err := patclass.Fit(patclass.Hooks[*Graph, Pattern]{
+func (c *Classifier) Fit(ctx context.Context, db []*Graph, y []int, numClasses int) error {
+	m, err := patclass.Fit(ctx, patclass.Hooks[*Graph, Pattern]{
 		Name: "graphmining",
-		Mine: func(db []*Graph, minSup, maxPatterns int) ([]Pattern, error) {
-			return Mine(db, Options{MinSupport: minSup, MaxEdges: c.MaxEdges, MaxPatterns: maxPatterns})
+		Mine: func(db []*Graph, minSup, maxPatterns int, g *guard.Guard) ([]Pattern, error) {
+			return Mine(db, Options{
+				MinSupport: minSup, MaxEdges: patclass.OrDefault(c.MaxEdges, 4), MaxPatterns: maxPatterns, Guard: g,
+			})
 		},
-		ErrBudget: ErrPatternBudget,
-		Key:       (*Pattern).Key,
-		Contains:  func(g *Graph, p *Pattern) bool { return ContainsSubgraph(g, p.Graph) },
-		Labels:    func(g *Graph) []int32 { return g.VertexLabels },
-		Sort:      SortPatterns,
+		Key:      (*Pattern).Key,
+		Contains: func(g *Graph, p *Pattern) bool { return ContainsSubgraph(g, p.Graph) },
+		Labels:   func(g *Graph) []int32 { return g.VertexLabels },
+		Sort:     SortPatterns,
 	}, db, y, numClasses, patclass.Params{
-		MinSupport: c.MinSupport, Coverage: c.Coverage, MaxPatterns: c.MaxPatterns, SVMC: c.SVMC,
+		MinSupport:  patclass.OrDefault(c.MinSupport, 0.2),
+		Coverage:    patclass.OrDefault(c.Coverage, 3),
+		MaxPatterns: patclass.OrDefault(c.MaxPatterns, 50_000),
+		SVMC:        patclass.OrDefault(c.SVMC, 1),
 	})
 	c.model = m
 	if err != nil {
@@ -78,20 +63,8 @@ func (c *Classifier) Fit(db []*Graph, y []int, numClasses int) error {
 // Patterns returns the selected subgraph features.
 func (c *Classifier) Patterns() []Pattern { return c.model.Patterns() }
 
-var errNotFitted = errors.New("graphmining: Predict before Fit")
-
 // Predict classifies one graph.
-func (c *Classifier) Predict(g *Graph) (int, error) {
-	if c.model == nil {
-		return 0, errNotFitted
-	}
-	return c.model.Predict(g), nil
-}
+func (c *Classifier) Predict(g *Graph) (int, error) { return c.model.Predict(g) }
 
 // PredictAll classifies every graph.
-func (c *Classifier) PredictAll(db []*Graph) ([]int, error) {
-	if c.model == nil {
-		return nil, errNotFitted
-	}
-	return c.model.PredictAll(db), nil
-}
+func (c *Classifier) PredictAll(db []*Graph) ([]int, error) { return c.model.PredictAll(db) }

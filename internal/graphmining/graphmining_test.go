@@ -1,10 +1,14 @@
 package graphmining
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"dfpc/internal/guard"
 )
 
 // path builds a labelled path graph v0-v1-...-vk.
@@ -227,7 +231,7 @@ func graphDataset(n int, seed int64) (db []*Graph, y []int) {
 func TestGraphClassifierTopologyMotifs(t *testing.T) {
 	db, y := graphDataset(60, 5)
 	clf := &Classifier{MinSupport: 0.5, MaxEdges: 3}
-	if err := clf.Fit(db, y, 2); err != nil {
+	if err := clf.Fit(context.Background(), db, y, 2); err != nil {
 		t.Fatal(err)
 	}
 	if clf.SelectedCount == 0 {
@@ -250,20 +254,20 @@ func TestGraphClassifierTopologyMotifs(t *testing.T) {
 
 func TestGraphClassifierErrors(t *testing.T) {
 	clf := &Classifier{}
-	if err := clf.Fit(nil, nil, 2); err == nil {
+	if err := clf.Fit(context.Background(), nil, nil, 2); err == nil {
 		t.Fatal("empty db should error")
 	}
-	if err := clf.Fit([]*Graph{path([]int32{0, 1}, 0)}, []int{0, 1}, 2); err == nil {
+	if err := clf.Fit(context.Background(), []*Graph{path([]int32{0, 1}, 0)}, []int{0, 1}, 2); err == nil {
 		t.Fatal("length mismatch should error")
 	}
-	if err := clf.Fit([]*Graph{path([]int32{0, 1}, 0)}, []int{5}, 2); err == nil {
+	if err := clf.Fit(context.Background(), []*Graph{path([]int32{0, 1}, 0)}, []int{5}, 2); err == nil {
 		t.Fatal("bad label should error")
 	}
 	if _, err := (&Classifier{}).Predict(path([]int32{0, 1}, 0)); err == nil {
 		t.Fatal("Predict before Fit should error")
 	}
 	db, y := graphDataset(20, 1)
-	if err := (&Classifier{MaxPatterns: 2}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+	if err := (&Classifier{MaxPatterns: 2}).Fit(context.Background(), db, y, 2); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("tiny MaxPatterns: err = %v, want ErrPatternBudget", err)
 	}
 	// Class 0 mines exactly MaxPatterns patterns at the classifier's
@@ -278,7 +282,7 @@ func TestGraphClassifierErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&Classifier{MaxPatterns: len(all0)}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+	if err := (&Classifier{MaxPatterns: len(all0)}).Fit(context.Background(), db, y, 2); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("class 0 fills MaxPatterns=%d: err = %v, want ErrPatternBudget", len(all0), err)
 	}
 }
@@ -286,7 +290,7 @@ func TestGraphClassifierErrors(t *testing.T) {
 func ExampleClassifier() {
 	db, y := graphDataset(48, 11)
 	clf := &Classifier{MinSupport: 0.5, MaxEdges: 3}
-	if err := clf.Fit(db[:36], y[:36], 2); err != nil {
+	if err := clf.Fit(context.Background(), db[:36], y[:36], 2); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -308,4 +312,68 @@ func ExampleClassifier() {
 	// [2 3] [{0 1 0}] 18
 	// holdout: [0 1 0 1 0 1 0 1 0 1 0 1]
 	// labels:  [0 1 0 1 0 1 0 1 0 1 0 1]
+}
+
+// TestMineCapIsPrefix: a run capped at k patterns is the first k
+// patterns of the uncapped run, and fails with ErrPatternBudget only
+// when there is a pattern k+1. The per-class merge replays smaller
+// budgets by truncating one full-budget stream, so it relies on both.
+func TestMineCapIsPrefix(t *testing.T) {
+	db := []*Graph{path([]int32{1, 2, 3}, 0), triangle(1, 2, 3, 0)}
+	all, err := Mine(db, Options{MinSupport: 1, MaxEdges: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= len(all); k++ {
+		got, err := Mine(db, Options{MinSupport: 1, MaxEdges: 3, MaxPatterns: k})
+		if k < len(all) && !errors.Is(err, ErrPatternBudget) || k == len(all) && err != nil {
+			t.Fatalf("MaxPatterns=%d of %d: err = %v", k, len(all), err)
+		}
+		if len(got) != k {
+			t.Fatalf("MaxPatterns=%d: %d patterns", k, len(got))
+		}
+		for i := range got {
+			if got[i].Key() != all[i].Key() || got[i].Support != all[i].Support {
+				t.Fatalf("MaxPatterns=%d: pattern %d differs from the uncapped run", k, i)
+			}
+		}
+	}
+}
+
+// TestClassifierDeterminism pins the selected subgraphs, the mined
+// pool size and the predictions at GOMAXPROCS 1, 2 and 8: the class
+// partitions, MMRFS and the SVM all fan out at GOMAXPROCS workers.
+func TestClassifierDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	db, y := graphDataset(48, 11)
+	var want string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		clf := &Classifier{MinSupport: 0.5, MaxEdges: 3}
+		if err := clf.Fit(context.Background(), db[:36], y[:36], 2); err != nil {
+			t.Fatal(err)
+		}
+		pred, err := clf.PredictAll(db[36:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(clf.MinedCount, len(clf.Patterns()), pred)
+		for _, p := range clf.Patterns() {
+			got += fmt.Sprint(" ", p.Key(), ":", p.Support)
+		}
+		if procs == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("GOMAXPROCS=%d: fit %q, want %q", procs, got, want)
+		}
+	}
+}
+
+func TestClassifierPreCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	db, y := graphDataset(20, 1)
+	if err := (&Classifier{}).Fit(ctx, db, y, 2); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
 }

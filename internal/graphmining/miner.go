@@ -1,10 +1,13 @@
 package graphmining
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+
+	"dfpc/internal/guard"
+	"dfpc/internal/mining"
 )
 
 // Pattern is a frequent connected subgraph with its absolute support
@@ -23,8 +26,9 @@ func (p *Pattern) Key() string {
 	return p.key
 }
 
-// ErrPatternBudget mirrors mining.ErrPatternBudget for graphs.
-var ErrPatternBudget = errors.New("graphmining: pattern budget exceeded")
+// ErrPatternBudget is mining.ErrPatternBudget: the per-class loop and
+// its callers dispatch on the one budget sentinel.
+var ErrPatternBudget = mining.ErrPatternBudget
 
 // Options configures a mining run.
 type Options struct {
@@ -35,16 +39,26 @@ type Options struct {
 	MaxEdges int
 	// MaxPatterns aborts with ErrPatternBudget (0 = unlimited).
 	MaxPatterns int
+	// Guard, when non-nil, bounds the run: it is polled once per
+	// candidate extension. Nil costs nothing.
+	Guard *guard.Guard
 }
 
 // Mine enumerates the frequent connected subgraphs of the database by
 // breadth-first edge extension with canonical-form deduplication
 // (FSG-style; Kuramochi & Karypis, ICDM'01 — reference [11] of the
 // paper). Every returned pattern is connected and appears in at least
-// MinSupport database graphs.
+// MinSupport database graphs. Patterns come level by level in a fixed
+// order, so a run capped at k patterns returns the first k patterns of
+// an uncapped one, with ErrPatternBudget on the attempt to emit
+// pattern k+1. A guard stop returns the patterns found so far with the
+// guard's error.
 func Mine(db []*Graph, opt Options) ([]Pattern, error) {
 	if opt.MinSupport < 1 {
 		return nil, fmt.Errorf("graphmining: MinSupport = %d, want >= 1", opt.MinSupport)
+	}
+	if err := opt.Guard.CheckNow(); err != nil {
+		return nil, err
 	}
 	if opt.MaxEdges <= 0 {
 		opt.MaxEdges = 5
@@ -82,53 +96,48 @@ func Mine(db []*Graph, opt Options) ([]Pattern, error) {
 			kinds = append(kinds, k)
 		}
 	}
-	sort.Slice(kinds, func(i, j int) bool {
-		a, b := kinds[i], kinds[j]
-		if a.la != b.la {
-			return a.la < b.la
-		}
-		if a.lb != b.lb {
-			return a.lb < b.lb
-		}
-		return a.le < b.le
+	slices.SortFunc(kinds, func(a, b edgeKind) int {
+		return cmp.Or(cmp.Compare(a.la, b.la), cmp.Compare(a.lb, b.lb), cmp.Compare(a.le, b.le))
 	})
 
+	// Distinct kinds are distinct single-edge graphs, and a level-n
+	// candidate has n edges, so dedup is needed only within a level.
 	var out []Pattern
-	seenCanonical := map[string]bool{}
-	level := make([]*Pattern, 0, len(kinds))
+	level := make([]*Graph, 0, len(kinds))
 	for _, k := range kinds {
+		if opt.MaxPatterns > 0 && len(out) >= opt.MaxPatterns {
+			return out, ErrPatternBudget
+		}
 		pg := &Graph{
 			VertexLabels: []int32{k.la, k.lb},
 			Edges:        []Edge{{From: 0, To: 1, Label: k.le}},
 		}
-		p := Pattern{Graph: pg, Support: edgeSupport[k]}
-		if seenCanonical[p.Key()] {
-			continue
-		}
-		seenCanonical[p.Key()] = true
-		out = append(out, p)
-		level = append(level, &out[len(out)-1])
-		if opt.MaxPatterns > 0 && len(out) >= opt.MaxPatterns {
-			return out, ErrPatternBudget
-		}
+		out = append(out, Pattern{Graph: pg, Support: edgeSupport[k]})
+		level = append(level, pg)
 	}
 
-	// Frequent vertex/edge label vocabulary for extensions.
-	vertexLabels := map[int32]bool{}
-	edgeLabels := map[int32]bool{}
+	// The frequent vertex and edge label vocabularies for extensions,
+	// sorted: candidate order decides the level expansion sequence and,
+	// under a pattern budget, which patterns get mined at all.
+	var vls, els []int32
 	for _, k := range kinds {
-		vertexLabels[k.la] = true
-		vertexLabels[k.lb] = true
-		edgeLabels[k.le] = true
+		vls = append(vls, k.la, k.lb)
+		els = append(els, k.le)
 	}
+	slices.Sort(vls)
+	slices.Sort(els)
+	vls, els = slices.Compact(vls), slices.Compact(els)
 
 	for edges := 2; edges <= opt.MaxEdges && len(level) > 0; edges++ {
-		var next []*Pattern
+		var next []*Graph
 		levelSeen := map[string]bool{}
 		for _, parent := range level {
-			for _, cand := range extensions(parent.Graph, vertexLabels, edgeLabels) {
+			for _, cand := range extensions(parent, vls, els) {
+				if err := opt.Guard.Check(); err != nil {
+					return out, err
+				}
 				key := canonicalKey(cand)
-				if levelSeen[key] || seenCanonical[key] {
+				if levelSeen[key] {
 					continue
 				}
 				levelSeen[key] = true
@@ -141,12 +150,11 @@ func Mine(db []*Graph, opt Options) ([]Pattern, error) {
 				if sup < opt.MinSupport {
 					continue
 				}
-				seenCanonical[key] = true
-				out = append(out, Pattern{Graph: cand, Support: sup, key: key})
-				next = append(next, &out[len(out)-1])
 				if opt.MaxPatterns > 0 && len(out) >= opt.MaxPatterns {
 					return out, ErrPatternBudget
 				}
+				out = append(out, Pattern{Graph: cand, Support: sup, key: key})
+				next = append(next, cand)
 			}
 		}
 		level = next
@@ -156,8 +164,9 @@ func Mine(db []*Graph, opt Options) ([]Pattern, error) {
 
 // extensions generates candidate one-edge extensions of a pattern:
 // either a new edge between two existing vertices, or a new vertex
-// attached to an existing one, over the frequent label vocabulary.
-func extensions(g *Graph, vertexLabels, edgeLabels map[int32]bool) []*Graph {
+// attached to an existing one, over the sorted vertex and edge label
+// vocabularies vls and els.
+func extensions(g *Graph, vls, els []int32) []*Graph {
 	type pair struct{ a, b int }
 	existing := map[pair]bool{}
 	for _, e := range g.Edges {
@@ -167,11 +176,6 @@ func extensions(g *Graph, vertexLabels, edgeLabels map[int32]bool) []*Graph {
 		}
 		existing[pair{a, b}] = true
 	}
-	// Candidate order must not depend on map iteration order: it decides
-	// the level expansion sequence and, under a pattern budget, which
-	// patterns get mined at all.
-	vls := sortedLabels(vertexLabels)
-	els := sortedLabels(edgeLabels)
 	var out []*Graph
 	n := g.NumVertices()
 	// Close a cycle between existing vertices.
@@ -198,16 +202,6 @@ func extensions(g *Graph, vertexLabels, edgeLabels map[int32]bool) []*Graph {
 			}
 		}
 	}
-	return out
-}
-
-// sortedLabels fixes an iteration order for a label set.
-func sortedLabels(set map[int32]bool) []int32 {
-	out := make([]int32, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	slices.Sort(out)
 	return out
 }
 

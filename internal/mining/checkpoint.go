@@ -14,7 +14,8 @@ import (
 // Per-class partition checkpoints: one durable single-envelope file
 // per (class, cap) pair, so an interrupted per-class mining run resumes
 // by replaying the already-mined partitions into the exact same
-// class-order merge.
+// class-order merge. The cap is the run's budget, MaxPatterns, at any
+// worker count.
 //
 // Version 2 streams come from Mine. Version 1 streams could hold
 // length-capped sets that are not closed, so they are re-mined.
@@ -26,9 +27,8 @@ const (
 // classCheckpoint is the gob payload of one partition's raw pattern
 // stream. Key binds the checkpoint to the mining configuration
 // (dataset, min_sup, closed, max_len, budget); Cap is part of the
-// identity because a capped enumeration is a strict prefix of an
-// uncapped one — streams mined at different caps are different
-// artifacts.
+// identity because a capped enumeration is a prefix of an uncapped
+// one — streams mined at different caps are different artifacts.
 type classCheckpoint struct {
 	Key      string
 	Class    int

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"reflect"
 	"testing"
 
 	"dfpc/internal/durable"
 	"dfpc/internal/faults"
+	"dfpc/internal/obs"
 	"dfpc/internal/parallel"
 )
 
@@ -53,6 +55,35 @@ func TestPerClassCheckpointResume(t *testing.T) {
 			if got[i].Key() != want[i].Key() || got[i].Support != want[i].Support {
 				t.Fatalf("workers=%d: pattern %d = %v, want %v", workers, i, got[i], want[i])
 			}
+		}
+	}
+
+	// Under a pattern budget, checkpoints written at one worker count
+	// replay at another: every partition mines at the full budget, so
+	// the resume enumerates nothing.
+	for _, wr := range [][2]int{{1, 8}, {8, 1}} {
+		bopt := opt
+		bopt.MaxPatterns = 1000
+		bopt.Checkpoint, err = NewFileCheckpoint(t.TempDir(), "mine-key", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bopt.Workers = parallel.Workers(wr[0])
+		if _, err := MinePerClass(b, bopt); err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		bopt.Workers, bopt.Obs = parallel.Workers(wr[1]), o
+		got, err := MinePerClass(b, bopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := o.Counter("mine.extensions").Value(); n != 0 {
+			t.Fatalf("written at workers=%d, resumed at %d: mine.extensions = %d, want 0", wr[0], wr[1], n)
+		}
+		if !reflect.DeepEqual(patternKeys(got), patternKeys(want)) {
+			t.Fatalf("written at workers=%d, resumed at %d: union %v, want %v",
+				wr[0], wr[1], patternKeys(got), patternKeys(want))
 		}
 	}
 }

@@ -16,6 +16,9 @@ import (
 // PerClassOptions configures the paper's feature-generation step
 // (Section 3: "The data is partitioned according to the class label.
 // Frequent patterns are discovered in each partition with min_sup").
+// Closed, MaxLen and Checkpoint are read by MinePerClass's itemset
+// miner only; every other field configures PerClass.Run, the loop all
+// pattern types share.
 type PerClassOptions struct {
 	// MinSupport is the relative minimum support θ0 ∈ (0, 1], applied
 	// within each class partition.
@@ -46,28 +49,24 @@ type PerClassOptions struct {
 	Log *slog.Logger
 	// Workers bounds the per-class mining fan-out (0 = GOMAXPROCS,
 	// 1 = sequential). Class partitions are independent (Section 3.1),
-	// so they mine concurrently; the union is merged in class order and
-	// the pattern-budget accounting replays the sequential semantics
-	// exactly, so the returned union is identical for any worker count.
+	// so they mine concurrently, each at the full budget; the union is
+	// merged in class order by one code path for every worker count.
 	Workers parallel.Workers
 	// Faults, when non-nil, enables deterministic fault injection: one
 	// mine.partition hit per class partition, plus Mine's own
 	// mine.grow entry point. Nil is free.
 	Faults *faults.Registry
 	// Checkpoint, when non-nil, persists each class partition's raw
-	// pattern stream after it is mined and replays it on a later run,
-	// skipping the enumeration. Checkpoints are keyed by (class, cap)
-	// — the cap is part of the key because a capped run is a strict
-	// prefix of an uncapped one, so streams mined at different caps are
-	// different artifacts. The replayed stream feeds the exact same
-	// class-order merge, so a resumed union is byte-identical to an
-	// uninterrupted one at any worker count.
+	// pattern stream, keyed by (class, MaxPatterns), and replays it on a
+	// later run at any worker count, skipping the enumeration; the
+	// resumed union is byte-identical to an uninterrupted one.
 	Checkpoint PartitionCheckpoint
 }
 
 // PartitionCheckpoint persists per-class partition results for
 // checkpoint/resume of long mining runs. Implementations must be safe
-// for concurrent use (partitions mine in parallel).
+// for concurrent use (partitions mine in parallel). The cap is always
+// the run's full budget, MaxPatterns.
 type PartitionCheckpoint interface {
 	// Load returns the previously saved raw pattern stream for
 	// (class, cap), or ok=false when none exists.
@@ -78,21 +77,51 @@ type PartitionCheckpoint interface {
 	Save(class, cap int, ps []Pattern) error
 }
 
-// MinePerClass partitions the binary dataset by class, mines each
-// partition with the relative min_sup, and returns the deduplicated
-// union F of the per-class pattern sets. The merge builds each union
-// pattern's coverage bitmap over all of b once and keeps it on the
-// pattern (Pattern.Cover): Support is its count, the global absolute
-// support, and per-class supports are its intersections with
-// b.ClassMasks, which is how the measures package and MMRFS consume it.
+// Partition is one class partition's mining job: its class, absolute
+// min_sup (the relative one times its row count, rounded, at least 1)
+// and the run's full budget (0 = unlimited), with a fork of the run's
+// guard and a fork of its observer whose open span is Span, the
+// partition's "mine-class" span.
+type Partition struct {
+	Class, MinSupport, MaxPatterns int
+
+	Guard *guard.Guard
+	Obs   *obs.Observer
+	Span  *obs.Span
+}
+
+// PerClass is the paper's per-class mining step for a pattern type P:
+// itemsets (MinePerClass), sequences and graphs (internal/patclass)
+// all run it.
+type PerClass[P any] struct {
+	// Sizes[c] is the row count of class partition c; empty ones are
+	// not mined.
+	Sizes []int
+	// Mine mines one partition and returns its raw pattern stream. The
+	// stream must not depend on worker counts or map order, and it must
+	// fail with ErrPatternBudget on the attempt to emit pattern
+	// MaxPatterns+1, so that a run capped at k is the first k patterns
+	// of an uncapped one: the merge replays smaller caps by truncation.
+	Mine func(Partition) ([]P, error)
+	// Key deduplicates patterns across classes; Len, a pattern's
+	// length, is read only when MinLen > 1.
+	Key func(*P) string
+	Len func(*P) int
+}
+
+// Run mines every non-empty class partition with the relative min_sup
+// and returns the deduplicated union of the streams, or the union
+// merged so far with the first error.
 //
-// With Workers > 1 the class partitions mine concurrently. Mine
-// enumerates in a deterministic order and a capped run is an exact
-// prefix of an uncapped one, so mining every class at the full budget
-// and then replaying the sequential remaining-budget arithmetic during
-// the class-order merge yields byte-identical unions — and the same
-// ErrPatternBudget trips — at any worker count.
-func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
+// The partitions mine through parallel.ForEach, each at the full
+// budget; with one worker that is the plain class-order loop. The
+// streams merge in class order, replaying the budget a sequential run
+// leaves each class, remaining = budget − |union so far|: a longer
+// stream is truncated to it and the run fails with ErrPatternBudget,
+// as does a class that finds nothing left. The kept prefix drops
+// patterns shorter than MinLen, then repeated keys. So the union and
+// the sentinel that trips are the same at any worker count.
+func (pc PerClass[P]) Run(opt PerClassOptions) ([]P, error) {
 	if opt.MinSupport <= 0 || opt.MinSupport > 1 {
 		return nil, fmt.Errorf("mining: relative MinSupport = %v, want (0,1]", opt.MinSupport)
 	}
@@ -100,38 +129,127 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 	if err := opt.Guard.CheckNow(); err != nil {
 		return nil, err
 	}
-
-	classes := make([]int, 0, b.NumClasses())
-	for c := 0; c < b.NumClasses(); c++ {
-		if len(b.ClassMasks[c].Indices()) > 0 {
+	var classes []int
+	for c, n := range pc.Sizes {
+		if n > 0 {
 			classes = append(classes, c)
 		}
 	}
-	budget := opt.MaxPatterns
+	// A class that errors stops further classes from being claimed;
+	// every lower-indexed class ran to completion, which is all the
+	// merge consumes.
+	type classResult struct {
+		ps  []P
+		err error
+	}
+	results := make([]classResult, len(classes))
+	perr := parallel.ForEach(opt.Workers, len(classes), func(k int) error {
+		ps, err := pc.mineClass(classes[k], opt)
+		results[k] = classResult{ps: ps, err: err}
+		return err
+	})
+	var pe *parallel.PanicError
+	if errors.As(perr, &pe) {
+		return nil, perr
+	}
 
-	// mineClass mines one partition at the given raw-pattern cap,
-	// recording its span and counters on o (a per-worker fork when
-	// mining concurrently). It returns Mine's raw pattern stream —
-	// filtering and budget accounting happen in the class-order merge.
-	mineClass := func(c, cap int, o *obs.Observer) ([]Pattern, error) {
-		if err := opt.Faults.Hit(faults.MinePartition); err != nil {
-			return nil, fmt.Errorf("mining: class %d partition: %w", c, err)
+	budget := opt.MaxPatterns
+	seen := map[string]bool{}
+	var union []P
+	dedupDropped := opt.Obs.Counter("mine.dedup_dropped")
+	minlenDropped := opt.Obs.Counter("mine.minlen_dropped")
+	for k := range classes {
+		ps, err := results[k].ps, results[k].err
+		if budget > 0 {
+			remaining := budget - len(union)
+			if remaining <= 0 {
+				return union, ErrPatternBudget
+			}
+			if len(ps) > remaining {
+				ps, err = ps[:remaining], ErrPatternBudget
+			}
 		}
-		rows := b.ClassMasks[c].Indices()
-		abs := int(opt.MinSupport*float64(len(rows)) + 0.5)
-		if abs < 1 {
-			abs = 1
+		for i := range ps {
+			p := &ps[i]
+			if opt.MinLen > 1 && pc.Len(p) < opt.MinLen {
+				minlenDropped.Inc()
+				continue
+			}
+			key := pc.Key(p)
+			if seen[key] {
+				dedupDropped.Inc()
+				continue
+			}
+			seen[key] = true
+			union = append(union, *p)
 		}
-		sp := o.Start("mine-class").
-			Attr("class", c).Attr("rows", len(rows)).Attr("abs_min_sup", abs)
-		var ps []Pattern
-		var err error
-		restored := false
-		if opt.Checkpoint != nil {
-			ps, restored = opt.Checkpoint.Load(c, cap)
+		if err != nil {
+			return union, err
 		}
-		if !restored {
-			// The partition's item columns, projected onto its rows.
+	}
+	opt.Obs.Counter("mine.patterns_union").Add(int64(len(union)))
+	if opt.Log != nil {
+		opt.Log.Debug("per-class mining done",
+			slog.Float64("min_sup", opt.MinSupport),
+			slog.Int("union", len(union)))
+	}
+	return union, nil
+}
+
+// mineClass mines class c at the full budget under its own guard and
+// observer forks, inside its "mine-class" span.
+func (pc PerClass[P]) mineClass(c int, opt PerClassOptions) ([]P, error) {
+	if err := opt.Faults.Hit(faults.MinePartition); err != nil {
+		return nil, fmt.Errorf("mining: class %d partition: %w", c, err)
+	}
+	rows := pc.Sizes[c]
+	abs := max(int(opt.MinSupport*float64(rows)+0.5), 1)
+	o := opt.Obs.Fork()
+	sp := o.Start("mine-class").
+		Attr("class", c).Attr("rows", rows).Attr("abs_min_sup", abs)
+	ps, err := pc.Mine(Partition{
+		Class:       c,
+		MinSupport:  abs,
+		MaxPatterns: opt.MaxPatterns,
+		Guard:       opt.Guard.Fork(),
+		Obs:         o,
+		Span:        sp,
+	})
+	sp.Attr("patterns", len(ps)).End()
+	if opt.Log != nil {
+		opt.Log.Debug("class partition mined",
+			slog.Int("class", c),
+			slog.Int("rows", rows),
+			slog.Int("abs_min_sup", abs),
+			slog.Int("patterns", len(ps)))
+	}
+	return ps, err
+}
+
+// MinePerClass partitions the binary dataset by class, mines each
+// partition's closed (or all) frequent itemsets with PerClass.Run, and
+// returns the deduplicated union F, sorted by SortPatterns. Each union
+// pattern carries its coverage bitmap over all of b (Pattern.Cover):
+// Support is its count, the global absolute support, and per-class
+// supports are its intersections with b.ClassMasks, which is how the
+// measures package and MMRFS consume it.
+func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
+	sizes := make([]int, b.NumClasses())
+	for c := range sizes {
+		sizes[c] = b.ClassMasks[c].Count()
+	}
+	union, err := PerClass[Pattern]{
+		Sizes: sizes,
+		// Replay the partition's checkpoint, or mine its item columns
+		// projected onto its rows.
+		Mine: func(pt Partition) ([]Pattern, error) {
+			if opt.Checkpoint != nil {
+				if ps, ok := opt.Checkpoint.Load(pt.Class, pt.MaxPatterns); ok {
+					pt.Span.Attr("restored", true)
+					return ps, nil
+				}
+			}
+			rows := b.ClassMasks[pt.Class].Indices()
 			cols := make([]*bitset.Bitset, len(b.Columns))
 			for i := range cols {
 				cols[i] = bitset.New(len(rows))
@@ -141,138 +259,35 @@ func MinePerClass(b *dataset.Binary, opt PerClassOptions) ([]Pattern, error) {
 					cols[it].Set(k)
 				}
 			}
-			ps, err = Mine(cols, Options{
-				MinSupport:  abs,
+			ps, err := Mine(cols, Options{
+				MinSupport:  pt.MinSupport,
 				MaxLen:      opt.MaxLen,
-				MaxPatterns: cap,
+				MaxPatterns: pt.MaxPatterns,
 				Closed:      opt.Closed,
-				Guard:       opt.Guard.Fork(),
-				Obs:         o,
+				Guard:       pt.Guard,
+				Obs:         pt.Obs,
 				Log:         opt.Log,
 				Faults:      opt.Faults,
 			})
 			// Only clean partitions checkpoint: a budget-tripped or
 			// canceled stream is partial and must be re-mined on resume.
 			if err == nil && opt.Checkpoint != nil {
-				if cerr := opt.Checkpoint.Save(c, cap, ps); cerr != nil {
-					err = fmt.Errorf("mining: class %d checkpoint: %w", c, cerr)
+				if cerr := opt.Checkpoint.Save(pt.Class, pt.MaxPatterns, ps); cerr != nil {
+					err = fmt.Errorf("mining: class %d checkpoint: %w", pt.Class, cerr)
 				}
 			}
-		}
-		sp.Attr("patterns", len(ps)).Attr("restored", restored).End()
-		if opt.Log != nil {
-			opt.Log.Debug("class partition mined",
-				slog.Int("class", c),
-				slog.Int("rows", len(rows)),
-				slog.Int("abs_min_sup", abs),
-				slog.Int("patterns", len(ps)))
-		}
-		return ps, err
+			return ps, err
+		},
+		Key: (*Pattern).Key,
+		Len: (*Pattern).Len,
+	}.Run(opt)
+	for i := range union {
+		union[i].cover = b.Cover(union[i].Items)
+		union[i].Support = union[i].cover.Count()
 	}
-
-	seen := map[string]bool{}
-	var union []Pattern
-	dedupDropped := opt.Obs.Counter("mine.dedup_dropped")
-	minlenDropped := opt.Obs.Counter("mine.minlen_dropped")
-	// absorb filters one class's raw pattern stream (min-len, dedup,
-	// global coverage and support) into the union, in stream order.
-	absorb := func(ps []Pattern) {
-		for _, p := range ps {
-			if opt.MinLen > 1 && p.Len() < opt.MinLen {
-				minlenDropped.Inc()
-				continue
-			}
-			key := p.Key()
-			if seen[key] {
-				dedupDropped.Inc()
-				continue
-			}
-			seen[key] = true
-			p.cover = b.Cover(p.Items)
-			p.Support = p.cover.Count()
-			union = append(union, p)
-		}
+	if err != nil {
+		return union, err
 	}
-	finish := func() ([]Pattern, error) {
-		opt.Obs.Counter("mine.patterns_union").Add(int64(len(union)))
-		if opt.Log != nil {
-			opt.Log.Debug("per-class mining done",
-				slog.Float64("min_sup", opt.MinSupport),
-				slog.Int("union", len(union)))
-		}
-		SortPatterns(union)
-		return union, nil
-	}
-
-	if opt.Workers.Resolve() > 1 && len(classes) > 1 {
-		// Concurrent partitions each mine at the full budget; a class
-		// that errors stops further classes from being claimed (and
-		// ForEach guarantees every lower-indexed class ran to
-		// completion, which is all the merge consumes).
-		type classResult struct {
-			ps  []Pattern
-			err error
-		}
-		results := make([]classResult, len(classes))
-		perr := parallel.ForEach(opt.Workers, len(classes), func(k int) error {
-			ps, err := mineClass(classes[k], budget, opt.Obs.Fork())
-			results[k] = classResult{ps: ps, err: err}
-			return err
-		})
-		var pe *parallel.PanicError
-		if errors.As(perr, &pe) {
-			return nil, perr
-		}
-		// Merge in class order, replaying the sequential budget
-		// arithmetic: remaining = budget − |union so far| (post-filter,
-		// exactly as the sequential path computes its caps), truncate
-		// the raw stream to it, and surface ErrPatternBudget exactly
-		// where a sequential run would have — Mine trips its cap
-		// only on attempting pattern cap+1, so a full-budget run is a
-		// superset prefix of any tighter-capped run of the same class.
-		for k := range classes {
-			ps, err := results[k].ps, results[k].err
-			if budget > 0 {
-				remaining := budget - len(union)
-				if remaining <= 0 {
-					return union, ErrPatternBudget
-				}
-				if len(ps) > remaining {
-					ps, err = ps[:remaining], ErrPatternBudget
-				}
-			}
-			absorb(ps)
-			if err != nil {
-				return union, err
-			}
-		}
-		return finish()
-	}
-
-	for _, c := range classes {
-		cap := 0
-		if budget > 0 {
-			remaining := budget - len(union)
-			if remaining <= 0 {
-				// Keep the span accounting of the historical sequential
-				// loop: the class that finds the budget already spent
-				// still records its (empty) span.
-				rows := b.ClassMasks[c].Indices()
-				abs := int(opt.MinSupport*float64(len(rows)) + 0.5)
-				if abs < 1 {
-					abs = 1
-				}
-				opt.Obs.Start("mine-class").
-					Attr("class", c).Attr("rows", len(rows)).Attr("abs_min_sup", abs).End()
-				return union, ErrPatternBudget
-			}
-			cap = remaining
-		}
-		ps, err := mineClass(c, cap, opt.Obs)
-		absorb(ps)
-		if err != nil {
-			return union, err
-		}
-	}
-	return finish()
+	SortPatterns(union)
+	return union, nil
 }

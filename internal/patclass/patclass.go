@@ -1,7 +1,8 @@
 // Package patclass is the paper's classification loop (Section 3) for
 // pattern types beyond itemsets — the sequences and graphs its
 // conclusion names as the framework's next targets: mine frequent
-// patterns per class partition, select the discriminative ones with
+// patterns per class partition (mining.PerClass, the same loop the
+// itemset pipeline runs), select the discriminative ones with
 // MMRFS over their training coverage, and train a linear SVM on binary
 // presence features (the instance's base labels plus the selected
 // patterns). A pattern type plugs in through Hooks; internal/seqmining
@@ -11,10 +12,14 @@
 package patclass
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"dfpc/internal/bitset"
 	"dfpc/internal/featsel"
+	"dfpc/internal/guard"
+	"dfpc/internal/mining"
 	"dfpc/internal/svm"
 )
 
@@ -23,13 +28,14 @@ import (
 type Hooks[I, P any] struct {
 	// Name prefixes the loop's errors (the calling package's name).
 	Name string
-	// Mine mines one class partition at absolute support minSup,
-	// failing with ErrBudget past maxPatterns patterns (0 = unlimited),
-	// and returns the patterns that become features.
-	Mine func(db []I, minSup, maxPatterns int) ([]P, error)
-	// ErrBudget is the type's pattern-budget error, also returned when
-	// earlier classes leave no budget for a later one.
-	ErrBudget error
+	// Mine mines one class partition at absolute support minSup under
+	// g, and fails with mining.ErrPatternBudget on the attempt to emit
+	// pattern maxPatterns+1 (0 = unlimited); see mining.PerClass.Mine.
+	Mine func(db []I, minSup, maxPatterns int, g *guard.Guard) ([]P, error)
+	// MinLen drops mined patterns shorter than this by Len before
+	// dedup, as mining.PerClassOptions.MinLen; 0 keeps everything.
+	MinLen int
+	Len    func(*P) int
 	// Key is the canonical key that deduplicates patterns across
 	// classes.
 	Key func(*P) string
@@ -39,6 +45,15 @@ type Hooks[I, P any] struct {
 	Labels func(I) []int32
 	// Sort puts the selected patterns into canonical feature order.
 	Sort func([]P)
+}
+
+// OrDefault returns v when it is positive and def otherwise: how the
+// classifiers read an unset knob.
+func OrDefault[T int | float64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // Params are the loop's knobs, with the caller's defaults applied.
@@ -60,8 +75,10 @@ type Model[I, P any] struct {
 	Mined int
 }
 
-// Fit trains on db with labels y in [0, numClasses).
-func Fit[I, P any](h Hooks[I, P], db []I, y []int, numClasses int, prm Params) (*Model[I, P], error) {
+// Fit trains on db with labels y in [0, numClasses). The class
+// partitions mine through mining.PerClass, the loop itemsets use too,
+// at GOMAXPROCS workers; ctx cancels mining, MMRFS and the SVM.
+func Fit[I, P any](ctx context.Context, h Hooks[I, P], db []I, y []int, numClasses int, prm Params) (*Model[I, P], error) {
 	if len(db) == 0 {
 		return nil, fmt.Errorf("%s: empty training set", h.Name)
 	}
@@ -73,41 +90,31 @@ func Fit[I, P any](h Hooks[I, P], db []I, y []int, numClasses int, prm Params) (
 	}
 	m := &Model[I, P]{hooks: h}
 	byClass := make([][]I, numClasses)
+	sizes := make([]int, numClasses)
 	for i, inst := range db {
 		if y[i] < 0 || y[i] >= numClasses {
 			return nil, fmt.Errorf("%s: label %d out of range [0,%d)", h.Name, y[i], numClasses)
 		}
 		byClass[y[i]] = append(byClass[y[i]], inst)
+		sizes[y[i]]++
 		for _, l := range h.Labels(inst) {
 			m.numBase = max(m.numBase, int(l)+1)
 		}
 	}
 
-	// Per-class mining into a deduplicated union, as in
-	// mining.MinePerClass; the budget left after earlier classes caps
-	// each later one. A pool that fills the budget exactly leaves a cap
-	// of 0, which Mine reads as unlimited, so that is a budget error.
-	seen := map[string]bool{}
-	var pool []P
-	for cl, part := range byClass {
-		if len(part) == 0 {
-			continue
-		}
-		remaining := prm.MaxPatterns - len(pool)
-		if remaining <= 0 {
-			return nil, fmt.Errorf("%s: class %d: %w", h.Name, cl, h.ErrBudget)
-		}
-		abs := max(int(prm.MinSupport*float64(len(part))+0.5), 1)
-		ps, err := h.Mine(part, abs, remaining)
-		if err != nil {
-			return nil, fmt.Errorf("%s: class %d: %w", h.Name, cl, err)
-		}
-		for i := range ps {
-			if k := h.Key(&ps[i]); !seen[k] {
-				seen[k] = true
-				pool = append(pool, ps[i])
-			}
-		}
+	g := guard.New(ctx, guard.Limits{})
+	pool, err := mining.PerClass[P]{
+		Sizes: sizes,
+		Mine: func(pt mining.Partition) ([]P, error) {
+			return h.Mine(byClass[pt.Class], pt.MinSupport, pt.MaxPatterns, pt.Guard)
+		},
+		Key: h.Key,
+		Len: h.Len,
+	}.Run(mining.PerClassOptions{
+		MinSupport: prm.MinSupport, MaxPatterns: prm.MaxPatterns, MinLen: h.MinLen, Guard: g,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", h.Name, err)
 	}
 	m.Mined = len(pool)
 
@@ -130,7 +137,7 @@ func Fit[I, P any](h Hooks[I, P], db []I, y []int, numClasses int, prm Params) (
 		}
 		cands[i] = featsel.Candidate{Cover: cov}
 	}
-	sel, err := featsel.MMRFS(cands, classMasks, y, featsel.Options{Coverage: prm.Coverage})
+	sel, err := featsel.MMRFS(cands, classMasks, y, featsel.Options{Coverage: prm.Coverage, Guard: g})
 	if err != nil {
 		return nil, err
 	}
@@ -147,6 +154,7 @@ func Fit[I, P any](h Hooks[I, P], db []I, y []int, numClasses int, prm Params) (
 	m.svm, err = svm.Train(x, y, numClasses, svm.Config{
 		C:           prm.SVMC,
 		NumFeatures: m.numBase + len(m.patterns),
+		Guard:       g,
 	})
 	if err != nil {
 		return nil, err
@@ -188,16 +196,26 @@ func (m *Model[I, P]) Patterns() []P {
 	return append(make([]P, 0, len(m.patterns)), m.patterns...)
 }
 
+// ErrNotFitted is the error of Predict and PredictAll on a nil,
+// unfitted model.
+var ErrNotFitted = errors.New("patclass: Predict before Fit")
+
 // Predict classifies one instance.
-func (m *Model[I, P]) Predict(inst I) int {
-	return m.svm.Predict(m.featureVector(inst))
+func (m *Model[I, P]) Predict(inst I) (int, error) {
+	if m == nil {
+		return 0, ErrNotFitted
+	}
+	return m.svm.Predict(m.featureVector(inst)), nil
 }
 
 // PredictAll classifies every instance.
-func (m *Model[I, P]) PredictAll(db []I) []int {
+func (m *Model[I, P]) PredictAll(db []I) ([]int, error) {
+	if m == nil {
+		return nil, ErrNotFitted
+	}
 	out := make([]int, len(db))
 	for i, inst := range db {
-		out[i] = m.Predict(inst)
+		out[i] = m.svm.Predict(m.featureVector(inst))
 	}
-	return out
+	return out, nil
 }

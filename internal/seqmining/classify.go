@@ -1,9 +1,9 @@
 package seqmining
 
 import (
-	"errors"
-	"slices"
+	"context"
 
+	"dfpc/internal/guard"
 	"dfpc/internal/patclass"
 )
 
@@ -27,45 +27,31 @@ type Classifier struct {
 	model *patclass.Model[Sequence, Pattern]
 
 	// Stats from the last Fit.
-	MinedCount    int
-	SelectedCount int
-}
-
-func (c *Classifier) withDefaults() {
-	if c.MinSupport <= 0 {
-		c.MinSupport = 0.2
-	}
-	if c.Coverage <= 0 {
-		c.Coverage = 3
-	}
-	if c.MaxLen <= 0 {
-		c.MaxLen = 4
-	}
-	if c.MaxPatterns <= 0 {
-		c.MaxPatterns = 200_000
-	}
-	if c.SVMC <= 0 {
-		c.SVMC = 1
-	}
+	MinedCount, SelectedCount int
 }
 
 // Fit trains on the sequence database with labels y in [0, numClasses).
-func (c *Classifier) Fit(db []Sequence, y []int, numClasses int) error {
-	c.withDefaults()
-	m, err := patclass.Fit(patclass.Hooks[Sequence, Pattern]{
+// Single events are base features already, so the pool keeps only
+// subsequences of length ≥ 2.
+func (c *Classifier) Fit(ctx context.Context, db []Sequence, y []int, numClasses int) error {
+	m, err := patclass.Fit(ctx, patclass.Hooks[Sequence, Pattern]{
 		Name: "seqmining",
-		Mine: func(db []Sequence, minSup, maxPatterns int) ([]Pattern, error) {
-			ps, err := PrefixSpan(db, Options{MinSupport: minSup, MaxLen: c.MaxLen, MaxPatterns: maxPatterns})
-			// Single events are base features already.
-			return slices.DeleteFunc(ps, func(p Pattern) bool { return p.Len() < 2 }), err
+		Mine: func(db []Sequence, minSup, maxPatterns int, g *guard.Guard) ([]Pattern, error) {
+			return PrefixSpan(db, Options{
+				MinSupport: minSup, MaxLen: patclass.OrDefault(c.MaxLen, 4), MaxPatterns: maxPatterns, Guard: g,
+			})
 		},
-		ErrBudget: ErrPatternBudget,
-		Key:       (*Pattern).Key,
-		Contains:  func(s Sequence, p *Pattern) bool { return Contains(s, p.Events) },
-		Labels:    func(s Sequence) []int32 { return s },
-		Sort:      SortPatterns,
+		MinLen:   2,
+		Len:      (*Pattern).Len,
+		Key:      (*Pattern).Key,
+		Contains: func(s Sequence, p *Pattern) bool { return Contains(s, p.Events) },
+		Labels:   func(s Sequence) []int32 { return s },
+		Sort:     SortPatterns,
 	}, db, y, numClasses, patclass.Params{
-		MinSupport: c.MinSupport, Coverage: c.Coverage, MaxPatterns: c.MaxPatterns, SVMC: c.SVMC,
+		MinSupport:  patclass.OrDefault(c.MinSupport, 0.2),
+		Coverage:    patclass.OrDefault(c.Coverage, 3),
+		MaxPatterns: patclass.OrDefault(c.MaxPatterns, 200_000),
+		SVMC:        patclass.OrDefault(c.SVMC, 1),
 	})
 	c.model = m
 	if err != nil {
@@ -79,20 +65,8 @@ func (c *Classifier) Fit(db []Sequence, y []int, numClasses int) error {
 // in canonical order.
 func (c *Classifier) Patterns() []Pattern { return c.model.Patterns() }
 
-var errNotFitted = errors.New("seqmining: Predict before Fit")
-
 // Predict classifies one sequence.
-func (c *Classifier) Predict(s Sequence) (int, error) {
-	if c.model == nil {
-		return 0, errNotFitted
-	}
-	return c.model.Predict(s), nil
-}
+func (c *Classifier) Predict(s Sequence) (int, error) { return c.model.Predict(s) }
 
 // PredictAll classifies every sequence.
-func (c *Classifier) PredictAll(db []Sequence) ([]int, error) {
-	if c.model == nil {
-		return nil, errNotFitted
-	}
-	return c.model.PredictAll(db), nil
-}
+func (c *Classifier) PredictAll(db []Sequence) ([]int, error) { return c.model.PredictAll(db) }

@@ -5,14 +5,15 @@
 // framework is also applicable to more complex patterns, including
 // sequences and graphs"); this package realizes that extension: mine
 // frequent subsequences per class, select discriminative ones with
-// MMRFS, and train any of the library's learners on the binary
-// presence features.
+// MMRFS, and train a linear SVM on the binary presence features.
 package seqmining
 
 import (
-	"errors"
 	"fmt"
 	"sort"
+
+	"dfpc/internal/guard"
+	"dfpc/internal/mining"
 )
 
 // Sequence is an ordered list of events (single items per element; the
@@ -42,8 +43,9 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("%v:%d", p.Events, p.Support)
 }
 
-// ErrPatternBudget mirrors mining.ErrPatternBudget for sequences.
-var ErrPatternBudget = errors.New("seqmining: pattern budget exceeded")
+// ErrPatternBudget is mining.ErrPatternBudget: the per-class loop and
+// its callers dispatch on the one budget sentinel.
+var ErrPatternBudget = mining.ErrPatternBudget
 
 // Options configures a PrefixSpan run.
 type Options struct {
@@ -53,14 +55,23 @@ type Options struct {
 	MaxLen int
 	// MaxPatterns aborts with ErrPatternBudget (0 = unlimited).
 	MaxPatterns int
+	// Guard, when non-nil, bounds the run: it is polled once per
+	// emitted pattern. Nil costs nothing.
+	Guard *guard.Guard
 }
 
 // PrefixSpan mines all frequent subsequences of the database. A
 // sequence supports a pattern if the pattern's events occur in order
-// (gaps allowed). Patterns are returned in discovery order.
+// (gaps allowed). Patterns are returned in depth-first discovery
+// order, so a run capped at k patterns returns the first k patterns of
+// an uncapped one, with ErrPatternBudget. A guard stop returns the
+// patterns found so far with the guard's error.
 func PrefixSpan(db []Sequence, opt Options) ([]Pattern, error) {
 	if opt.MinSupport < 1 {
 		return nil, fmt.Errorf("seqmining: MinSupport = %d, want >= 1", opt.MinSupport)
+	}
+	if err := opt.Guard.CheckNow(); err != nil {
+		return nil, err
 	}
 	m := &spanMiner{opt: opt}
 	// Initial projected database: every sequence from position 0.
@@ -107,6 +118,9 @@ func (m *spanMiner) mine(db []Sequence, proj []projection, prefix []int32) error
 		newPrefix := append(append([]int32(nil), prefix...), e)
 		if m.opt.MaxPatterns > 0 && len(m.out) >= m.opt.MaxPatterns {
 			return ErrPatternBudget
+		}
+		if err := m.opt.Guard.Check(); err != nil {
+			return err
 		}
 		m.out = append(m.out, Pattern{Events: newPrefix, Support: counts[e]})
 		if m.opt.MaxLen > 0 && len(newPrefix) >= m.opt.MaxLen {

@@ -1,12 +1,17 @@
 package seqmining
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"dfpc/internal/guard"
 )
 
 // bruteForceSeq enumerates all subsequences up to maxLen over the
@@ -199,7 +204,7 @@ func seqDataset(n int, seed int64) (db []Sequence, y []int) {
 func TestSequenceClassifierOrderMotifs(t *testing.T) {
 	db, y := seqDataset(120, 3)
 	clf := &Classifier{MinSupport: 0.4, MaxLen: 3}
-	if err := clf.Fit(db, y, 2); err != nil {
+	if err := clf.Fit(context.Background(), db, y, 2); err != nil {
 		t.Fatal(err)
 	}
 	if clf.SelectedCount == 0 {
@@ -224,7 +229,7 @@ func TestSequenceClassifierOrderMotifs(t *testing.T) {
 func TestSequenceClassifierHoldout(t *testing.T) {
 	db, y := seqDataset(200, 9)
 	clf := &Classifier{MinSupport: 0.4, MaxLen: 3}
-	if err := clf.Fit(db[:150], y[:150], 2); err != nil {
+	if err := clf.Fit(context.Background(), db[:150], y[:150], 2); err != nil {
 		t.Fatal(err)
 	}
 	pred, err := clf.PredictAll(db[150:])
@@ -244,20 +249,20 @@ func TestSequenceClassifierHoldout(t *testing.T) {
 
 func TestSequenceClassifierErrors(t *testing.T) {
 	clf := &Classifier{}
-	if err := clf.Fit(nil, nil, 2); err == nil {
+	if err := clf.Fit(context.Background(), nil, nil, 2); err == nil {
 		t.Fatal("empty db should error")
 	}
-	if err := clf.Fit([]Sequence{{0}}, []int{0, 1}, 2); err == nil {
+	if err := clf.Fit(context.Background(), []Sequence{{0}}, []int{0, 1}, 2); err == nil {
 		t.Fatal("length mismatch should error")
 	}
-	if err := clf.Fit([]Sequence{{0}}, []int{9}, 2); err == nil {
+	if err := clf.Fit(context.Background(), []Sequence{{0}}, []int{9}, 2); err == nil {
 		t.Fatal("bad label should error")
 	}
 	if _, err := (&Classifier{}).Predict(Sequence{0}); err == nil {
 		t.Fatal("Predict before Fit should error")
 	}
 	db, y := seqDataset(40, 1)
-	if err := (&Classifier{MaxPatterns: 2}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+	if err := (&Classifier{MaxPatterns: 2}).Fit(context.Background(), db, y, 2); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("tiny MaxPatterns: err = %v, want ErrPatternBudget", err)
 	}
 	// Class 0 mines exactly MaxPatterns patterns at the classifier's
@@ -272,7 +277,7 @@ func TestSequenceClassifierErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&Classifier{MaxPatterns: len(all0)}).Fit(db, y, 2); !errors.Is(err, ErrPatternBudget) {
+	if err := (&Classifier{MaxPatterns: len(all0)}).Fit(context.Background(), db, y, 2); !errors.Is(err, ErrPatternBudget) {
 		t.Fatalf("class 0 fills MaxPatterns=%d: err = %v, want ErrPatternBudget", len(all0), err)
 	}
 }
@@ -280,7 +285,7 @@ func TestSequenceClassifierErrors(t *testing.T) {
 func ExampleClassifier() {
 	db, y := seqDataset(160, 7)
 	clf := &Classifier{MinSupport: 0.4, MaxLen: 3}
-	if err := clf.Fit(db[:120], y[:120], 2); err != nil {
+	if err := clf.Fit(context.Background(), db[:120], y[:120], 2); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -313,4 +318,68 @@ func ExampleClassifier() {
 	// [1 6 5]:33
 	// holdout: [0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1]
 	// labels:  [0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1 0 1]
+}
+
+// TestClassifierDeterminism pins the selected subsequences, the mined
+// pool size and the predictions at GOMAXPROCS 1, 2 and 8: the class
+// partitions, MMRFS and the SVM all fan out at GOMAXPROCS workers.
+func TestClassifierDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	db, y := seqDataset(160, 7)
+	var want string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		clf := &Classifier{MinSupport: 0.4, MaxLen: 3}
+		if err := clf.Fit(context.Background(), db[:120], y[:120], 2); err != nil {
+			t.Fatal(err)
+		}
+		pred, err := clf.PredictAll(db[120:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(clf.MinedCount, clf.Patterns(), pred)
+		if procs == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("GOMAXPROCS=%d: fit %s, want %s", procs, got, want)
+		}
+	}
+}
+
+func TestClassifierPreCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	db, y := seqDataset(40, 1)
+	if err := (&Classifier{}).Fit(ctx, db, y, 2); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
+}
+
+// TestPrefixSpanCancelMidRecursion cancels an enumeration that would
+// run for seconds before its budget: the recursion must poll the guard
+// and stop with the patterns found so far. A cancel that lands before
+// the entry check proves nothing, so it is retried later.
+func TestPrefixSpanCancelMidRecursion(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	db := make([]Sequence, 20)
+	for i := range db {
+		db[i] = make(Sequence, 40)
+		for j := range db[i] {
+			db[i][j] = int32(r.Intn(3))
+		}
+	}
+	for _, delay := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := time.AfterFunc(delay, cancel)
+		ps, err := PrefixSpan(db, Options{MinSupport: 1, MaxPatterns: 300_000, Guard: guard.New(ctx, guard.Limits{})})
+		stop.Stop()
+		cancel()
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("err = %v after %d patterns, want guard.ErrCanceled", err, len(ps))
+		}
+		if len(ps) > 0 {
+			return
+		}
+	}
+	t.Fatal("every cancel landed before the first pattern")
 }

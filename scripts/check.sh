@@ -47,10 +47,10 @@ go test -race -timeout 10m ./...
 # suites are part of ./... above; this explicit pass keeps the contract
 # visible in the gate's output and re-runs it under -race with a fresh
 # count so a cached "ok" can never mask a regression.
-echo ">> go test -race -count=1 -run 'Determinism|Parallel|Differential' ./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/ ./internal/core/ ./internal/patmatch/"
+echo ">> go test -race -count=1 -run 'Determinism|Parallel|Differential' ./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/ ./internal/core/ ./internal/patmatch/ ./internal/patclass/ ./internal/seqmining/ ./internal/graphmining/"
 go test -race -count=1 -timeout 10m -run 'Determinism|Parallel|Differential' \
 	./ ./internal/parallel/ ./internal/mining/ ./internal/svm/ ./internal/eval/ ./internal/featsel/ \
-	./internal/core/ ./internal/patmatch/
+	./internal/core/ ./internal/patmatch/ ./internal/patclass/ ./internal/seqmining/ ./internal/graphmining/
 
 # The repo benchmark is its own module (bench/go.mod), so ./... above
 # never reaches it: vet, analyze, and test it from inside. Its tests
