@@ -51,12 +51,11 @@ func main() {
 		reportTo = flag.String("report", "", "write a JSON RunReport of the mining run here")
 		traceTo  = flag.String("tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
 
-		timeout  = flag.Duration("timeout", 0, "wall-clock bound for the mining run (0 = unbounded)")
-		onBudget = flag.String("on-budget", "fail", "pattern-budget policy: fail, or degrade (escalate min_sup and re-mine)")
-		workers  = flag.Int("workers", 1, "worker goroutines for per-class mining (0 = all CPUs; the mined union is identical at any count)")
+		timeout = flag.Duration("timeout", 0, "wall-clock bound for the mining run (0 = unbounded)")
+		workers = flag.Int("workers", 1, "worker goroutines for per-class mining (0 = all CPUs; the mined union is identical at any count)")
 
 		checkpointTo = flag.String("checkpoint", "", "write per-class partition checkpoints to this directory (replaying any valid ones already there)")
-		faultSpec    = flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... (testing aid)")
+		faultSpec    = flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault arms")
 	)
 	var prof obs.ProfileFlags
@@ -145,7 +144,6 @@ func main() {
 		fail(err)
 	}
 	sp.Attr("items", b.NumItems()).End()
-	usedSup := *minSup
 	sp = o.Start("mine").Attr("min_sup", *minSup).Attr("closed", *closed)
 	mopt := mining.PerClassOptions{
 		MinSupport:  *minSup,
@@ -171,18 +169,7 @@ func main() {
 		}
 		mopt.Checkpoint = ck
 	}
-	var ps []mining.Pattern
-	var degs []mining.Degradation
-	switch strings.ToLower(*onBudget) {
-	case "", "fail":
-		ps, err = mining.MinePerClass(b, mopt)
-	case "degrade":
-		// Each escalation is logged as a WARN record by the adaptive
-		// miner itself; degs feeds the journal below.
-		ps, degs, usedSup, err = mining.MinePerClassAdaptive(b, mopt, mining.Backoff{})
-	default:
-		err = fmt.Errorf("unknown -on-budget policy %q (want fail or degrade)", *onBudget)
-	}
+	ps, err := mining.MinePerClass(b, mopt)
 	sp.Attr("patterns", len(ps)).End()
 	if err != nil {
 		if mopt.Checkpoint != nil {
@@ -225,7 +212,7 @@ func main() {
 	})
 
 	fmt.Printf("dataset %s: %d rows, %d items, %d classes; mined %d patterns (min_sup %.3f, closed=%v)\n\n",
-		d.Name, n, b.NumItems(), b.NumClasses(), len(ps), usedSup, *closed)
+		d.Name, n, b.NumItems(), b.NumClasses(), len(ps), *minSup, *closed)
 	fmt.Printf("%7s %7s %8s %8s %8s  %s\n", "support", "θ", "IG", "Fisher", "IG_ub", "pattern")
 	limit := *top
 	if limit > len(rows) {
@@ -266,20 +253,15 @@ func main() {
 			ses.Log.Info("trace written", "path", *traceTo)
 		}
 	}
-	warnings := make([]string, 0, len(degs))
-	for _, dg := range degs {
-		warnings = append(warnings, dg.String())
-	}
 	ses.Journal(telemetry.Record{
 		Kind:    "mine",
 		Dataset: d.Name,
 		Config: map[string]any{
-			"min_sup": usedSup,
+			"min_sup": *minSup,
 			"closed":  *closed,
 			"max_len": *maxLen,
 		},
-		Stages:   telemetry.StagesFromReport(rep),
-		Warnings: warnings,
+		Stages: telemetry.StagesFromReport(rep),
 	})
 }
 

@@ -60,13 +60,12 @@ func main() {
 
 		timeout      = flag.Duration("timeout", 0, "whole-run wall-clock bound (0 = unbounded)")
 		stageTimeout = flag.Duration("stage-timeout", 0, "per-stage wall-clock bound within each fit (0 = unbounded)")
-		onBudget     = flag.String("on-budget", "fail", "pattern-budget policy: fail, or degrade (escalate min_sup and re-mine)")
 		contOnError  = flag.Bool("continue-on-error", false, "isolate failing CV folds and report statistics over the completed ones")
 		workers      = flag.Int("workers", 1, "worker goroutines for CV folds, mining, MMRFS, and SVM (0 = all CPUs; results are identical at any count)")
 
 		checkpointTo = flag.String("checkpoint", "", "write per-fold checkpoints to this directory (replaying any valid ones already there)")
 		resumeFrom   = flag.String("resume", "", "resume an interrupted run from this checkpoint directory (alias of -checkpoint)")
-		faultSpec    = flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... (testing aid)")
+		faultSpec    = flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault arms")
 	)
 	var prof obs.ProfileFlags
@@ -185,13 +184,6 @@ func main() {
 		opts = append(opts, dfpc.WithStageTimeout(*stageTimeout))
 	}
 	opts = append(opts, dfpc.WithWorkers(*workers))
-	switch strings.ToLower(*onBudget) {
-	case "", "fail":
-	case "degrade":
-		opts = append(opts, dfpc.WithOnBudget(dfpc.OnBudgetDegrade, 0, 0))
-	default:
-		fail(fmt.Errorf("unknown -on-budget policy %q (want fail or degrade)", *onBudget))
-	}
 
 	clf := dfpc.NewClassifier(fam, lrn, opts...)
 	if fr != nil {
@@ -223,7 +215,7 @@ func main() {
 		// identical at any count), so runs may resume at a different one.
 		key := eval.CVKey("dfpc-cv", d.Name, d.NumRows(), *folds, *seed,
 			fam.String(), lrn.String(), *minSup, *ig0, *coverage,
-			*svmC, *gamma, *useFisher, strings.ToLower(*onBudget), *stageTimeout)
+			*svmC, *gamma, *useFisher, *stageTimeout)
 		ck, err = eval.NewCheckpointer(ckDir, key, fr)
 		if err != nil {
 			fail(err)

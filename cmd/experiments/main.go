@@ -22,11 +22,9 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"dfpc"
-	"dfpc/internal/core"
 	"dfpc/internal/datagen"
 	"dfpc/internal/durable"
 	"dfpc/internal/experiments"
@@ -49,10 +47,9 @@ func main() {
 	traceTo := flag.String("tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
 	timeout := flag.Duration("timeout", 0, "whole-run wall-clock bound (0 = unbounded)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage wall-clock bound within each fit (0 = unbounded)")
-	onBudget := flag.String("on-budget", "fail", "pattern-budget policy: fail, or degrade (escalate min_sup and re-mine)")
 	contOnError := flag.Bool("continue-on-error", false, "isolate failing CV folds; table cells then cover the completed folds")
 	workers := flag.Int("workers", 1, "worker goroutines for CV folds, mining, MMRFS, and SVM (0 = all CPUs; results are identical at any count)")
-	faultSpec := flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... (testing aid)")
+	faultSpec := flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault arms")
 	var prof obs.ProfileFlags
 	prof.Register(flag.CommandLine)
@@ -87,14 +84,6 @@ func main() {
 		workers:      parallel.Workers(*workers),
 	}
 	ctx := context.Background()
-	switch strings.ToLower(*onBudget) {
-	case "", "fail":
-		cfg.onBudget = core.FailOnBudget
-	case "degrade":
-		cfg.onBudget = core.DegradeOnBudget
-	default:
-		fail(fmt.Errorf("unknown -on-budget policy %q (want fail or degrade)", *onBudget))
-	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -212,7 +201,6 @@ type runConfig struct {
 
 	// bounded-execution settings threaded into every experiment
 	stageTimeout time.Duration
-	onBudget     core.BudgetPolicy
 	contOnError  bool
 	workers      parallel.Workers
 	faults       *faults.Registry
@@ -224,7 +212,6 @@ func (c runConfig) protocol() experiments.Protocol {
 	return experiments.Protocol{
 		Folds:           c.folds,
 		StageTimeout:    c.stageTimeout,
-		OnBudget:        c.onBudget,
 		ContinueOnError: c.contOnError,
 		Workers:         c.workers,
 		Log:             c.log,

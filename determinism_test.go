@@ -194,8 +194,8 @@ func writeSpanNames(b *strings.Builder, sp *obs.SpanReport, depth int) {
 	}
 }
 
-// TestDeterminismUnderLiveGuard: with a cancellable context, a stage
-// timeout, and a memory limit, every stage polls a live guard, and the
+// TestDeterminismUnderLiveGuard: with a cancellable context and a
+// stage timeout, every stage polls a live guard, and the
 // parallel regions (per-class mining, one-vs-one SMO) must each poll
 // their own fork, which -race checks. The saved model is
 // byte-identical at workers 1, 2, and 8, and its predictions and
@@ -237,7 +237,7 @@ func TestDeterminismUnderLiveGuard(t *testing.T) {
 			var base []byte
 			for _, w := range []int{1, 2, 8} {
 				clf := NewClassifier(PatFS, tc.learner, WithMinSupport(0.1), WithWorkers(w),
-					WithStageTimeout(time.Hour), WithMemoryLimit(1<<40))
+					WithStageTimeout(time.Hour))
 				if err := clf.FitContext(ctx, d, train); err != nil {
 					t.Fatalf("workers=%d: fit: %v", w, err)
 				}

@@ -63,22 +63,9 @@ type Workers = parallel.Workers
 // CVResult.Failures).
 type FoldError = eval.FoldError
 
-// Warning records a non-fatal degradation during Fit — a min_sup
-// escalation under OnBudgetDegrade, a non-converged SMO solve. Read
-// them from Classifier.Stats.Warnings.
+// Warning records a non-fatal degradation during Fit — a
+// non-converged SMO solve. Read them from Classifier.Stats.Warnings.
 type Warning = core.Warning
-
-// BudgetPolicy selects the response to the pattern-budget trip during
-// mining (see WithOnBudget).
-type BudgetPolicy = core.BudgetPolicy
-
-const (
-	// OnBudgetFail fails the fit with ErrPatternBudget (default).
-	OnBudgetFail = core.FailOnBudget
-	// OnBudgetDegrade escalates min_sup geometrically and re-mines,
-	// recording each escalation as a Warning.
-	OnBudgetDegrade = core.DegradeOnBudget
-)
 
 // Sentinel errors for bounded execution, matchable with errors.Is
 // through any wrapping the pipeline applies.
@@ -87,15 +74,11 @@ var (
 	ErrCanceled = guard.ErrCanceled
 	// ErrDeadline reports a run stopped by a context or stage deadline.
 	ErrDeadline = guard.ErrDeadline
-	// ErrMemoryLimit reports a run stopped by the soft memory ceiling.
-	ErrMemoryLimit = guard.ErrMemoryLimit
-	// ErrDegraded reports that min_sup escalation was attempted but
-	// still could not fit the pattern budget.
-	ErrDegraded = guard.ErrDegraded
 	// ErrPartialResult reports a cross-validation run in which no fold
 	// completed.
 	ErrPartialResult = guard.ErrPartialResult
-	// ErrPatternBudget reports mining aborted past WithMaxPatterns.
+	// ErrPatternBudget reports mining aborted past WithMaxPatterns, at
+	// the min_sup the fit asked for.
 	ErrPatternBudget = mining.ErrPatternBudget
 )
 
@@ -252,24 +235,6 @@ func WithStageTimeout(d time.Duration) Option {
 	return func(c *core.Config) { c.StageTimeout = d }
 }
 
-// WithMemoryLimit sets a soft heap-allocation ceiling in bytes,
-// enforced during mining; exceeding it aborts the fit with an error
-// satisfying errors.Is(err, ErrMemoryLimit).
-func WithMemoryLimit(bytes uint64) Option {
-	return func(c *core.Config) { c.MemLimit = bytes }
-}
-
-// WithOnBudget selects the pattern-budget policy: OnBudgetFail (the
-// default) or OnBudgetDegrade. retries and backoff tune the
-// degradation (0 keeps the defaults: 4 retries, factor 2).
-func WithOnBudget(policy BudgetPolicy, retries int, backoff float64) Option {
-	return func(c *core.Config) {
-		c.OnBudget = policy
-		c.BudgetRetries = retries
-		c.BudgetBackoff = backoff
-	}
-}
-
 // WithWorkers bounds the classifier's internal parallelism: per-class
 // mining, MMRFS relevance scoring, and the one-vs-one SVM subproblems
 // fan out across up to n goroutines (0 = GOMAXPROCS, 1 = sequential, the
@@ -326,8 +291,7 @@ func WithObserver(o *Observer) Option {
 // WithLogger installs a structured logger (log/slog) that receives
 // stage-scoped DEBUG records and degradation WARN records during Fit —
 // mining per class partition, MMRFS selection, SMO/C4.5 learning,
-// min_sup escalations, non-converged solves. A nil logger disables
-// logging at zero cost.
+// non-converged solves. A nil logger disables logging at zero cost.
 func WithLogger(l *slog.Logger) Option {
 	return func(c *core.Config) { c.Log = obs.Log(l) }
 }

@@ -60,7 +60,6 @@ var determinismRoots = map[string]bool{
 	"CrossValidate":        true,
 	"CrossValidateContext": true,
 	"MinePerClass":         true,
-	"MinePerClassAdaptive": true,
 	"Mine":                 true,
 }
 

@@ -112,21 +112,6 @@ type Config struct {
 	// error satisfying errors.Is(err, guard.ErrDeadline). 0 = unbounded.
 	// Whole-run bounds come from the context passed to FitContext.
 	StageTimeout time.Duration
-	// MemLimit is a soft heap-allocation ceiling in bytes enforced
-	// during mining (the stage with unbounded intermediate state);
-	// exceeding it aborts with guard.ErrMemoryLimit. 0 = none.
-	MemLimit uint64
-	// OnBudget selects what happens when mining trips MaxPatterns:
-	// FailOnBudget (the default) surfaces mining.ErrPatternBudget;
-	// DegradeOnBudget escalates min_sup geometrically and re-mines,
-	// recording each escalation in FitStats.Warnings.
-	OnBudget BudgetPolicy
-	// BudgetRetries caps min_sup escalations under DegradeOnBudget
-	// (0 = the mining package default, 4).
-	BudgetRetries int
-	// BudgetBackoff is the min_sup multiplier per escalation (0 = the
-	// mining package default, 2).
-	BudgetBackoff float64
 
 	// Workers bounds the intra-fit parallelism: per-class mining, MMRFS
 	// relevance scoring, and the one-vs-one SVM subproblems all fan out
@@ -144,10 +129,10 @@ type Config struct {
 	Obs *obs.Observer
 	// Log, when it wraps a non-nil logger, receives structured records
 	// for every Fit call: stage-scoped DEBUG detail from mining,
-	// selection, and learning, and a WARN per degradation (min_sup
-	// escalations, non-converged SMO solves). The zero handle — the
-	// default — disables logging at zero cost. Loggers are never
-	// serialized with saved models (the handle gob-encodes as nothing).
+	// selection, and learning, and a WARN per degradation (a
+	// non-converged SMO solve). The zero handle — the default —
+	// disables logging at zero cost. Loggers are never serialized with
+	// saved models (the handle gob-encodes as nothing).
 	Log obs.LogHandle
 	// Faults, when non-nil, enables deterministic fault injection at
 	// the pipeline's stage boundaries and inside mining, selection, and
@@ -166,34 +151,11 @@ type Config struct {
 	Drift *modelobs.Tracker
 }
 
-// BudgetPolicy selects the response to mining's pattern-budget trip.
-type BudgetPolicy int
-
-const (
-	// FailOnBudget returns mining.ErrPatternBudget from Fit (default).
-	FailOnBudget BudgetPolicy = iota
-	// DegradeOnBudget escalates min_sup and re-mines, degrading the
-	// feature pool instead of failing; each escalation is recorded as a
-	// Warning on FitStats.
-	DegradeOnBudget
-)
-
-func (p BudgetPolicy) String() string {
-	switch p {
-	case FailOnBudget:
-		return "fail"
-	case DegradeOnBudget:
-		return "degrade"
-	default:
-		return fmt.Sprintf("BudgetPolicy(%d)", int(p))
-	}
-}
-
 // Warning records a non-fatal degradation that happened during Fit —
-// a min_sup escalation, a non-converged SMO solve — so callers can
-// distinguish clean results from degraded ones without failing the run.
+// a non-converged SMO solve — so callers can distinguish clean results
+// from degraded ones without failing the run.
 type Warning struct {
-	// Stage names the pipeline stage that degraded ("mine", "learn").
+	// Stage names the pipeline stage that degraded ("learn").
 	Stage string
 	// Message is a human-readable description of the degradation.
 	Message string
@@ -256,8 +218,8 @@ type FitStats struct {
 	FeatureCount int     // patterns (or items for Item_FS) after selection
 	SelectedC    float64 // SVM C chosen by inner model selection (0 = none)
 	// Warnings lists the degradations of this fit (empty for a clean
-	// run): min_sup escalations under DegradeOnBudget, non-converged
-	// SMO solves. A model with warnings is usable but not pristine.
+	// run): non-converged SMO solves. A model with warnings is usable
+	// but not pristine.
 	Warnings []Warning
 	// SelectionAudit is MMRFS's per-iteration decision trail — which
 	// candidate each iteration selected or dropped, and its
@@ -281,11 +243,10 @@ func (p *Pipeline) warn(stage, msg string) {
 	}
 }
 
-// stageGuard builds one stage's guard: ctx plus Config.StageTimeout,
-// and memLimit as the soft heap ceiling (0 = none). It is nil, and
-// free, for a background context with no configured bounds.
-func (p *Pipeline) stageGuard(ctx context.Context, memLimit uint64) *guard.Guard {
-	return guard.New(ctx, guard.Limits{Timeout: p.cfg.StageTimeout, SoftMemoryBytes: memLimit})
+// stageGuard builds one stage's guard: ctx plus Config.StageTimeout.
+// It is nil, and free, for a background context with no stage timeout.
+func (p *Pipeline) stageGuard(ctx context.Context) *guard.Guard {
+	return guard.New(ctx, guard.Limits{Timeout: p.cfg.StageTimeout})
 }
 
 // FeatureReport describes one selected pattern feature for
@@ -395,9 +356,9 @@ func (p *Pipeline) Fit(d *dataset.Dataset, rows []int) error {
 // cancellation or a context deadline aborts mining, selection, and
 // learning cooperatively with an error satisfying
 // errors.Is(err, guard.ErrCanceled) or guard.ErrDeadline. Per-stage
-// bounds come from Config.StageTimeout and Config.MemLimit. A
-// background context with no configured limits takes the same zero-cost
-// path as Fit.
+// bounds come from Config.StageTimeout, and Config.MaxPatterns bounds
+// the mined pool. A background context with no configured limits takes
+// the same zero-cost path as Fit.
 func (p *Pipeline) FitContext(ctx context.Context, d *dataset.Dataset, rows []int) error {
 	if len(rows) == 0 {
 		return errors.New("core: empty training set")
@@ -688,7 +649,7 @@ func (p *Pipeline) selectItems(ctx context.Context, b *dataset.Binary) error {
 	res, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{
 		Relevance: p.cfg.Relevance,
 		Coverage:  p.cfg.Coverage,
-		Guard:     p.stageGuard(ctx, 0),
+		Guard:     p.stageGuard(ctx),
 		Obs:       o,
 		Log:       obs.StageLogger(p.cfg.Log.Logger, "select-items"),
 		Workers:   p.cfg.Workers,
@@ -709,8 +670,8 @@ func (p *Pipeline) selectItems(ctx context.Context, b *dataset.Binary) error {
 }
 
 // generatePatterns mines closed patterns per class and, for Pat_FS,
-// applies MMRFS. Under DegradeOnBudget a pattern-budget trip escalates
-// min_sup instead of failing; each escalation lands in Stats.Warnings.
+// applies MMRFS. A pattern-budget trip fails the fit with
+// mining.ErrPatternBudget at the resolved min_sup.
 func (p *Pipeline) generatePatterns(ctx context.Context, b *dataset.Binary) error {
 	if err := p.cfg.Faults.Hit(faults.CoreMine); err != nil {
 		return fmt.Errorf("core: mine: %w", err)
@@ -733,34 +694,16 @@ func (p *Pipeline) generatePatterns(ctx context.Context, b *dataset.Binary) erro
 		MaxPatterns: p.cfg.MaxPatterns,
 		MaxLen:      p.cfg.MaxPatternLen,
 		MinLen:      2, // single items are already in the space
-		Guard:       p.stageGuard(ctx, p.cfg.MemLimit),
+		Guard:       p.stageGuard(ctx),
 		Obs:         o,
 		Log:         obs.StageLogger(p.cfg.Log.Logger, "mine"),
 		Workers:     p.cfg.Workers,
 		Faults:      p.cfg.Faults,
 	}
-	var mined []mining.Pattern
-	if p.cfg.OnBudget == DegradeOnBudget {
-		var degs []mining.Degradation
-		var usedSup float64
-		mined, degs, usedSup, err = mining.MinePerClassAdaptive(b, mopt, mining.Backoff{
-			Factor:     p.cfg.BudgetBackoff,
-			MaxRetries: p.cfg.BudgetRetries,
-		})
-		for _, d := range degs {
-			p.warn("mine", d.String())
-		}
-		if len(degs) > 0 {
-			p.Stats.MinSupport = usedSup
-			o.Gauge("core.min_sup").Set(usedSup)
-			sp.Attr("degraded_min_sup", usedSup).Attr("degradations", len(degs))
-		}
-	} else {
-		mined, err = mining.MinePerClass(b, mopt)
-	}
+	mined, err := mining.MinePerClass(b, mopt)
 	sp.Attr("patterns", len(mined)).End()
 	if err != nil {
-		return fmt.Errorf("core: mining at min_sup=%v: %w", p.Stats.MinSupport, err)
+		return fmt.Errorf("core: mining at min_sup=%v: %w", minSup, err)
 	}
 	p.Stats.MinedCount = len(mined)
 	o.Counter("core.patterns_mined").Add(int64(len(mined)))
@@ -795,7 +738,7 @@ func (p *Pipeline) generatePatterns(ctx context.Context, b *dataset.Binary) erro
 	res, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{
 		Relevance: p.cfg.Relevance,
 		Coverage:  p.cfg.Coverage,
-		Guard:     p.stageGuard(ctx, 0),
+		Guard:     p.stageGuard(ctx),
 		Obs:       o,
 		Log:       obs.StageLogger(p.cfg.Log.Logger, "select"),
 		Workers:   p.cfg.Workers,
@@ -880,7 +823,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 		return fmt.Errorf("core: learn: %w", err)
 	}
 	numFeatures := p.numItems + len(p.patterns)
-	g := p.stageGuard(ctx, 0)
+	g := p.stageGuard(ctx)
 	var (
 		m   predictor
 		err error

@@ -60,7 +60,7 @@ func (p *Pipeline) PredictExplain(ctx context.Context, d *dataset.Dataset, rows 
 	if p.model == nil {
 		return nil, errors.New("core: PredictExplain before Fit")
 	}
-	g := p.stageGuard(ctx, 0)
+	g := p.stageGuard(ctx)
 	if err := g.CheckNow(); err != nil {
 		return nil, err
 	}

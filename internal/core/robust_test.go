@@ -8,58 +8,42 @@ import (
 
 	"dfpc/internal/guard"
 	"dfpc/internal/mining"
+	"dfpc/internal/parallel"
 )
 
+// TestFitBudgetFailPolicy pins the single outcome of a pattern-budget
+// trip: the fit fails with mining.ErrPatternBudget at the min_sup the
+// caller asked for, with the same error at every worker count and no
+// warnings recorded.
 func TestFitBudgetFailPolicy(t *testing.T) {
 	d := xorDataset(80)
-	p, err := New(Config{
-		Learner:     SVMLinear,
-		UsePatterns: true,
-		MinSupport:  0.05,
-		MaxPatterns: 2, // tiny budget: mining must trip it
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.Fit(d, allRows(d.NumRows()))
-	if !errors.Is(err, mining.ErrPatternBudget) {
-		t.Fatalf("err = %v, want mining.ErrPatternBudget", err)
-	}
-}
-
-func TestFitBudgetDegradePolicy(t *testing.T) {
-	d := xorDataset(80)
-	p, err := New(Config{
-		Learner:     SVMLinear,
-		UsePatterns: true,
-		MinSupport:  0.05,
-		MaxPatterns: 12, // trips at 0.05 but fits once min_sup escalates
-		OnBudget:    DegradeOnBudget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Fit(d, allRows(d.NumRows())); err != nil {
-		t.Fatalf("degrading fit should succeed, got %v", err)
-	}
-	if len(p.Stats.Warnings) == 0 {
-		t.Fatal("degraded fit recorded no warnings")
-	}
-	found := false
-	for _, w := range p.Stats.Warnings {
-		if w.Stage == "mine" && strings.Contains(w.Message, "min_sup") {
-			found = true
+	var first string
+	for _, w := range []parallel.Workers{1, 2, 8} {
+		p, err := New(Config{
+			Learner:     SVMLinear,
+			UsePatterns: true,
+			MinSupport:  0.05,
+			MaxPatterns: 2, // tiny budget: mining must trip it
+			Workers:     w,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("no min_sup escalation warning in %v", p.Stats.Warnings)
-	}
-	if p.Stats.MinSupport <= 0.05 {
-		t.Fatalf("Stats.MinSupport = %v, want escalated above 0.05", p.Stats.MinSupport)
-	}
-	// The degraded model must still predict.
-	if _, err := predict(p, d, allRows(d.NumRows())); err != nil {
-		t.Fatalf("predict after degraded fit: %v", err)
+		err = p.Fit(d, allRows(d.NumRows()))
+		if !errors.Is(err, mining.ErrPatternBudget) {
+			t.Fatalf("workers %d: err = %v, want mining.ErrPatternBudget", w, err)
+		}
+		if first == "" {
+			first = err.Error()
+			if !strings.Contains(first, "min_sup=0.05") {
+				t.Fatalf("err = %q, want the requested min_sup=0.05", first)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("workers %d: err = %q, want %q as at workers 1", w, err, first)
+		}
+		if len(p.Stats.Warnings) != 0 {
+			t.Fatalf("workers %d: budget trip recorded warnings %v", w, p.Stats.Warnings)
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func (b *BatchPredictor) PredictInto(ctx context.Context, d *dataset.Dataset, ro
 	if len(out) != len(rows) {
 		return fmt.Errorf("core: PredictInto: out has %d slots for %d rows", len(out), len(rows))
 	}
-	g := p.stageGuard(ctx, 0)
+	g := p.stageGuard(ctx)
 	if err := g.CheckNow(); err != nil {
 		return err
 	}

@@ -66,9 +66,6 @@ type Protocol struct {
 	// StageTimeout bounds each pipeline stage within every fit
 	// (0 = unbounded).
 	StageTimeout time.Duration
-	// OnBudget selects the mining pattern-budget policy
-	// (core.DegradeOnBudget escalates min_sup instead of failing).
-	OnBudget core.BudgetPolicy
 	// ContinueOnError isolates failing CV folds: a table cell is then
 	// the mean over the completed folds instead of aborting the sweep.
 	ContinueOnError bool
@@ -151,7 +148,6 @@ func pipelineFor(family string, learner core.Learner, proto Protocol) (*core.Pip
 		Coverage:     proto.Coverage,
 		MinSupport:   proto.MinSupport,
 		StageTimeout: proto.StageTimeout,
-		OnBudget:     proto.OnBudget,
 		Log:          obs.Log(proto.Log),
 		Workers:      proto.Workers,
 	}

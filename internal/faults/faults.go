@@ -109,7 +109,6 @@ const (
 	KindError     = "error"     // generic ErrInjected
 	KindCanceled  = "canceled"  // guard.ErrCanceled
 	KindDeadline  = "deadline"  // guard.ErrDeadline
-	KindMemLimit  = "memlimit"  // guard.ErrMemoryLimit (allocation-pressure trip)
 	KindTransient = "transient" // ErrTransient (durable retries these)
 	KindPanic     = "panic"     // worker panic, recovered by internal/parallel
 )
@@ -123,8 +122,6 @@ func kindErr(kind string) (error, bool) {
 		return fmt.Errorf("%w: %w", guard.ErrCanceled, ErrInjected), true
 	case KindDeadline:
 		return fmt.Errorf("%w: %w", guard.ErrDeadline, ErrInjected), true
-	case KindMemLimit:
-		return fmt.Errorf("%w: %w", guard.ErrMemoryLimit, ErrInjected), true
 	case KindTransient:
 		return ErrTransient, true
 	default:
@@ -179,7 +176,7 @@ func (r *Registry) Arm(point string, nth uint64, err error) {
 }
 
 // ArmKind is Arm with a named error kind ("error", "canceled",
-// "deadline", "memlimit", "transient").
+// "deadline", "transient").
 func (r *Registry) ArmKind(point string, nth uint64, kind string) error {
 	e, ok := kindErr(kind)
 	if !ok {

@@ -52,7 +52,6 @@ func TestKindsMapToGuardSentinels(t *testing.T) {
 		{KindError, ErrInjected},
 		{KindCanceled, guard.ErrCanceled},
 		{KindDeadline, guard.ErrDeadline},
-		{KindMemLimit, guard.ErrMemoryLimit},
 		{KindTransient, ErrTransient},
 	}
 	for _, c := range cases {

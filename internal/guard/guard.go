@@ -1,8 +1,7 @@
 // Package guard is the pipeline's bounded-execution substrate: a small
 // sentinel-error taxonomy shared by every long-running stage plus a
-// cooperative execution guard that combines context cancellation, a
-// wall-clock deadline, and a soft memory watchdog behind one amortized
-// Check call.
+// cooperative execution guard that combines context cancellation and a
+// wall-clock deadline behind one amortized Check call.
 //
 // Like the obs package, guard is built around a nil fast path: a nil
 // *Guard is a valid disabled guard whose Check/CheckNow are nil-check
@@ -29,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -42,13 +40,6 @@ var (
 	// ErrDeadline marks work aborted by a wall-clock deadline (a stage
 	// timeout or a context deadline).
 	ErrDeadline = errors.New("guard: deadline exceeded")
-	// ErrMemoryLimit marks work aborted by the soft allocation
-	// watchdog.
-	ErrMemoryLimit = errors.New("guard: memory limit exceeded")
-	// ErrDegraded marks a result produced (or a failure reached) after
-	// the pipeline traded fidelity for feasibility — e.g. adaptive
-	// min_sup escalation that still could not fit the pattern budget.
-	ErrDegraded = errors.New("guard: degraded execution")
 	// ErrPartialResult marks an aggregate result in which every
 	// component failed, leaving nothing to aggregate honestly.
 	ErrPartialResult = errors.New("guard: no complete partial results")
@@ -60,11 +51,6 @@ type Limits struct {
 	// Timeout has passed since New. Zero means no wall-clock bound
 	// beyond the context's own deadline.
 	Timeout time.Duration
-	// SoftMemoryBytes aborts work with ErrMemoryLimit once the Go
-	// heap's live allocation exceeds it. Zero disables the watchdog.
-	// The ceiling is soft: it is polled amortized, so overshoot by one
-	// poll interval's worth of allocation is possible.
-	SoftMemoryBytes uint64
 }
 
 // Guard is a cooperative execution guard for one single-goroutine
@@ -76,19 +62,13 @@ type Guard struct {
 	ctx      context.Context
 	done     <-chan struct{}
 	deadline time.Time
-	memLimit uint64
 
-	calls   uint32
-	memTick uint32
+	calls uint32
 }
 
 // checkEvery is the amortization window of Check: one real poll per
 // checkEvery calls.
 const checkEvery = 256
-
-// memCheckEvery throttles the (comparatively expensive) MemStats read
-// to one per memCheckEvery real polls.
-const memCheckEvery = 16
 
 // New builds a guard from a context plus limits. It returns nil — the
 // disabled fast path — when ctx carries no cancellation signal and no
@@ -103,18 +83,18 @@ func New(ctx context.Context, lim Limits) *Guard {
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	if done == nil && deadline.IsZero() && lim.SoftMemoryBytes == 0 {
+	if done == nil && deadline.IsZero() {
 		return nil
 	}
-	return &Guard{ctx: ctx, done: done, deadline: deadline, memLimit: lim.SoftMemoryBytes}
+	return &Guard{ctx: ctx, done: done, deadline: deadline}
 }
 
 // Enabled reports whether the guard performs any checking.
 func (g *Guard) Enabled() bool { return g != nil }
 
-// Fork returns a guard watching the same context, deadline, and memory
-// limit with fresh amortization counters. A Guard is single-goroutine
-// state (Check's counter is deliberately non-atomic so the amortized
+// Fork returns a guard watching the same context and deadline with a
+// fresh amortization counter. A Guard is single-goroutine state
+// (Check's counter is deliberately non-atomic so the amortized
 // path stays a plain increment); parallel regions give every worker
 // its own fork instead of sharing one guard and contending — or racing
 // — on the counter. A nil guard forks to nil.
@@ -122,7 +102,7 @@ func (g *Guard) Fork() *Guard {
 	if g == nil {
 		return nil
 	}
-	return &Guard{ctx: g.ctx, done: g.done, deadline: g.deadline, memLimit: g.memLimit}
+	return &Guard{ctx: g.ctx, done: g.done, deadline: g.deadline}
 }
 
 // Check polls the guard's conditions once every checkEvery calls and
@@ -141,8 +121,8 @@ func (g *Guard) Check() error {
 }
 
 // CheckNow polls the guard's conditions immediately: context first,
-// then deadline, then (throttled) the memory watchdog. Call it at stage
-// entry so pre-canceled contexts fail before any work is done.
+// then deadline. Call it at stage entry so pre-canceled contexts fail
+// before any work is done.
 func (g *Guard) CheckNow() error {
 	if g == nil {
 		return nil
@@ -160,16 +140,6 @@ func (g *Guard) CheckNow() error {
 	//vet:ignore nondeterm deadline poll; affects only cancellation, never reported results
 	if !g.deadline.IsZero() && time.Now().After(g.deadline) {
 		return fmt.Errorf("%w (deadline %s)", ErrDeadline, g.deadline.Format(time.RFC3339Nano))
-	}
-	if g.memLimit > 0 {
-		g.memTick++
-		if g.memTick%memCheckEvery == 0 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > g.memLimit {
-				return fmt.Errorf("%w (heap %d > limit %d bytes)", ErrMemoryLimit, ms.HeapAlloc, g.memLimit)
-			}
-		}
 	}
 	return nil
 }

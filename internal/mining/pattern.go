@@ -89,7 +89,7 @@ type Options struct {
 	Closed bool
 	// Guard, when non-nil, bounds the run: Mine polls it once per
 	// extension and aborts with an error wrapping
-	// guard.ErrCanceled, guard.ErrDeadline, or guard.ErrMemoryLimit.
+	// guard.ErrCanceled or guard.ErrDeadline.
 	// The caller builds it (guard.New); nil costs nothing.
 	Guard *guard.Guard
 	// Obs, when non-nil, receives mining vitals: patterns emitted,

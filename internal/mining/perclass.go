@@ -44,8 +44,7 @@ type PerClassOptions struct {
 	// mining counters (see Options.Obs). Nil disables recording.
 	Obs *obs.Observer
 	// Log, when non-nil, receives one structured DEBUG record per class
-	// partition and per run; the adaptive wrapper additionally emits a
-	// WARN per min_sup escalation. Nil disables logging.
+	// partition and per run. Nil disables logging.
 	Log *slog.Logger
 	// Workers bounds the per-class mining fan-out (0 = GOMAXPROCS,
 	// 1 = sequential). Class partitions are independent (Section 3.1),

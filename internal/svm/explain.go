@@ -69,12 +69,7 @@ func (m *Model) ExplainPredict(x []int32) *Explanation {
 			score[b] -= d
 		}
 	}
-	best := 0
-	for c := 1; c < m.numClasses; c++ {
-		if ex.Votes[c] > ex.Votes[best] || (ex.Votes[c] == ex.Votes[best] && score[c] > score[best]) {
-			best = c
-		}
-	}
+	best := ovoWinner(ex.Votes, score, -1)
 	ex.Class = best
 
 	// Aggregate the winner's evidence: sum each present feature's signed

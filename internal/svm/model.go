@@ -255,9 +255,21 @@ func (m *Model) vote(x []int32, votes []int, score []float64) int {
 			score[b] -= d
 		}
 	}
-	best := 0
-	for c := 1; c < len(votes); c++ {
-		if votes[c] > votes[best] || (votes[c] == votes[best] && score[c] > score[best]) {
+	return ovoWinner(votes, score, -1)
+}
+
+// ovoWinner is the one-vs-one winner rule: the class with the most
+// votes, ties broken by the larger summed |decision|, then by the
+// lower class index. Class skip (-1 = none) is left out, so
+// ovoWinner(votes, score, best) is the runner-up. It returns -1 when
+// no class is left.
+func ovoWinner(votes []int, score []float64, skip int) int {
+	best := -1
+	for c := range votes {
+		if c == skip {
+			continue
+		}
+		if best < 0 || votes[c] > votes[best] || (votes[c] == votes[best] && score[c] > score[best]) {
 			best = c
 		}
 	}
@@ -265,17 +277,9 @@ func (m *Model) vote(x []int32, votes []int, score []float64) int {
 }
 
 // margin returns the summed-score gap between best and the runner-up
-// under the same (votes, score) order, clamped at 0.
+// under the ovoWinner order, clamped at 0.
 func (m *Model) margin(best int, votes []int, score []float64) float64 {
-	second := -1
-	for c := range votes {
-		if c == best {
-			continue
-		}
-		if second < 0 || votes[c] > votes[second] || (votes[c] == votes[second] && score[c] > score[second]) {
-			second = c
-		}
-	}
+	second := ovoWinner(votes, score, best)
 	if second < 0 {
 		return 0
 	}

@@ -59,8 +59,8 @@ type Record struct {
 	WallNS int64 `json:"wall_ns,omitempty"`
 	// Stages aggregates the run's span tree by stage name.
 	Stages []StageStat `json:"stages,omitempty"`
-	// Warnings lists the run's degradations (min_sup escalations,
-	// non-converged SMO solves, failed folds).
+	// Warnings lists the run's degradations (non-converged SMO solves,
+	// failed folds).
 	Warnings []string `json:"warnings,omitempty"`
 	// Audits carries named decision-audit tables (e.g. "mmrfs" → the
 	// per-iteration selection trail). Values must marshal to JSON.

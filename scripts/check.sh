@@ -62,13 +62,15 @@ echo ">> (cd bench && go vet ./... && go run dfpc/cmd/dfpc-vet ./... && go test 
 # -fuzz pattern), ~10s each, as target:package pairs. Catches shallow
 # crashers in the dataset parsers, the model loader and the artifact
 # envelope early; longer hunts are a manual
-# `go test -fuzz=FuzzParseX ./internal/dataset/`.
+# `go test -fuzz=FuzzParseX ./internal/dataset/`. -fuzzminimizetime=1x
+# keeps the window fuzzing: without it the fuzzer can spend all 10 s
+# minimizing one large interesting input.
 for spec in FuzzParseARFF:./internal/dataset/ FuzzParseCSV:./internal/dataset/ \
 	FuzzParseLUCS:./internal/dataset/ FuzzLoadModel:./internal/core/ FuzzDecode:./internal/durable/; do
 	target=${spec%%:*}
 	pkg=${spec#*:}
-	echo ">> go test -fuzz=$target -fuzztime=10s $pkg"
-	go test -run='^$' -fuzz="^$target\$" -fuzztime=10s "$pkg"
+	echo ">> go test -fuzz=$target -fuzztime=10s -fuzzminimizetime=1x $pkg"
+	go test -run='^$' -fuzz="^$target\$" -fuzztime=10s -fuzzminimizetime=1x "$pkg"
 done
 
 echo "OK"
