@@ -107,13 +107,11 @@ func BenchmarkTable5Letter(b *testing.B) {
 
 func BenchmarkHarmonyComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunHarmonyComparison(context.Background(), []string{"waveform"}, 0.1, 2000)
+		r, err := experiments.RunHarmonyComparison(context.Background(), "waveform", 0.1, 2000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
-			b.Logf("harmony %s Pat_FS=%.2f HARMONY=%.2f CBA=%.2f", r.Dataset, r.PatFS, r.Harmony, r.CBA)
-		}
+		b.Logf("harmony %s Pat_FS=%.2f HARMONY=%.2f CBA=%.2f", r.Dataset, r.PatFS, r.Harmony, r.CBA)
 	}
 }
 

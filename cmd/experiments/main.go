@@ -280,11 +280,18 @@ func runTable(ctx context.Context, cfg runConfig, table string) error {
 		if cfg.quick {
 			sample = 2000
 		}
-		rows, err := experiments.RunHarmonyComparison(ctx, []string{"waveform", "letter"}, 0.1, sample)
-		if err != nil {
-			return err
+		// Each row prints as soon as its dataset completes: at full size
+		// one dataset takes many minutes.
+		experiments.WriteHarmonyHeader(os.Stdout)
+		var rows []experiments.HarmonyRow
+		for _, name := range []string{"waveform", "letter"} {
+			row, err := experiments.RunHarmonyComparison(ctx, name, 0.1, sample)
+			if err != nil {
+				return err
+			}
+			experiments.WriteHarmonyRow(os.Stdout, row)
+			rows = append(rows, row)
 		}
-		experiments.WriteHarmony(os.Stdout, rows)
 		if err := cfg.emitCSV("harmony.csv", func(w io.Writer) error { return experiments.HarmonyCSV(w, rows) }); err != nil {
 			return err
 		}

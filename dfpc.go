@@ -24,11 +24,9 @@ import (
 	"log/slog"
 	"time"
 
-	"dfpc/internal/c45"
 	"dfpc/internal/core"
 	"dfpc/internal/datagen"
 	"dfpc/internal/dataset"
-	"dfpc/internal/discretize"
 	"dfpc/internal/eval"
 	"dfpc/internal/featsel"
 	"dfpc/internal/guard"
@@ -200,31 +198,6 @@ func WithMaxPatternLen(n int) Option {
 // fails the fit with a pattern-budget error.
 func WithMaxPatterns(n int) Option {
 	return func(c *core.Config) { c.MaxPatterns = n }
-}
-
-// WithMDLDiscretization switches numeric discretization from the
-// default equal-frequency binning to Fayyad–Irani entropy-MDL.
-func WithMDLDiscretization() Option {
-	return func(c *core.Config) { c.Disc = discretize.Options{Method: discretize.EntropyMDL} }
-}
-
-// WithBins sets the bin count for the default equal-frequency
-// discretization.
-func WithBins(n int) Option {
-	return func(c *core.Config) { c.Disc.Bins = n }
-}
-
-// WithTreeConfig configures the C4.5 learner.
-func WithTreeConfig(cfg c45.Config) Option {
-	return func(c *core.Config) { c.Tree = cfg }
-}
-
-// WithCGrid enables inner model selection for SVM learners: Fit
-// cross-validates over the given C values on the training rows and
-// keeps the best, matching the paper's protocol of picking the best
-// model on each training set.
-func WithCGrid(grid ...float64) Option {
-	return func(c *core.Config) { c.CGrid = append([]float64(nil), grid...) }
 }
 
 // WithStageTimeout bounds each pipeline stage (mining, selection,

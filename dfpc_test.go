@@ -143,7 +143,6 @@ func TestOptionsApply(t *testing.T) {
 		WithRBFGamma(0.5),
 		WithMaxPatternLen(3),
 		WithMaxPatterns(10000),
-		WithBins(3),
 	)
 	rows := make([]int, d.NumRows())
 	for i := range rows {
@@ -279,24 +278,6 @@ func TestFitRejectsUnknownLearnerPublic(t *testing.T) {
 	}
 }
 
-func TestWithCGridPublic(t *testing.T) {
-	d, err := Generate("labor", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clf := NewClassifier(PatFS, SVM, WithMinSupport(0.3), WithCGrid(0.5, 1, 2))
-	rows := make([]int, d.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	if err := clf.Fit(d, rows); err != nil {
-		t.Fatal(err)
-	}
-	if c := clf.Stats.SelectedC; c != 0.5 && c != 1 && c != 2 {
-		t.Fatalf("SelectedC = %v not in grid", c)
-	}
-}
-
 func TestSaveLoadModelPublic(t *testing.T) {
 	d, err := Generate("labor", 1)
 	if err != nil {
@@ -356,26 +337,6 @@ func TestLUCSThroughPipeline(t *testing.T) {
 	}
 	if res.Mean < 0.99 {
 		t.Fatalf("accuracy %v on separable LUCS data", res.Mean)
-	}
-}
-
-func TestDiscretizationOptionsPublic(t *testing.T) {
-	d, err := Generate("iris", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, opt := range map[string]Option{
-		"mdl":  WithMDLDiscretization(),
-		"bins": WithBins(4),
-	} {
-		clf := NewClassifier(PatFS, SVM, WithMinSupport(0.15), opt)
-		res, err := CrossValidate(clf, d, 3, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.Mean < 0.3 {
-			t.Fatalf("%s: accuracy %v", name, res.Mean)
-		}
 	}
 }
 

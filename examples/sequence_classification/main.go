@@ -68,7 +68,7 @@ func main() {
 	if err := clf.Fit(context.Background(), train, yTrain, 2); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("subsequences mined: %d, selected by MMRFS: %d\n", clf.MinedCount, clf.SelectedCount)
+	fmt.Printf("subsequences mined: %d, selected by MMRFS: %d\n", clf.MinedCount, clf.FeatureCount)
 
 	pred, err := clf.PredictAll(test)
 	if err != nil {

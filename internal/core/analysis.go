@@ -22,34 +22,20 @@ type PatternStat struct {
 	Fisher     float64
 }
 
+// analyzeMaxLen and analyzeMaxPatterns bound the pool AnalyzePatterns
+// mines: closed patterns of length at most 6, at most 500,000 of them.
+const (
+	analyzeMaxLen      = 6
+	analyzeMaxPatterns = 500_000
+)
+
 // AnalyzeOptions configures AnalyzePatterns.
 type AnalyzeOptions struct {
 	// MinSupport is the relative per-class mining threshold (default 0.1).
 	MinSupport float64
-	// MaxLen caps pattern length (default 6; negative = unlimited).
-	MaxLen int
-	// MaxPatterns caps the pool (default 500000).
-	MaxPatterns int
 	// IncludeSingles adds every single item as a length-1 entry, so the
 	// Figure 1 comparison of single features vs. patterns is possible.
 	IncludeSingles bool
-	// Disc configures discretization (default equal-frequency).
-	Disc discretize.Options
-}
-
-func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
-	if o.MinSupport <= 0 {
-		o.MinSupport = 0.1
-	}
-	if o.MaxLen == 0 {
-		o.MaxLen = 6
-	} else if o.MaxLen < 0 {
-		o.MaxLen = 0
-	}
-	if o.MaxPatterns <= 0 {
-		o.MaxPatterns = 500_000
-	}
-	return o
 }
 
 // AnalyzePatterns discretizes and encodes a dataset, mines closed
@@ -57,8 +43,10 @@ func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
 // feature along with the binary encoding (for bound overlays, which
 // need the class prior).
 func AnalyzePatterns(d *dataset.Dataset, opt AnalyzeOptions) ([]PatternStat, *dataset.Binary, error) {
-	opt = opt.withDefaults()
-	cat, err := discretize.FitApply(d, opt.Disc)
+	if opt.MinSupport <= 0 {
+		opt.MinSupport = 0.1
+	}
+	cat, err := discretize.FitApply(d, discretize.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: analyze discretize: %w", err)
 	}
@@ -69,8 +57,8 @@ func AnalyzePatterns(d *dataset.Dataset, opt AnalyzeOptions) ([]PatternStat, *da
 	mined, err := mining.MinePerClass(b, mining.PerClassOptions{
 		MinSupport:  opt.MinSupport,
 		Closed:      true,
-		MaxPatterns: opt.MaxPatterns,
-		MaxLen:      opt.MaxLen,
+		MaxPatterns: analyzeMaxPatterns,
+		MaxLen:      analyzeMaxLen,
 		MinLen:      2,
 	})
 	if err != nil {

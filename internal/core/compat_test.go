@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"dfpc/internal/datagen"
+	"dfpc/internal/discretize"
 	"dfpc/internal/durable"
 	"dfpc/internal/mining"
 	"dfpc/internal/obs"
@@ -59,11 +60,8 @@ func writeV1Fixture(t *testing.T, path string) {
 	}
 	// Mirror Save's scrub of per-process recorders.
 	snap.Config.Obs = nil
-	snap.Config.Tree.Obs = nil
 	snap.Config.Log = obs.LogHandle{}
-	snap.Config.Tree.Log = obs.LogHandle{}
 	snap.Config.Faults = nil
-	snap.Config.Tree.Faults = nil
 	snap.Config.Drift = nil
 	var err error
 	if snap.Disc, err = p.disc.MarshalBinary(); err != nil {
@@ -303,6 +301,80 @@ func TestLoadRemovedModelArtifacts(t *testing.T) {
 		}
 		if err != nil && strings.Contains(err.Error(), "gob") {
 			t.Errorf("Load %s: %v is a gob error", path, err)
+		}
+	}
+}
+
+// TestLoadDeletedKnobArtifacts pins that artifacts fitted with fit
+// settings this build no longer has still load and predict exactly as
+// they did when saved. The fixtures are labor (seed 1), Pat_FS, min_sup
+// 0.3, fitted on all rows by a build that still had the settings:
+//   - model_mdl_cgrid.dfpc: a linear SVM with Fayyad–Irani MDL
+//     discretization and an inner 3-fold C search over {0.5, 1, 2};
+//   - model_bins_tree.dfpc: a C4.5 tree over 4 equal-frequency bins
+//     with MinLeaf 5.
+//
+// Gob skips the config fields this build no longer declares; the
+// fitted cuts, C and tree travel as data, so the predictions recorded
+// at save time still hold. None of them can be regenerated by this
+// build.
+func TestLoadDeletedKnobArtifacts(t *testing.T) {
+	d, err := datagen.ByName("labor", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := allRows(d.NumRows())
+	defaultDisc, err := discretize.Fit(d, discretize.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]int{
+		"testdata/model_mdl_cgrid.dfpc": {
+			1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0,
+		},
+		"testdata/model_bins_tree.dfpc": {
+			0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0,
+			0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0,
+		},
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("Load %s: %v", path, err)
+		}
+		// The stored cuts are the deleted settings' own, not the
+		// default's, so the goldens below exercise them.
+		same := true
+		for a := range d.Attrs {
+			same = same && reflect.DeepEqual(p.disc.Cuts(a), defaultDisc.Cuts(a))
+		}
+		if same {
+			t.Fatalf("%s: stored cuts equal the default discretizer's", path)
+		}
+		got, err := predict(p, d, rows)
+		if err != nil {
+			t.Fatalf("%s: predict after load: %v", path, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: predictions\n got %v\nwant %v", path, got, want)
+		}
+		var resaved bytes.Buffer
+		if err := p.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(&resaved)
+		if err != nil {
+			t.Fatalf("%s: Load after re-save: %v", path, err)
+		}
+		if got, err = predict(again, d, rows); err != nil {
+			t.Fatalf("%s: predict after re-save: %v", path, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: predictions after re-save\n got %v\nwant %v", path, got, want)
 		}
 	}
 }

@@ -92,20 +92,8 @@ type Config struct {
 	Learner Learner
 	// SVMC is the soft-margin penalty (default 1).
 	SVMC float64
-	// CGrid, when non-empty, enables inner model selection for SVM
-	// learners: Fit cross-validates over these C values on the training
-	// rows (3 inner folds) and keeps the best — the paper's "10-fold
-	// cross validation on each training set, pick the best model" step,
-	// at reduced inner fold count for tractability.
-	CGrid []float64
 	// RBFGamma is γ for SVMRBF; <= 0 means 1/numFeatures.
 	RBFGamma float64
-	// Tree configures C45Tree.
-	Tree c45.Config
-
-	// Disc configures discretization of numeric attributes (default
-	// equal-frequency).
-	Disc discretize.Options
 
 	// StageTimeout bounds each pipeline stage (mining, selection,
 	// learning) individually; a stage running past it aborts with an
@@ -216,7 +204,6 @@ type FitStats struct {
 	MinSupport   float64 // the relative min_sup actually used
 	MinedCount   int     // |F| before selection
 	FeatureCount int     // patterns (or items for Item_FS) after selection
-	SelectedC    float64 // SVM C chosen by inner model selection (0 = none)
 	// Warnings lists the degradations of this fit (empty for a clean
 	// run): non-converged SMO solves. A model with warnings is usable
 	// but not pristine.
@@ -380,7 +367,7 @@ func (p *Pipeline) FitContext(ctx context.Context, d *dataset.Dataset, rows []in
 
 	sp := o.Start("discretize")
 	var err error
-	p.disc, err = discretize.Fit(train, p.cfg.Disc)
+	p.disc, err = discretize.Fit(train, discretize.Options{})
 	if err != nil {
 		sp.End()
 		return fmt.Errorf("core: discretize: %w", err)
@@ -428,18 +415,6 @@ func (p *Pipeline) FitContext(ctx context.Context, d *dataset.Dataset, rows []in
 		return err
 	}
 	p.buildReport(b)
-
-	if len(p.cfg.CGrid) > 0 && (p.cfg.Learner == SVMLinear || p.cfg.Learner == SVMRBF) {
-		ms := o.Start("model-select").Attr("grid", len(p.cfg.CGrid))
-		c, err := p.selectSVMC(ctx, d, rows)
-		if err != nil {
-			ms.End()
-			return fmt.Errorf("core: model selection: %w", err)
-		}
-		ms.Attr("C", c).End()
-		o.Gauge("core.selected_c").Set(c)
-		p.Stats.SelectedC = c
-	}
 
 	sp = o.Start("featurize").Attr("rows", b.NumRows())
 	x := make([][]int32, b.NumRows())
@@ -571,68 +546,6 @@ func (p *Pipeline) SetLogger(l *slog.Logger) { p.cfg.Log = obs.Log(l) }
 // Logger returns the currently installed structured logger (nil when
 // logging is off).
 func (p *Pipeline) Logger() *slog.Logger { return p.cfg.Log.Logger }
-
-// selectSVMC runs a small inner cross-validation over cfg.CGrid on the
-// training rows and returns the best C, which it also installs in the
-// pipeline's configuration for the final fit.
-func (p *Pipeline) selectSVMC(ctx context.Context, d *dataset.Dataset, rows []int) (float64, error) {
-	labels := make([]int, len(rows))
-	for i, r := range rows {
-		labels[i] = d.Labels[r]
-	}
-	folds, err := dataset.StratifiedKFold(labels, d.NumClasses(), 3, 1)
-	if err != nil {
-		// Too little data for an inner split: keep the configured C.
-		return p.cfg.SVMC, nil
-	}
-	bestC, bestAcc := p.cfg.SVMC, -1.0
-	pred := make([]int, len(rows)) // reused by every inner fold
-	for _, c := range p.cfg.CGrid {
-		if c <= 0 {
-			return 0, fmt.Errorf("core: non-positive C %v in grid", c)
-		}
-		cfg := p.cfg
-		cfg.CGrid = nil
-		cfg.SVMC = c
-		// Inner CV fits are bookkeeping, not pipeline stages: detach the
-		// observer and logger so they neither nest spans nor double-count
-		// counters nor flood the log with inner-fold detail.
-		cfg.Obs = nil
-		cfg.Log = obs.LogHandle{}
-		inner := &Pipeline{cfg: cfg}
-		correct, total := 0, 0
-		for f := range folds {
-			trIdx, teIdx := dataset.TrainTestFromFolds(folds, f)
-			tr := make([]int, len(trIdx))
-			for i, idx := range trIdx {
-				tr[i] = rows[idx]
-			}
-			te := make([]int, len(teIdx))
-			for i, idx := range teIdx {
-				te[i] = rows[idx]
-			}
-			if err := inner.FitContext(ctx, d, tr); err != nil {
-				return 0, err
-			}
-			if err := inner.PredictBatch(ctx, d, te, pred[:len(te)]); err != nil {
-				return 0, err
-			}
-			for i, r := range te {
-				if pred[i] == d.Labels[r] {
-					correct++
-				}
-				total++
-			}
-		}
-		if total > 0 {
-			if acc := float64(correct) / float64(total); acc > bestAcc {
-				bestAcc, bestC = acc, c
-			}
-		}
-	}
-	p.cfg.SVMC = bestC
-	return bestC, nil
-}
 
 // selectItems runs MMRFS over the single items (Item_FS).
 func (p *Pipeline) selectItems(ctx context.Context, b *dataset.Binary) error {
@@ -830,12 +743,12 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 	)
 	switch p.cfg.Learner {
 	case C45Tree:
-		tree := p.cfg.Tree
-		tree.Obs = p.cfg.Obs
-		tree.Log = obs.Log(obs.StageLogger(p.cfg.Log.Logger, "learn"))
-		tree.Guard = g
-		tree.Faults = p.cfg.Faults
-		m, err = c45.Train(x, y, numClasses, tree)
+		m, err = c45.Train(x, y, numClasses, c45.Config{
+			Obs:    p.cfg.Obs,
+			Log:    obs.Log(obs.StageLogger(p.cfg.Log.Logger, "learn")),
+			Guard:  g,
+			Faults: p.cfg.Faults,
+		})
 	case SVMRBF:
 		m, err = svm.Train(x, y, numClasses, svm.Config{
 			C:           p.cfg.SVMC,

@@ -95,43 +95,6 @@ func TestExplainEmptyForItemModels(t *testing.T) {
 	}
 }
 
-func TestInnerModelSelection(t *testing.T) {
-	d, err := datagen.ByName("labor", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		UsePatterns:    true,
-		SelectPatterns: true,
-		MinSupport:     0.3,
-		CGrid:          []float64{0.1, 1, 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Fit(d, allRows(d.NumRows())); err != nil {
-		t.Fatal(err)
-	}
-	sel := p.Stats.SelectedC
-	if sel != 0.1 && sel != 1 && sel != 10 {
-		t.Fatalf("SelectedC = %v, not in grid", sel)
-	}
-	if _, err := predict(p, d, allRows(10)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInnerModelSelectionRejectsBadGrid(t *testing.T) {
-	d := xorDataset(60)
-	p, err := New(Config{CGrid: []float64{-1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Fit(d, allRows(d.NumRows())); err == nil {
-		t.Fatal("negative C should error")
-	}
-}
-
 func TestFitDeterminism(t *testing.T) {
 	d, err := datagen.ByName("labor", 4)
 	if err != nil {

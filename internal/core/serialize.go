@@ -104,11 +104,8 @@ func (p *Pipeline) Save(w io.Writer) error {
 	// per-process recorders, not model state (each additionally
 	// gob-encodes as nothing either way).
 	snap.Config.Obs = nil
-	snap.Config.Tree.Obs = nil
 	snap.Config.Log = obs.LogHandle{}
-	snap.Config.Tree.Log = obs.LogHandle{}
 	snap.Config.Faults = nil
-	snap.Config.Tree.Faults = nil
 	snap.Config.Drift = nil
 	var err error
 	if snap.Disc, err = p.disc.MarshalBinary(); err != nil {

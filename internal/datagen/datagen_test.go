@@ -254,7 +254,7 @@ func TestNumericDatasetsDiscretizable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dd, err := discretize.FitApply(d, discretize.Options{Method: discretize.EntropyMDL})
+	dd, err := discretize.FitApply(d, discretize.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

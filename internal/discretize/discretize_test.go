@@ -28,53 +28,9 @@ func numericDS(n int) *dataset.Dataset {
 	return d
 }
 
-func TestMDLFindsSeparatingCut(t *testing.T) {
-	d := numericDS(20)
-	disc, err := Fit(d, Options{Method: EntropyMDL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := disc.Cuts(0)
-	if len(cuts) == 0 {
-		t.Fatal("MDL found no cut on a perfectly separable attribute")
-	}
-	// The first (and ideally only) cut should fall between 9 and 10.
-	found := false
-	for _, c := range cuts {
-		if c > 9 && c < 10 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("cuts = %v, want one in (9,10)", cuts)
-	}
-}
-
-func TestMDLRejectsRandomAttribute(t *testing.T) {
-	// Class labels independent of the value: MDL should produce zero or
-	// very few cuts.
-	r := rand.New(rand.NewSource(5))
-	d := &dataset.Dataset{
-		Name:    "noise",
-		Attrs:   []dataset.Attribute{{Name: "x", Kind: dataset.Numeric}},
-		Classes: []string{"a", "b"},
-	}
-	for i := 0; i < 200; i++ {
-		d.Rows = append(d.Rows, []float64{r.Float64()})
-		d.Labels = append(d.Labels, r.Intn(2))
-	}
-	disc, err := Fit(d, Options{Method: EntropyMDL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(disc.Cuts(0)); got > 2 {
-		t.Fatalf("MDL produced %d cuts on noise, want <= 2", got)
-	}
-}
-
 func TestApplyProducesCategorical(t *testing.T) {
 	d := numericDS(20)
-	out, err := FitApply(d, Options{Method: EntropyMDL})
+	out, err := FitApply(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +53,7 @@ func TestApplyProducesCategorical(t *testing.T) {
 func TestApplyPreservesMissing(t *testing.T) {
 	d := numericDS(20)
 	d.Rows[3][0] = dataset.Missing
-	out, err := FitApply(d, Options{Method: EqualFrequency, Bins: 4})
+	out, err := FitApply(d, Options{Bins: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +73,7 @@ func TestApplyLeavesCategoricalAlone(t *testing.T) {
 		Rows:    [][]float64{{0, 1.0}, {1, 2.0}, {0, 3.0}, {1, 4.0}},
 		Labels:  []int{0, 0, 1, 1},
 	}
-	out, err := FitApply(d, Options{Method: EqualFrequency, Bins: 2})
+	out, err := FitApply(d, Options{Bins: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +142,7 @@ func TestBinLabels(t *testing.T) {
 
 func TestSchemaMismatch(t *testing.T) {
 	d := numericDS(20)
-	disc, err := Fit(d, Options{Method: EqualFrequency})
+	disc, err := Fit(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +160,7 @@ func TestSchemaMismatch(t *testing.T) {
 
 func TestFitOnTrainApplyOnTest(t *testing.T) {
 	train := numericDS(20)
-	disc, err := Fit(train, Options{Method: EntropyMDL})
+	disc, err := Fit(train, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +194,8 @@ func TestQuickApplyAlwaysValid(t *testing.T) {
 			d.Rows = append(d.Rows, []float64{r.NormFloat64() * 10, r.Float64()})
 			d.Labels = append(d.Labels, r.Intn(3))
 		}
-		for _, m := range []Method{EntropyMDL, EqualFrequency} {
-			out, err := FitApply(d, Options{Method: m, Bins: 2 + r.Intn(5)})
-			if err != nil || out.Validate() != nil || !out.AllCategorical() {
-				return false
-			}
-		}
-		return true
+		out, err := FitApply(d, Options{Bins: 2 + r.Intn(5)})
+		return err == nil && out.Validate() == nil && out.AllCategorical()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -176,20 +176,19 @@ func TestRunMinSupSweepSmoke(t *testing.T) {
 }
 
 func TestRunHarmonyComparisonSmoke(t *testing.T) {
-	rows, err := RunHarmonyComparison(context.Background(), []string{"labor"}, 0.3, 0)
+	row, err := RunHarmonyComparison(context.Background(), "labor", 0.3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].PatFS <= 0 || rows[0].Harmony <= 0 || rows[0].CBA <= 0 {
-		t.Fatalf("implausible accuracies: %+v", rows[0])
+	if row.Dataset != "labor" || row.PatFS <= 0 || row.Harmony <= 0 || row.CBA <= 0 {
+		t.Fatalf("implausible row: %+v", row)
 	}
 	var buf bytes.Buffer
-	WriteHarmony(&buf, rows)
-	if !strings.Contains(buf.String(), "HARMONY") {
-		t.Fatal("render missing header")
+	WriteHarmonyHeader(&buf)
+	WriteHarmonyRow(&buf, row)
+	if lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n"); len(lines) != 3 ||
+		!strings.Contains(lines[1], "HARMONY") || !strings.HasPrefix(lines[2], "labor ") {
+		t.Fatalf("render:\n%s", buf.String())
 	}
 }
 

@@ -463,95 +463,93 @@ type HarmonyRow struct {
 	CBA     float64
 }
 
-// RunHarmonyComparison reproduces the Section 5 claim: Pat_FS beats a
-// HARMONY-style rule-based classifier (and a CBA-style one) on the
-// dense datasets.
-func RunHarmonyComparison(ctx context.Context, names []string, minSup float64, sampleRows int) ([]HarmonyRow, error) {
-	var rows []HarmonyRow
-	for _, name := range names {
-		d, err := datagen.ByName(name, Seed)
-		if err != nil {
-			return rows, err
-		}
-		if sampleRows > 0 && sampleRows < d.NumRows() {
-			tr, _, err := dataset.StratifiedSplit(d.Labels, d.NumClasses(),
-				1-float64(sampleRows)/float64(d.NumRows()), Seed)
-			if err != nil {
-				return rows, err
-			}
-			d = d.Subset(tr)
-		}
-		trainRows, testRows, err := dataset.StratifiedSplit(d.Labels, d.NumClasses(), 0.2, Seed)
-		if err != nil {
-			return rows, err
-		}
-		row := HarmonyRow{Dataset: name}
-
-		patFS, err := mk(func() (*core.Pipeline, error) {
-			return core.New(core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup})
-		})
-		if err != nil {
-			return rows, fmt.Errorf("harmony %s Pat_FS: %w", name, err)
-		}
-		acc, err := eval.HoldOut(ctx, patFS, d, trainRows, testRows)
-		if err != nil {
-			return rows, fmt.Errorf("harmony %s Pat_FS: %w", name, err)
-		}
-		row.PatFS = 100 * acc
-
-		// Rule-based baselines need the same discretized binary view;
-		// cuts are fitted on the training rows only.
-		train := d.Subset(trainRows)
-		disc, err := discretize.Fit(train, discretize.Options{})
-		if err != nil {
-			return rows, err
-		}
-		catTrain, err := disc.Apply(train)
-		if err != nil {
-			return rows, err
-		}
-		bTrain, err := dataset.Encode(catTrain)
-		if err != nil {
-			return rows, err
-		}
-		catTest, err := disc.Apply(d.Subset(testRows))
-		if err != nil {
-			return rows, err
-		}
-		bTest, err := dataset.Encode(catTest)
-		if err != nil {
-			return rows, err
-		}
-
-		hm, err := rules.TrainHarmony(bTrain, rules.HarmonyOptions{MinSupport: minSup, MaxLen: 5})
-		if err != nil {
-			return rows, fmt.Errorf("harmony %s: %w", name, err)
-		}
-		cba, err := rules.TrainCBA(bTrain, rules.CBAOptions{MinSupport: minSup, MaxLen: 5})
-		if err != nil {
-			return rows, fmt.Errorf("cba %s: %w", name, err)
-		}
-		hCorrect, cCorrect := 0, 0
-		for i := 0; i < bTest.NumRows(); i++ {
-			if hm.Predict(bTest.Rows[i]) == bTest.Labels[i] {
-				hCorrect++
-			}
-			if cba.Predict(bTest.Rows[i]) == bTest.Labels[i] {
-				cCorrect++
-			}
-		}
-		row.Harmony = 100 * float64(hCorrect) / float64(bTest.NumRows())
-		row.CBA = 100 * float64(cCorrect) / float64(bTest.NumRows())
-		rows = append(rows, row)
+// RunHarmonyComparison reproduces one dataset of the Section 5 claim:
+// Pat_FS beats a HARMONY-style rule-based classifier (and a CBA-style
+// one) on the dense datasets.
+func RunHarmonyComparison(ctx context.Context, name string, minSup float64, sampleRows int) (HarmonyRow, error) {
+	d, err := datagen.ByName(name, Seed)
+	if err != nil {
+		return HarmonyRow{}, err
 	}
-	return rows, nil
+	if sampleRows > 0 && sampleRows < d.NumRows() {
+		tr, _, err := dataset.StratifiedSplit(d.Labels, d.NumClasses(),
+			1-float64(sampleRows)/float64(d.NumRows()), Seed)
+		if err != nil {
+			return HarmonyRow{}, err
+		}
+		d = d.Subset(tr)
+	}
+	trainRows, testRows, err := dataset.StratifiedSplit(d.Labels, d.NumClasses(), 0.2, Seed)
+	if err != nil {
+		return HarmonyRow{}, err
+	}
+	row := HarmonyRow{Dataset: name}
+
+	patFS, err := mk(func() (*core.Pipeline, error) {
+		return core.New(core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup})
+	})
+	if err != nil {
+		return HarmonyRow{}, fmt.Errorf("harmony %s Pat_FS: %w", name, err)
+	}
+	acc, err := eval.HoldOut(ctx, patFS, d, trainRows, testRows)
+	if err != nil {
+		return HarmonyRow{}, fmt.Errorf("harmony %s Pat_FS: %w", name, err)
+	}
+	row.PatFS = 100 * acc
+
+	// Rule-based baselines need the same discretized binary view;
+	// cuts are fitted on the training rows only.
+	train := d.Subset(trainRows)
+	disc, err := discretize.Fit(train, discretize.Options{})
+	if err != nil {
+		return HarmonyRow{}, err
+	}
+	catTrain, err := disc.Apply(train)
+	if err != nil {
+		return HarmonyRow{}, err
+	}
+	bTrain, err := dataset.Encode(catTrain)
+	if err != nil {
+		return HarmonyRow{}, err
+	}
+	catTest, err := disc.Apply(d.Subset(testRows))
+	if err != nil {
+		return HarmonyRow{}, err
+	}
+	bTest, err := dataset.Encode(catTest)
+	if err != nil {
+		return HarmonyRow{}, err
+	}
+
+	hm, err := rules.TrainHarmony(bTrain, rules.HarmonyOptions{MinSupport: minSup, MaxLen: 5})
+	if err != nil {
+		return HarmonyRow{}, fmt.Errorf("harmony %s: %w", name, err)
+	}
+	cba, err := rules.TrainCBA(bTrain, rules.CBAOptions{MinSupport: minSup, MaxLen: 5})
+	if err != nil {
+		return HarmonyRow{}, fmt.Errorf("cba %s: %w", name, err)
+	}
+	hCorrect, cCorrect := 0, 0
+	for i := 0; i < bTest.NumRows(); i++ {
+		if hm.Predict(bTest.Rows[i]) == bTest.Labels[i] {
+			hCorrect++
+		}
+		if cba.Predict(bTest.Rows[i]) == bTest.Labels[i] {
+			cCorrect++
+		}
+	}
+	row.Harmony = 100 * float64(hCorrect) / float64(bTest.NumRows())
+	row.CBA = 100 * float64(cCorrect) / float64(bTest.NumRows())
+	return row, nil
 }
 
-// WriteHarmony renders the comparison.
-func WriteHarmony(w io.Writer, rows []HarmonyRow) {
+// WriteHarmonyHeader renders the comparison's title and column heads.
+func WriteHarmonyHeader(w io.Writer) {
 	fmt.Fprintf(w, "Section 5 comparison: Pat_FS vs rule-based classifiers\n")
 	fmt.Fprintf(w, "%-10s %9s %9s %9s %9s\n", "Data", "Pat_FS", "HARMONY", "CBA", "Δ(H)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %9.2f %9.2f %9.2f %+9.2f\n", r.Dataset, r.PatFS, r.Harmony, r.CBA, r.PatFS-r.Harmony)
-	}
+}
+
+// WriteHarmonyRow renders one dataset's row under WriteHarmonyHeader.
+func WriteHarmonyRow(w io.Writer, r HarmonyRow) {
+	fmt.Fprintf(w, "%-10s %9.2f %9.2f %9.2f %+9.2f\n", r.Dataset, r.PatFS, r.Harmony, r.CBA, r.PatFS-r.Harmony)
 }

@@ -27,7 +27,7 @@ type Classifier struct {
 	model *patclass.Model[*Graph, Pattern]
 
 	// Stats from the last Fit.
-	MinedCount, SelectedCount int
+	MinedCount, FeatureCount int
 }
 
 // Fit trains on the graph database with labels y in [0, numClasses).
@@ -56,7 +56,7 @@ func (c *Classifier) Fit(ctx context.Context, db []*Graph, y []int, numClasses i
 	if err != nil {
 		return err
 	}
-	c.MinedCount, c.SelectedCount = m.Mined, len(m.Patterns())
+	c.MinedCount, c.FeatureCount = m.Mined, len(m.Patterns())
 	return nil
 }
 

@@ -234,7 +234,7 @@ func TestGraphClassifierTopologyMotifs(t *testing.T) {
 	if err := clf.Fit(context.Background(), db, y, 2); err != nil {
 		t.Fatal(err)
 	}
-	if clf.SelectedCount == 0 {
+	if clf.FeatureCount == 0 {
 		t.Fatal("no subgraph features selected")
 	}
 	pred, err := clf.PredictAll(db)
@@ -294,7 +294,7 @@ func ExampleClassifier() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("mined:", clf.MinedCount, "selected:", clf.SelectedCount)
+	fmt.Println("mined:", clf.MinedCount, "selected:", clf.FeatureCount)
 	for _, p := range clf.Patterns() {
 		fmt.Println(p.Graph.VertexLabels, p.Graph.Edges, p.Support)
 	}

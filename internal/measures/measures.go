@@ -175,10 +175,19 @@ func IGUpperBoundMulti(theta float64, priors []float64) float64 {
 	return math.Min(H2(theta), Entropy(priors))
 }
 
+// fisherSingularTol is the relative width, against Y, within which
+// fisherAtQ treats Y − Z as zero. At the singular supports θ = p
+// (q = 1) and θ = 1 − p (q = 0) the exact Y − Z is 0, but θ and p come
+// from s/n and c/n, so the computed difference is a rounding residue of
+// a few ulps of Y. One row away from either support it is at least
+// Y/n, so any n below 10^12 stays clear of the tolerance.
+const fisherSingularTol = 1e-12
+
 // fisherAtQ evaluates Eq. (5): Fr = θ(p−q)² / (p(1−p)(1−θ) − θ(p−q)²),
 // the two-class Fisher score at the (θ, p, q) triple. Degenerate
 // denominators follow the paper's conventions: Y = 0 ⇒ Fr = 0 by Eq. 4;
-// Y − Z ≤ 0 with Z > 0 ⇒ +Inf (the θ → p blow-up).
+// Y − Z within rounding of 0 or below it, with Z > 0 ⇒ +Inf (the blow-up
+// at θ = p and θ = 1 − p, where the feature separates the classes).
 func fisherAtQ(theta, p, q float64) float64 {
 	y := p * (1 - p) * (1 - theta)
 	z := theta * (p - q) * (p - q)
@@ -188,7 +197,7 @@ func fisherAtQ(theta, p, q float64) float64 {
 	if z == 0 {
 		return 0
 	}
-	if y-z <= 0 {
+	if y-z <= fisherSingularTol*y {
 		return math.Inf(1)
 	}
 	return z / (y - z)

@@ -303,6 +303,30 @@ func TestFisherUpperBoundEq6(t *testing.T) {
 	}
 }
 
+// TestFisherUpperBoundSingularSupport pins Frub at θ = 1 − p: a
+// feature whose support equals the majority count can cover exactly
+// the majority class (q = 0), so the bound is +Inf, not the rounding
+// residue of Y − Z. One row to either side the bound is finite, unless
+// that row is the other singular support θ = p.
+func TestFisherUpperBoundSingularSupport(t *testing.T) {
+	for n := 2; n <= 1000; n++ {
+		for c := 1; c < n; c++ {
+			p := float64(c) / float64(n)
+			if ub := FisherUpperBound(float64(n-c)/float64(n), p); !math.IsInf(ub, 1) {
+				t.Fatalf("n=%d c=%d: Frub(θ=1−p) = %v, want +Inf", n, c, ub)
+			}
+			for _, s := range []int{n - c - 1, n - c + 1} {
+				if s <= 0 || s >= n || s == c {
+					continue
+				}
+				if ub := FisherUpperBound(float64(s)/float64(n), p); math.IsInf(ub, 0) || math.IsNaN(ub) {
+					t.Fatalf("n=%d c=%d support %d: Frub = %v, want finite", n, c, s, ub)
+				}
+			}
+		}
+	}
+}
+
 func TestFisherUpperBoundMonotoneBelowP(t *testing.T) {
 	p := 0.5
 	prev := 0.0

@@ -27,7 +27,7 @@ type Classifier struct {
 	model *patclass.Model[Sequence, Pattern]
 
 	// Stats from the last Fit.
-	MinedCount, SelectedCount int
+	MinedCount, FeatureCount int
 }
 
 // Fit trains on the sequence database with labels y in [0, numClasses).
@@ -57,7 +57,7 @@ func (c *Classifier) Fit(ctx context.Context, db []Sequence, y []int, numClasses
 	if err != nil {
 		return err
 	}
-	c.MinedCount, c.SelectedCount = m.Mined, len(m.Patterns())
+	c.MinedCount, c.FeatureCount = m.Mined, len(m.Patterns())
 	return nil
 }
 

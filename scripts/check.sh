@@ -1,9 +1,10 @@
 #!/bin/sh
-# check.sh — the repo's full verification gate: gofmt, vet, the complete test
-# suite under the race detector (wall-clock bounded so a hung test fails
-# the gate instead of wedging it), and a short fuzz smoke over the
-# dataset parsers and the model loader, plus vet and tests of the
-# bench/ module. CI and pre-commit both run this.
+# check.sh — the repo's full verification gate: gofmt, vet, a run of
+# every example program, the complete test suite under the race detector
+# (wall-clock bounded so a hung test fails the gate instead of wedging
+# it), and a short fuzz smoke over the dataset parsers and the model
+# loader, plus vet and tests of the bench/ module. CI and pre-commit both
+# run this.
 #
 # Performance is measured by the repo benchmark under bench/ (see
 # bench/README.md), not by this gate.
@@ -36,6 +37,22 @@ go run ./cmd/dfpc-vet ./...
 # fails the gate.
 echo ">> go run ./cmd/dfpc-vet -waivers ./..."
 go run ./cmd/dfpc-vet -waivers ./...
+
+# Examples gate: build every examples/* program and run it. A non-zero
+# exit or a run longer than 60 s fails the gate; each one finishes in
+# about a second.
+echo ">> examples: build and run each under a 60 s timeout"
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT
+go build -o "$exdir/" ./examples/...
+for ex in examples/*/; do
+	name=$(basename "$ex")
+	echo ">> examples/$name"
+	if ! timeout 60 "$exdir/$name" >/dev/null; then
+		echo "examples/$name failed or ran past 60 s"
+		exit 1
+	fi
+done
 
 echo ">> go test -race -timeout 10m ./..."
 go test -race -timeout 10m ./...
