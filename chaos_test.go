@@ -328,7 +328,7 @@ func TestChaosCLIResumeByteIdentical(t *testing.T) {
 		}
 
 		resumed := exec.Command(bin, append(append([]string{}, base...),
-			"-workers", workers, "-resume", ckDir)...)
+			"-workers", workers, "-checkpoint", ckDir)...)
 		resumedOut, err := resumed.Output()
 		if err != nil {
 			t.Fatalf("workers=%s: resumed run failed: %v", workers, err)

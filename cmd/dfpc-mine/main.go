@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -25,8 +24,6 @@ import (
 	"dfpc"
 	"dfpc/internal/dataset"
 	"dfpc/internal/discretize"
-	"dfpc/internal/durable"
-	"dfpc/internal/faults"
 	"dfpc/internal/guard"
 	"dfpc/internal/measures"
 	"dfpc/internal/mining"
@@ -47,101 +44,45 @@ func main() {
 		maxLen   = flag.Int("maxlen", 5, "maximum pattern length")
 		top      = flag.Int("top", 30, "print the top-N patterns by information gain")
 		sortBy   = flag.String("sort", "ig", "ranking: ig, fisher, or support")
-		verbose  = flag.Bool("verbose", false, "print a stage-timing tree and mining counters to stderr")
-		reportTo = flag.String("report", "", "write a JSON RunReport of the mining run here")
-		traceTo  = flag.String("tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
-
-		timeout = flag.Duration("timeout", 0, "wall-clock bound for the mining run (0 = unbounded)")
-		workers = flag.Int("workers", 1, "worker goroutines for per-class mining (0 = all CPUs; the mined union is identical at any count)")
+		workers  = flag.Int("workers", 1, "worker goroutines for per-class mining (0 = all CPUs; the mined union is identical at any count)")
 
 		checkpointTo = flag.String("checkpoint", "", "write per-class partition checkpoints to this directory (replaying any valid ones already there)")
-		faultSpec    = flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault arms")
 	)
-	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := prof.Start()
+	ctx, ses, err := tf.Start("dfpc-mine")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfpc-mine:", err)
-		os.Exit(1)
-	}
-	var ses *telemetry.Session
-	fail := func(args ...any) {
-		fmt.Fprintln(os.Stderr, append([]any{"dfpc-mine:"}, args...)...)
-		ses.Close()
-		stopProf()
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "dfpc-mine: profiling:", err)
-		}
-	}()
-
-	var o *obs.Observer
-	if *verbose || *reportTo != "" || *traceTo != "" || tf.NeedsObserver() {
-		o = obs.New()
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ses, err = tf.Start(ctx, "dfpc-mine", o, *verbose)
-	if err != nil {
-		fail(err)
+		ses.Fail(err)
 	}
 	defer ses.Close()
-	o.SetLogger(ses.Log) // surface span-leak warnings
-	if tf.DriftEnabled() {
-		// The shared telemetry flag set carries the drift flags, but
-		// mining emits no predictions to score against a baseline.
-		ses.Log.Warn("-drift-warn/-drift-window have no effect: dfpc-mine produces no prediction stream")
-	}
-
-	var fr *faults.Registry
-	if *faultSpec != "" {
-		fr = faults.New(*faultSeed)
-		if err := fr.Parse(*faultSpec); err != nil {
-			fail(err)
-		}
-	}
-	ses.SetFaults(fr)
-
-	// First SIGINT/SIGTERM cancels mining gracefully (checkpoints and
-	// journal intact); a second hard-exits with 130.
-	ctx, stopSignals := telemetry.HandleSignals(ctx, ses.Log)
-	defer stopSignals()
+	o := ses.Obs
 
 	switch *sortBy {
 	case "ig", "fisher", "support":
 	default:
-		fail(fmt.Errorf("unknown -sort ranking %q (want ig, fisher, or support)", *sortBy))
+		ses.Fail(fmt.Errorf("unknown -sort ranking %q (want ig, fisher, or support)", *sortBy))
 	}
 
 	sp := o.Start("load")
 	d, err := load(*dataPath, *arffPath, *lucsPath, *bundled, *seed)
 	sp.End()
 	if err != nil {
-		fail(err)
+		ses.Fail(err)
 	}
 
 	sp = o.Start("discretize").Attr("rows", d.NumRows())
 	cat, err := discretize.FitApply(d, discretize.Options{})
 	sp.End()
 	if err != nil {
-		fail(err)
+		ses.Fail(err)
 	}
 	sp = o.Start("encode")
 	b, err := dataset.Encode(cat)
 	if err != nil {
 		sp.End()
-		fail(err)
+		ses.Fail(err)
 	}
 	sp.Attr("items", b.NumItems()).End()
 	sp = o.Start("mine").Attr("min_sup", *minSup).Attr("closed", *closed)
@@ -155,7 +96,7 @@ func main() {
 		Obs:         o,
 		Log:         obs.StageLogger(ses.Log, "mine"),
 		Workers:     parallel.Workers(*workers),
-		Faults:      fr,
+		Faults:      ses.Faults,
 	}
 	if *checkpointTo != "" {
 		// The key binds partition checkpoints to everything that shapes
@@ -163,9 +104,9 @@ func main() {
 		// mined union is identical at any count).
 		key := fmt.Sprintf("dfpc-mine|%s|%d|%v|%v|%d|%d", d.Name, b.NumRows(),
 			*minSup, *closed, *maxLen, mopt.MaxPatterns)
-		ck, err := mining.NewFileCheckpoint(*checkpointTo, key, fr)
+		ck, err := mining.NewFileCheckpoint(*checkpointTo, key, ses.Faults)
 		if err != nil {
-			fail(err)
+			ses.Fail(err)
 		}
 		mopt.Checkpoint = ck
 	}
@@ -177,7 +118,7 @@ func main() {
 				"dfpc-mine: completed partitions checkpointed in %s; rerun with the same -checkpoint to resume\n",
 				*checkpointTo)
 		}
-		fail(err)
+		ses.Fail(err)
 	}
 
 	n := b.NumRows()
@@ -232,28 +173,7 @@ func main() {
 			r.p.Support, theta, r.ig, fisher, curve(r.p.Support), strings.Join(names, " ∧ "))
 	}
 
-	var rep *obs.RunReport
-	if o != nil {
-		rep = o.Report(d.Name)
-		ses.AddRun(rep)
-		if *verbose {
-			fmt.Fprintln(os.Stderr)
-			rep.WriteTree(os.Stderr)
-		}
-		if *reportTo != "" {
-			if err := durable.WriteAtomic(*reportTo, fr, rep.WriteJSON); err != nil {
-				fail(err)
-			}
-			ses.Log.Info("run report written", "path", *reportTo)
-		}
-		if *traceTo != "" {
-			if err := durable.WriteAtomic(*traceTo, fr, rep.WriteTrace); err != nil {
-				fail(err)
-			}
-			ses.Log.Info("trace written", "path", *traceTo)
-		}
-	}
-	ses.Journal(telemetry.Record{
+	if err := ses.Finish(d.Name, telemetry.Record{
 		Kind:    "mine",
 		Dataset: d.Name,
 		Config: map[string]any{
@@ -261,8 +181,9 @@ func main() {
 			"closed":  *closed,
 			"max_len": *maxLen,
 		},
-		Stages: telemetry.StagesFromReport(rep),
-	})
+	}); err != nil {
+		ses.Fail(err)
+	}
 }
 
 // buildBoundLookup returns a function mapping absolute support to the

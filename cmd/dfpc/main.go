@@ -27,9 +27,7 @@ import (
 	"dfpc"
 	"dfpc/internal/durable"
 	"dfpc/internal/eval"
-	"dfpc/internal/faults"
 	"dfpc/internal/modelobs"
-	"dfpc/internal/obs"
 	"dfpc/internal/parallel"
 	"dfpc/internal/telemetry"
 )
@@ -52,47 +50,20 @@ func main() {
 		explain   = flag.Int("explain", 0, "print the top-N selected patterns; with -load, print per-prediction explanations for the first N rows as JSONL")
 		saveTo    = flag.String("save", "", "after evaluation, train on the full dataset and save the model here")
 		loadFrom  = flag.String("load", "", "load a saved model and predict the dataset (no training)")
-		driftTo   = flag.String("drift-report", "", "write the final drift report (the /drift payload) as JSON here; needs -drift-warn or -drift-window")
 		dumpCSV   = flag.String("dump-csv", "", "write the loaded dataset as CSV here and exit (for deriving shifted test splits)")
-		verbose   = flag.Bool("verbose", false, "print per-fold progress and a stage-timing tree")
-		reportTo  = flag.String("report", "", "write a JSON RunReport of the evaluation here")
-		traceTo   = flag.String("tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
 
-		timeout      = flag.Duration("timeout", 0, "whole-run wall-clock bound (0 = unbounded)")
+		driftWarn   = flag.Float64("drift-warn", 0, "track prediction drift and log WARN when live-vs-baseline PSI crosses this threshold (0 disables unless -drift-window is set; 0.25 is the conventional 'significant shift' cut)")
+		driftWindow = flag.Int("drift-window", 0, "predictions per drift sketch window (0 = 256 when drift tracking is on)")
+		driftTo     = flag.String("drift-report", "", "write the final drift report (the /drift payload) as JSON here; needs -drift-warn or -drift-window")
+
 		stageTimeout = flag.Duration("stage-timeout", 0, "per-stage wall-clock bound within each fit (0 = unbounded)")
 		contOnError  = flag.Bool("continue-on-error", false, "isolate failing CV folds and report statistics over the completed ones")
 		workers      = flag.Int("workers", 1, "worker goroutines for CV folds, mining, MMRFS, and SVM (0 = all CPUs; results are identical at any count)")
-
 		checkpointTo = flag.String("checkpoint", "", "write per-fold checkpoints to this directory (replaying any valid ones already there)")
-		resumeFrom   = flag.String("resume", "", "resume an interrupted run from this checkpoint directory (alias of -checkpoint)")
-		faultSpec    = flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault arms")
 	)
-	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	flag.Parse()
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfpc:", err)
-		os.Exit(1)
-	}
-	// os.Exit skips defers, so every exit path below funnels through
-	// fail, which also closes the telemetry session (journal + server).
-	var ses *telemetry.Session
-	fail := func(args ...any) {
-		fmt.Fprintln(os.Stderr, append([]any{"dfpc:"}, args...)...)
-		ses.Close()
-		stopProf()
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "dfpc: profiling:", err)
-		}
-	}()
 
 	if *list {
 		for _, n := range dfpc.DatasetNames() {
@@ -100,68 +71,42 @@ func main() {
 		}
 		return
 	}
+	ctx, ses, err := tf.Start("dfpc")
+	if err != nil {
+		ses.Fail(err)
+	}
+	defer ses.Close()
+	drift := driftConfig{warn: *driftWarn, window: *driftWindow, path: *driftTo}
 
 	d, err := loadData(*dataPath, *bundled, *seed)
 	if err != nil {
-		fail(err)
+		ses.Fail(err)
 	}
 
 	if *dumpCSV != "" {
 		if err := durable.WriteAtomic(*dumpCSV, nil, func(w io.Writer) error {
 			return dfpc.SaveCSV(w, d)
 		}); err != nil {
-			fail(err)
+			ses.Fail(err)
 		}
 		fmt.Printf("dataset written to %s\n", *dumpCSV)
 		return
 	}
 
-	var fr *faults.Registry
-	if *faultSpec != "" {
-		fr = faults.New(*faultSeed)
-		if err := fr.Parse(*faultSpec); err != nil {
-			fail(err)
-		}
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	var o *dfpc.Observer
-	if *verbose || *reportTo != "" || *traceTo != "" || tf.NeedsObserver() {
-		o = dfpc.NewObserver()
-	}
-	ses, err = tf.Start(ctx, "dfpc", o, *verbose)
-	if err != nil {
-		fail(err)
-	}
-	defer ses.Close()
-	o.SetLogger(ses.Log) // surface span-leak warnings
-	ses.SetFaults(fr)
-
-	// First SIGINT/SIGTERM cancels the run (partial stats, flushed
-	// journal, checkpoints intact); a second hard-exits with 130.
-	ctx, stopSignals := telemetry.HandleSignals(ctx, ses.Log)
-	defer stopSignals()
-
 	if *loadFrom != "" {
-		if err := predictOnly(ctx, *loadFrom, d, *explain, &tf, o, ses, fr, *driftTo); err != nil {
-			fail(err)
+		if err := predictOnly(ctx, *loadFrom, d, *explain, ses, drift); err != nil {
+			ses.Fail(err)
 		}
 		return
 	}
 
 	fam, err := parseFamily(*family)
 	if err != nil {
-		fail(err)
+		ses.Fail(err)
 	}
 	lrn, err := parseLearner(*learner)
 	if err != nil {
-		fail(err)
+		ses.Fail(err)
 	}
 
 	opts := []dfpc.Option{
@@ -186,52 +131,38 @@ func main() {
 	opts = append(opts, dfpc.WithWorkers(*workers))
 
 	clf := dfpc.NewClassifier(fam, lrn, opts...)
-	if fr != nil {
-		clf.SetFaults(fr)
-	}
+	clf.SetFaults(ses.Faults)
 	clf.SetLogger(ses.Log)
 
 	// CV folds share the tracker through the config clone; the first
 	// fitted fold binds the baseline, the later folds' predictions
 	// stream into the same sketch ring.
-	drift := tf.NewDriftTracker(o, ses.Log)
-	if drift != nil {
-		drift.SetFaults(fr)
-		clf.SetDriftTracker(drift)
-		ses.EnableDrift(drift)
-	}
+	tracker := drift.attach(clf, ses)
 
-	ckDir := *checkpointTo
-	if *resumeFrom != "" {
-		if ckDir != "" && ckDir != *resumeFrom {
-			fail(fmt.Errorf("-checkpoint %q and -resume %q disagree; pass one directory", ckDir, *resumeFrom))
-		}
-		ckDir = *resumeFrom
-	}
 	var ck *eval.Checkpointer
-	if ckDir != "" {
+	if *checkpointTo != "" {
 		// The key binds checkpoints to everything that determines fold
 		// outcomes; worker count is deliberately absent (results are
 		// identical at any count), so runs may resume at a different one.
 		key := eval.CVKey("dfpc-cv", d.Name, d.NumRows(), *folds, *seed,
 			fam.String(), lrn.String(), *minSup, *ig0, *coverage,
 			*svmC, *gamma, *useFisher, *stageTimeout)
-		ck, err = eval.NewCheckpointer(ckDir, key, fr)
+		ck, err = eval.NewCheckpointer(*checkpointTo, key, ses.Faults)
 		if err != nil {
-			fail(err)
+			ses.Fail(err)
 		}
 		if done := ck.CompletedFolds(*folds); len(done) > 0 {
 			ses.Log.Info("resuming from checkpoints",
-				"dir", ckDir, "completed_folds", len(done), "total_folds", *folds)
+				"dir", *checkpointTo, "completed_folds", len(done), "total_folds", *folds)
 		}
 	}
 
 	res, err := dfpc.CrossValidateContext(ctx, clf, d, *folds, *seed, dfpc.CVOptions{
-		Obs:             o,
+		Obs:             ses.Obs,
 		Log:             ses.Log,
 		ContinueOnError: *contOnError,
 		Workers:         parallel.Workers(*workers),
-		Faults:          fr,
+		Faults:          ses.Faults,
 		Checkpoint:      ck,
 	})
 	if err != nil {
@@ -241,7 +172,7 @@ func main() {
 			fmt.Printf("interrupted: %d/%d folds completed, partial accuracy %.2f%% ± %.2f\n",
 				res.Completed, *folds, 100*res.Mean, 100*res.Std)
 			if ck != nil {
-				fmt.Printf("checkpoints in %s; rerun with -resume %s to continue\n", ck.Dir(), ck.Dir())
+				fmt.Printf("checkpoints in %s; rerun with -checkpoint %s to continue\n", ck.Dir(), ck.Dir())
 			}
 			ses.Journal(telemetry.Record{
 				Kind:     "cv",
@@ -253,13 +184,13 @@ func main() {
 		}
 		switch {
 		case ctx.Err() != nil && errors.Is(err, dfpc.ErrDeadline):
-			fail("run exceeded -timeout:", err)
+			ses.Fail("run exceeded -timeout:", err)
 		case errors.Is(err, dfpc.ErrDeadline):
-			fail("stage exceeded -stage-timeout:", err)
+			ses.Fail("stage exceeded -stage-timeout:", err)
 		case errors.Is(err, dfpc.ErrCanceled):
-			fail("run canceled:", err)
+			ses.Fail("run canceled:", err)
 		default:
-			fail(err)
+			ses.Fail(err)
 		}
 	}
 
@@ -288,40 +219,14 @@ func main() {
 	for _, fe := range res.Failures {
 		warnings = append(warnings, fe.Error())
 	}
-	var rep *dfpc.RunReport
-	if o != nil {
-		rep = o.Report(d.Name)
-		// The audit rides the report of the final (sequential-equivalent)
-		// fold's fit, attached here rather than by the observer so
-		// parallel folds can't race on it.
-		if len(clf.Stats.SelectionAudit) > 0 {
-			rep.Audits = map[string]any{"mmrfs": clf.Stats.SelectionAudit}
-		}
-		ses.AddRun(rep)
-		// Stage detail goes to stderr: stdout carries only the summary
-		// above, so it stays machine-parseable.
-		if *verbose {
-			fmt.Fprintln(os.Stderr)
-			rep.WriteTree(os.Stderr)
-		}
-		if *reportTo != "" {
-			if err := durable.WriteAtomic(*reportTo, fr, rep.WriteJSON); err != nil {
-				fail(err)
-			}
-			ses.Log.Info("run report written", "path", *reportTo)
-		}
-		if *traceTo != "" {
-			if err := durable.WriteAtomic(*traceTo, fr, rep.WriteTrace); err != nil {
-				fail(err)
-			}
-			ses.Log.Info("trace written", "path", *traceTo)
-		}
-	}
+	// The audit rides the report of the final (sequential-equivalent)
+	// fold's fit, attached here rather than by the observer so parallel
+	// folds can't race on it.
 	var audits map[string]any
 	if len(clf.Stats.SelectionAudit) > 0 {
 		audits = map[string]any{"mmrfs": clf.Stats.SelectionAudit}
 	}
-	ses.Journal(telemetry.Record{
+	if err := ses.Finish(d.Name, telemetry.Record{
 		Kind:    "cv",
 		Dataset: d.Name,
 		Config: map[string]any{
@@ -336,28 +241,56 @@ func main() {
 		Accuracy:    res.Mean,
 		AccuracyStd: res.Std,
 		WallNS:      int64(res.TrainTime + res.TestTime),
-		Stages:      telemetry.StagesFromReport(rep),
 		Warnings:    warnings,
 		Audits:      audits,
-	})
-	if err := emitDrift(drift, d.Name, *driftTo, fr, ses); err != nil {
-		fail(err)
+	}); err != nil {
+		ses.Fail(err)
+	}
+	if err := drift.emit(tracker, d.Name, ses); err != nil {
+		ses.Fail(err)
 	}
 	if *saveTo != "" {
 		rows := make([]int, d.NumRows())
 		for i := range rows {
 			rows[i] = i
 		}
-		if err := clf.Fit(d, rows); err != nil {
-			fail("final fit:", err)
+		if err := clf.FitContext(ctx, d, rows); err != nil {
+			ses.Fail("final fit:", err)
 		}
-		if err := durable.WriteAtomic(*saveTo, fr, func(w io.Writer) error {
+		if err := durable.WriteAtomic(*saveTo, ses.Faults, func(w io.Writer) error {
 			return dfpc.SaveModel(w, clf)
 		}); err != nil {
-			fail(err)
+			ses.Fail(err)
 		}
 		fmt.Printf("model saved to %s\n", *saveTo)
 	}
+}
+
+// driftConfig carries the drift flags: -drift-warn and -drift-window
+// turn tracking on, -drift-report names the final report's file.
+type driftConfig struct {
+	warn   float64
+	window int
+	path   string
+}
+
+// attach builds the tracker the drift flags describe and installs it on
+// clf and on the debug server's /drift endpoint. It returns nil, and
+// installs nothing, when drift tracking is off.
+func (c driftConfig) attach(clf *dfpc.Classifier, ses *telemetry.Session) *modelobs.Tracker {
+	if c.warn <= 0 && c.window <= 0 {
+		return nil
+	}
+	t := modelobs.NewTracker(modelobs.TrackerConfig{
+		WindowSize: c.window,
+		WarnPSI:    c.warn,
+		Obs:        ses.Obs,
+		Log:        ses.Log,
+	})
+	t.SetFaults(ses.Faults)
+	clf.SetDriftTracker(t)
+	ses.EnableDrift(t)
+	return t
 }
 
 // predictOnly loads a saved model and prints one predicted class per
@@ -368,8 +301,7 @@ func main() {
 // against the model's fit-time baseline: live on /drift when -listen is
 // set, as a journal record, and as a JSON file via -drift-report.
 func predictOnly(ctx context.Context, path string, d *dfpc.Dataset, explainN int,
-	tf *telemetry.Flags, o *dfpc.Observer, ses *telemetry.Session,
-	fr *faults.Registry, driftTo string) error {
+	ses *telemetry.Session, drift driftConfig) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -379,23 +311,15 @@ func predictOnly(ctx context.Context, path string, d *dfpc.Dataset, explainN int
 	if err != nil {
 		return err
 	}
-	if fr != nil {
-		clf.SetFaults(fr)
-	}
+	clf.SetFaults(ses.Faults)
 	clf.SetLogger(ses.Log)
-	drift := tf.NewDriftTracker(o, ses.Log)
-	if drift != nil {
-		if clf.Baseline() == nil {
-			// A v1 artifact predates fit-time baselines; there is nothing
-			// to score live predictions against.
-			ses.Log.Warn("loaded model carries no baseline (saved by a pre-drift build); drift tracking disabled")
-			drift = nil
-		} else {
-			drift.SetFaults(fr)
-			clf.SetDriftTracker(drift)
-			ses.EnableDrift(drift)
-		}
+	if clf.Baseline() == nil && (drift.warn > 0 || drift.window > 0) {
+		// A v1 artifact predates fit-time baselines; there is nothing
+		// to score live predictions against.
+		ses.Log.Warn("loaded model carries no baseline (saved by a pre-drift build); drift tracking disabled")
+		drift = driftConfig{}
 	}
+	tracker := drift.attach(clf, ses)
 	if explainN > 0 {
 		if explainN > d.NumRows() {
 			explainN = d.NumRows()
@@ -435,16 +359,14 @@ func predictOnly(ctx context.Context, path string, d *dfpc.Dataset, explainN int
 	}
 	fmt.Fprintf(os.Stderr, "accuracy vs labels in file: %.2f%%\n",
 		100*float64(correct)/float64(len(pred)))
-	return emitDrift(drift, d.Name, driftTo, fr, ses)
+	return drift.emit(tracker, d.Name, ses)
 }
 
-// emitDrift publishes a drift-tracked run's final report: a summary
-// line on stderr, a journal record of kind "drift", and (with
-// -drift-report) an atomic JSON artifact matching the /drift payload.
-// A nil tracker — drift flags unset, or the model had no baseline —
-// is a no-op.
-func emitDrift(drift *modelobs.Tracker, dataset, path string,
-	fr *faults.Registry, ses *telemetry.Session) error {
+// emit publishes a drift-tracked run's final report: a summary line
+// on stderr, a journal record of kind "drift", and (with -drift-report)
+// an atomic JSON artifact matching the /drift payload. A nil tracker —
+// drift flags unset, or the model had no baseline — is a no-op.
+func (c driftConfig) emit(drift *modelobs.Tracker, dataset string, ses *telemetry.Session) error {
 	rep, err := drift.Report()
 	if err != nil {
 		return err
@@ -455,17 +377,17 @@ func emitDrift(drift *modelobs.Tracker, dataset, path string,
 	fmt.Fprintf(os.Stderr, "drift: max PSI %.4f over %d predictions (%d windows, %d warnings)\n",
 		rep.MaxPSI, rep.Predictions, rep.Advanced, rep.Warnings)
 	ses.Journal(telemetry.Record{Kind: "drift", Dataset: dataset, Drift: rep})
-	if path == "" {
+	if c.path == "" {
 		return nil
 	}
-	if err := durable.WriteAtomic(path, fr, func(w io.Writer) error {
+	if err := durable.WriteAtomic(c.path, ses.Faults, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}); err != nil {
 		return err
 	}
-	ses.Log.Info("drift report written", "path", path)
+	ses.Log.Info("drift report written", "path", c.path)
 	return nil
 }
 

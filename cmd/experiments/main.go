@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"dfpc"
 	"dfpc/internal/datagen"
 	"dfpc/internal/durable"
 	"dfpc/internal/experiments"
@@ -42,81 +41,32 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced fidelity: 3 folds, subsampled dense sets")
 	folds := flag.Int("folds", 0, "cross-validation folds (default 10, or 3 with -quick)")
 	csvDir := flag.String("csv", "", "also write results as CSV files into this directory")
-	verbose := flag.Bool("verbose", false, "print a stage-timing tree after the run")
-	reportTo := flag.String("report", "", "write a JSON RunReport of the run here")
-	traceTo := flag.String("tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
-	timeout := flag.Duration("timeout", 0, "whole-run wall-clock bound (0 = unbounded)")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage wall-clock bound within each fit (0 = unbounded)")
 	contOnError := flag.Bool("continue-on-error", false, "isolate failing CV folds; table cells then cover the completed folds")
 	workers := flag.Int("workers", 1, "worker goroutines for CV folds, mining, MMRFS, and SVM (0 = all CPUs; results are identical at any count)")
-	faultSpec := flag.String("faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault arms")
-	var prof obs.ProfileFlags
-	prof.Register(flag.CommandLine)
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := prof.Start()
+	ctx, ses, err := tf.Start("experiments")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		ses.Fail(err)
 	}
-	var ses *telemetry.Session
-	fail := func(args ...any) {
-		fmt.Fprintln(os.Stderr, append([]any{"experiments:"}, args...)...)
-		ses.Close()
-		stopProf()
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: profiling:", err)
-		}
-	}()
-
+	defer ses.Close()
 	cfg := runConfig{
 		folds:        *folds,
 		quick:        *quick,
 		csvDir:       *csvDir,
+		obs:          ses.Obs,
+		log:          ses.Log,
 		stageTimeout: *stageTimeout,
 		contOnError:  *contOnError,
 		workers:      parallel.Workers(*workers),
+		faults:       ses.Faults,
 	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *verbose || *reportTo != "" || *traceTo != "" || tf.NeedsObserver() {
-		cfg.obs = obs.New()
-	}
-	ses, err = tf.Start(ctx, "experiments", cfg.obs, *verbose)
-	if err != nil {
-		fail(err)
-	}
-	defer ses.Close()
-	cfg.log = ses.Log
-	cfg.obs.SetLogger(ses.Log) // surface span-leak warnings
-
-	if *faultSpec != "" {
-		cfg.faults = faults.New(*faultSeed)
-		if err := cfg.faults.Parse(*faultSpec); err != nil {
-			fail(err)
-		}
-	}
-	ses.SetFaults(cfg.faults)
-
-	// First SIGINT/SIGTERM cancels the campaign gracefully (journal and
-	// completed CSVs intact); a second hard-exits with 130.
-	var stopSignals context.CancelFunc
-	ctx, stopSignals = telemetry.HandleSignals(ctx, ses.Log)
-	defer stopSignals()
-
 	if cfg.csvDir != "" {
 		if err := os.MkdirAll(cfg.csvDir, 0o755); err != nil {
-			fail(err)
+			ses.Fail(err)
 		}
 	}
 	if cfg.folds == 0 {
@@ -138,36 +88,13 @@ func main() {
 		err = runAblations(ctx, cfg)
 	default:
 		flag.Usage()
-		stopProf()
+		ses.Close()
 		os.Exit(2)
 	}
 	if err != nil {
-		fail(err)
+		ses.Fail(err)
 	}
 	elapsed := time.Since(start)
-	var rep *dfpc.RunReport
-	if cfg.obs != nil {
-		rep = cfg.obs.Report("experiments")
-		ses.AddRun(rep)
-		// Stage detail goes to stderr so stdout carries only the tables
-		// and figures themselves.
-		if *verbose {
-			fmt.Fprintln(os.Stderr)
-			rep.WriteTree(os.Stderr)
-		}
-		if *reportTo != "" {
-			if err := durable.WriteAtomic(*reportTo, cfg.faults, rep.WriteJSON); err != nil {
-				fail(err)
-			}
-			ses.Log.Info("run report written", "path", *reportTo)
-		}
-		if *traceTo != "" {
-			if err := durable.WriteAtomic(*traceTo, cfg.faults, rep.WriteTrace); err != nil {
-				fail(err)
-			}
-			ses.Log.Info("trace written", "path", *traceTo)
-		}
-	}
 	kind := "table"
 	target := *table
 	switch {
@@ -178,7 +105,7 @@ func main() {
 	case *ablations:
 		kind, target = "table", "ablations"
 	}
-	ses.Journal(telemetry.Record{
+	if err := ses.Finish("experiments", telemetry.Record{
 		Kind: kind,
 		Config: map[string]any{
 			"target": target,
@@ -187,8 +114,9 @@ func main() {
 		},
 		Folds:  cfg.folds,
 		WallNS: int64(elapsed),
-		Stages: telemetry.StagesFromReport(rep),
-	})
+	}); err != nil {
+		ses.Fail(err)
+	}
 	fmt.Printf("\ndone in %v\n", elapsed.Round(time.Millisecond))
 }
 

@@ -80,9 +80,6 @@ var (
 	ErrPatternBudget = mining.ErrPatternBudget
 )
 
-// CompareResult reports a paired t-test between two CV runs.
-type CompareResult = eval.CompareResult
-
 // FeatureReport describes one selected pattern feature: the readable
 // conjunction, its support, information gain, Fisher score, and the
 // class it votes for. Obtain reports from Classifier.Explain after Fit.
@@ -345,13 +342,6 @@ func CrossValidateContext(ctx context.Context, c *Classifier, d *Dataset, k int,
 		c.SetObserver(opt.Obs)
 	}
 	return eval.CrossValidateContext(ctx, c, d, k, seed, opt)
-}
-
-// Compare runs a two-sided paired t-test over the fold accuracies of
-// two cross-validation results evaluated on the same folds, reporting
-// whether the accuracy difference is significant at the 5% level.
-func Compare(a, b *CVResult) (*CompareResult, error) {
-	return eval.Compare(a, b)
 }
 
 // TrainTestSplit returns stratified train/test row indices.

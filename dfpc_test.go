@@ -246,15 +246,8 @@ func TestCompareAcrossClassifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.P < 0 || cmp.P > 1 {
-		t.Fatalf("p = %v", cmp.P)
-	}
-	if cmp.MeanA <= cmp.MeanB {
-		t.Fatalf("Pat_FS (%.3f) should beat Item_All (%.3f) on heart", cmp.MeanA, cmp.MeanB)
+	if a.Mean <= b.Mean {
+		t.Fatalf("Pat_FS (%.3f) should beat Item_All (%.3f) on heart", a.Mean, b.Mean)
 	}
 }
 

@@ -53,7 +53,7 @@ func (b *RunBuffer) Len() int {
 // nil-safe set: its methods may dereference freely.
 type Flags struct{ listen string }
 
-func (f *Flags) NeedsObserver() bool { return f.listen != "" }
+func (f *Flags) Listening() bool { return f.listen != "" }
 
 // unexported methods are outside the exported-API contract.
 func (s *Server) reset() { s.addr = "" }

@@ -12,9 +12,8 @@ import (
 )
 
 // ProfileFlags holds the standard profiling flag values shared by the
-// CLIs (cmd/dfpc, cmd/dfpc-mine, cmd/experiments). Register the flags,
-// then bracket the program's work between Start and the returned stop
-// function.
+// CLIs through telemetry.Flags. Register the flags, then bracket the
+// program's work between Start and the returned stop function.
 type ProfileFlags struct {
 	CPUProfile string
 	MemProfile string

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"dfpc/internal/guard"
 	"dfpc/internal/obs"
@@ -78,5 +80,33 @@ func TestTrainPreCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := Train(x, y, 2, Config{C: 1, NumFeatures: 2, Guard: guard.New(ctx, guard.Limits{})}); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
+}
+
+// TestGramPrecomputePollsGuard pins that the Gram-matrix precompute
+// honours cancellation: at gramCacheLimit rows it fills ~8M kernel
+// entries before the first SMO iteration, so a guard polled only there
+// would let a canceled solve run for seconds.
+func TestGramPrecomputePollsGuard(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([][]int32, gramCacheLimit)
+	y := make([]float64, gramCacheLimit)
+	for i := range x {
+		for _, it := range rng.Perm(200)[:40] {
+			x[i] = append(x[i], int32(it))
+		}
+		sort.Slice(x[i], func(a, b int) bool { return x[i][a] < x[i][b] })
+		y[i] = float64(2*(i%2) - 1)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := trainBinary(x, y, smoConfig{c: 1, eps: 1e-3, maxIter: 1000, gamma: 1,
+		g: guard.New(ctx, guard.Limits{})})
+	if !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("canceled solve took %v; the Gram precompute must poll the guard", d)
 	}
 }

@@ -80,6 +80,11 @@ func trainBinary(x [][]int32, y []float64, cfg smoConfig) (*binaryModel, error) 
 	if n <= gramCacheLimit {
 		gram = make([]float32, n*n)
 		for i := 0; i < n; i++ {
+			// One poll per row bounds the up-to-n²/2 kernel evaluations
+			// that precede the first SMO iteration.
+			if err := cfg.g.CheckNow(); err != nil {
+				return nil, err
+			}
 			for j := i; j < n; j++ {
 				v := float32(cfg.kernel.eval(x[i], x[j], cfg.gamma))
 				gram[i*n+j] = v

@@ -4,18 +4,21 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
+	"sync"
 	"time"
 
+	"dfpc/internal/durable"
 	"dfpc/internal/faults"
 	"dfpc/internal/modelobs"
 	"dfpc/internal/obs"
 )
 
-// Flags is the telemetry flag set shared by the dfpc, dfpc-mine, and
-// experiments CLIs. Register it on the command's FlagSet, parse, then
-// Start a Session.
+// Flags is the run-lifecycle flag set shared by the dfpc, dfpc-mine,
+// and experiments CLIs. Register it on the command's FlagSet, parse,
+// then Start a Session; each CLI declares only its own flags besides.
 type Flags struct {
 	// Listen is the debug server address; empty disables the server.
 	Listen string
@@ -23,17 +26,26 @@ type Flags struct {
 	LogFormat string
 	// Journal is the JSONL run-journal path; empty disables journaling.
 	Journal string
-	// DriftWarn is the -drift-warn PSI threshold; > 0 enables drift
-	// tracking and WARNs when the max per-dimension PSI crosses it.
-	DriftWarn float64
-	// DriftWindow is the -drift-window sketch window size in
-	// predictions; > 0 enables drift tracking (0 with -drift-warn set
-	// uses the modelobs default, 256).
-	DriftWindow int
+	// Verbose lowers the log level to debug and prints the stage tree
+	// to stderr at Finish.
+	Verbose bool
+	// Report and TraceJSON are the RunReport JSON and Chrome trace
+	// paths Finish writes; empty skips each.
+	Report    string
+	TraceJSON string
+	// Timeout bounds the whole run through Start's context; 0 is
+	// unbounded.
+	Timeout time.Duration
+	// FaultSpec and FaultSeed arm the session's fault registry.
+	FaultSpec string
+	FaultSeed int64
+	// Profile holds -cpuprofile, -memprofile and -trace.
+	Profile obs.ProfileFlags
 }
 
-// Register installs the -listen, -log-format, -journal, -drift-warn,
-// and -drift-window flags.
+// Register installs every flag the CLIs share: -listen, -log-format,
+// -journal, -verbose, -report, -tracejson, -timeout, -faults,
+// -fault-seed, and the profile trio.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	if f == nil {
 		return
@@ -41,114 +53,169 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Listen, "listen", "", "serve /metrics, /runs, /healthz, /drift and /debug/pprof on this address (e.g. :9090)")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log format: text or json")
 	fs.StringVar(&f.Journal, "journal", "", "append one JSONL record per run to this file")
-	fs.Float64Var(&f.DriftWarn, "drift-warn", 0, "track prediction drift and log WARN when live-vs-baseline PSI crosses this threshold (0 disables unless -drift-window is set; 0.25 is the conventional 'significant shift' cut)")
-	fs.IntVar(&f.DriftWindow, "drift-window", 0, "predictions per drift sketch window (0 = 256 when drift tracking is on)")
+	fs.BoolVar(&f.Verbose, "verbose", false, "log at debug level (per-fold progress) and print a stage-timing tree to stderr")
+	fs.StringVar(&f.Report, "report", "", "write a JSON RunReport of the run here")
+	fs.StringVar(&f.TraceJSON, "tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
+	fs.DurationVar(&f.Timeout, "timeout", 0, "whole-run wall-clock bound (0 = unbounded)")
+	fs.StringVar(&f.FaultSpec, "faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
+	fs.Int64Var(&f.FaultSeed, "fault-seed", 1, "seed for probabilistic fault arms")
+	f.Profile.Register(fs)
 }
 
-// DriftEnabled reports whether either drift flag asks for prediction
-// drift tracking.
-func (f *Flags) DriftEnabled() bool {
-	return f != nil && (f.DriftWarn > 0 || f.DriftWindow > 0)
-}
-
-// NewDriftTracker builds the modelobs tracker the drift flags
-// describe, or nil when drift tracking is off. o receives the
-// dfpc_drift_* gauges; log the threshold WARNs.
-func (f *Flags) NewDriftTracker(o *obs.Observer, log *slog.Logger) *modelobs.Tracker {
-	if !f.DriftEnabled() {
-		return nil
-	}
-	return modelobs.NewTracker(modelobs.TrackerConfig{
-		WindowSize: f.DriftWindow,
-		WarnPSI:    f.DriftWarn,
-		Obs:        o,
-		Log:        log,
-	})
-}
-
-// NeedsObserver reports whether the flags require a live observer even
-// when the user did not ask for a report: the debug server scrapes it
-// and the journal aggregates its spans.
-func (f *Flags) NeedsObserver() bool {
-	return f != nil && (f.Listen != "" || f.Journal != "" || f.DriftEnabled())
-}
-
-// Session is a CLI's telemetry lifetime: the root logger, the debug
-// server (if -listen), the journal (if -journal), and the /runs ring
-// buffer. Construct with Flags.Start; a nil *Session is valid and
-// inert. Close it before exit — including on error paths, since
+// Session is a CLI's run lifetime: the profiles, the root logger, the
+// observer, the fault registry, the debug server (if -listen), the
+// journal (if -journal), the /runs ring buffer, and the signal handler.
+// Construct with Flags.Start; on a nil *Session every method but Fail
+// is a no-op. Close it before exit; Fail does so on error paths, since
 // os.Exit skips deferred calls.
 type Session struct {
 	// Log is the process root logger, always non-nil on a session
-	// returned by Start: stderr, with component and run_id attributes,
-	// at debug level when the CLI's -verbose flag is set.
+	// Start returned without error: stderr, with component and run_id
+	// attributes, at debug level under -verbose.
 	Log   *slog.Logger
 	RunID string
+	// Obs is the run's observer, nil unless -verbose, -report,
+	// -tracejson, -listen, or -journal reads it.
+	Obs *obs.Observer
+	// Faults is the -faults registry, nil without -faults.
+	Faults *faults.Registry
 
-	journal *Journal
-	server  *Server
-	runs    *RunBuffer
+	component string
+	verbose   bool
+	report    string
+	traceJSON string
+	journal   *Journal
+	server    *Server
+	runs      *RunBuffer
+	stopProf  func() error
+	stopSigs  context.CancelFunc
+	cancel    context.CancelFunc // the -timeout context
+	closeOnce sync.Once
 }
 
-// Start opens the session: builds the root logger, opens the journal,
-// and binds + serves the debug server until ctx is canceled or the
-// session is closed. component names the CLI in logs and journal
-// records; verbose lowers the log level to debug.
-func (f *Flags) Start(ctx context.Context, component string, o *obs.Observer, verbose bool) (*Session, error) {
-	runID := NewRunID()
+// Start opens the run: it starts the profiles, builds the root logger
+// and (when a flag reads it) the observer, parses -faults, bounds the
+// returned context by -timeout, opens the journal, binds and serves
+// the debug server, and installs HandleSignals on the context.
+// component names the CLI in logs, journal records and Fail's prefix.
+// On error the returned session holds what Start had opened, already
+// closed, so ses.Fail(err) reports it under the component prefix.
+func (f *Flags) Start(component string) (context.Context, *Session, error) {
+	ctx := context.Background()
+	s := &Session{component: component}
+	fail := func(err error) (context.Context, *Session, error) {
+		s.Close()
+		return ctx, s, err
+	}
+	s.verbose, s.report, s.traceJSON = f.Verbose, f.Report, f.TraceJSON
+	stop, err := f.Profile.Start()
+	if err != nil {
+		return fail(err)
+	}
+	s.stopProf = stop
+
+	s.RunID = NewRunID()
 	lvl := slog.LevelInfo
-	if verbose {
+	if f.Verbose {
 		lvl = slog.LevelDebug
 	}
 	var h slog.Handler
-	format := "text"
-	if f != nil && f.LogFormat != "" {
-		format = f.LogFormat
-	}
-	switch format {
-	case "text":
+	switch f.LogFormat {
+	case "text", "":
 		h = slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})
 	case "json":
 		h = slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})
 	default:
-		return nil, fmt.Errorf("telemetry: unknown -log-format %q (want text or json)", format)
+		return fail(fmt.Errorf("telemetry: unknown -log-format %q (want text or json)", f.LogFormat))
 	}
-	log := slog.New(h).With(
+	s.Log = slog.New(h).With(
 		slog.String("component", component),
-		slog.String("run_id", runID),
+		slog.String("run_id", s.RunID),
 	)
-	ses := &Session{Log: log, RunID: runID}
-	if f == nil {
-		return ses, nil
+	if f.Verbose || f.Report != "" || f.TraceJSON != "" || f.Listen != "" || f.Journal != "" {
+		s.Obs = obs.New()
+		s.Obs.SetLogger(s.Log) // surface span-leak warnings
 	}
-	j, err := OpenJournal(f.Journal, component, runID)
-	if err != nil {
-		return nil, err
-	}
-	ses.journal = j
-	if f.Listen != "" {
-		ses.runs = NewRunBuffer(32)
-		ses.server = NewServer(ServerConfig{
-			Addr: f.Listen,
-			Obs:  o,
-			Runs: ses.runs,
-			Log:  log,
-		})
-		if err := ses.server.Start(ctx); err != nil {
-			_ = j.Close()
-			return nil, err
+	if f.FaultSpec != "" {
+		s.Faults = faults.New(f.FaultSeed)
+		if err := s.Faults.Parse(f.FaultSpec); err != nil {
+			return fail(err)
 		}
 	}
-	return ses, nil
+	if f.Timeout > 0 {
+		ctx, s.cancel = context.WithTimeout(ctx, f.Timeout)
+	}
+	if s.journal, err = OpenJournal(f.Journal, component, s.RunID); err != nil {
+		return fail(err)
+	}
+	s.journal.SetFaults(s.Faults)
+	if f.Listen != "" {
+		s.runs = NewRunBuffer(32)
+		srv := NewServer(ServerConfig{Addr: f.Listen, Obs: s.Obs, Runs: s.runs, Log: s.Log})
+		if err := srv.Start(ctx); err != nil {
+			return fail(err)
+		}
+		s.server = srv
+	}
+	// First SIGINT/SIGTERM cancels the run (partial stats, flushed
+	// journal, checkpoints intact); a second hard-exits with 130.
+	ctx, s.stopSigs = HandleSignals(ctx, s.Log)
+	return ctx, s, nil
 }
 
-// SetFaults installs a fault-injection registry on the session's
-// journal, so -faults specs can target telemetry.journal.
-func (s *Session) SetFaults(r *faults.Registry) {
+// Fail prints args to stderr behind the component prefix, closes the
+// session, and exits with status 1.
+func (s *Session) Fail(args ...any) {
 	if s == nil {
+		fmt.Fprintln(os.Stderr, args...)
+		os.Exit(1)
 		return
 	}
-	s.journal.SetFaults(r)
+	fmt.Fprintln(os.Stderr, append([]any{s.component + ":"}, args...)...)
+	s.Close()
+	os.Exit(1)
+}
+
+// Finish publishes a completed run: it snapshots the observer's report
+// under name with rec.Audits attached, adds it to /runs, prints the
+// stage tree to stderr under -verbose, writes -report and -tracejson
+// atomically, and journals rec with Stages filled in. A failed write
+// returns its error before anything is journaled.
+func (s *Session) Finish(name string, rec Record) error {
+	if s == nil {
+		return nil
+	}
+	rep := s.Obs.Report(name)
+	if rep != nil {
+		if len(rec.Audits) > 0 {
+			rep.Audits = rec.Audits
+		}
+		s.runs.Add(rep)
+		// Stage detail goes to stderr: stdout carries only the run's
+		// own output, so it stays machine-parseable.
+		if s.verbose {
+			fmt.Fprintln(os.Stderr)
+			rep.WriteTree(os.Stderr)
+		}
+		for _, a := range []struct {
+			path, what string
+			write      func(io.Writer) error
+		}{
+			{s.report, "run report", rep.WriteJSON},
+			{s.traceJSON, "trace", rep.WriteTrace},
+		} {
+			if a.path == "" {
+				continue
+			}
+			if err := durable.WriteAtomic(a.path, s.Faults, a.write); err != nil {
+				return err
+			}
+			s.Log.Info(a.what+" written", "path", a.path)
+		}
+	}
+	rec.Stages = StagesFromReport(rep)
+	s.Journal(rec)
+	return nil
 }
 
 // EnableDrift exposes the tracker on the debug server's /drift
@@ -159,14 +226,6 @@ func (s *Session) EnableDrift(t *modelobs.Tracker) {
 		return
 	}
 	s.server.SetDrift(t)
-}
-
-// AddRun publishes a completed RunReport to the /runs ring buffer.
-func (s *Session) AddRun(r *obs.RunReport) {
-	if s == nil {
-		return
-	}
-	s.runs.Add(r)
 }
 
 // Journal appends one record to the run journal (a no-op without
@@ -181,19 +240,34 @@ func (s *Session) Journal(rec Record) {
 	}
 }
 
-// Close shuts the debug server down gracefully and closes the journal.
+// Close releases the session: the signal handler, the debug server
+// (shut down gracefully), the journal, the -timeout context, and the
+// profiles. Calls after the first are no-ops.
 func (s *Session) Close() {
 	if s == nil {
 		return
 	}
-	if s.server != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = s.server.Shutdown(ctx)
-		cancel()
-	}
-	if err := s.journal.Close(); err != nil && s.Log != nil {
-		s.Log.Warn("journal close failed", slog.String("err", err.Error()))
-	}
+	s.closeOnce.Do(func() {
+		if s.stopSigs != nil {
+			s.stopSigs()
+		}
+		if s.server != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			_ = s.server.Shutdown(ctx)
+			cancel()
+		}
+		if err := s.journal.Close(); err != nil && s.Log != nil {
+			s.Log.Warn("journal close failed", slog.String("err", err.Error()))
+		}
+		if s.cancel != nil {
+			s.cancel()
+		}
+		if s.stopProf != nil {
+			if err := s.stopProf(); err != nil {
+				fmt.Fprintln(os.Stderr, s.component+": profiling:", err)
+			}
+		}
+	})
 }
 
 // Addr returns the debug server's bound address ("" when -listen is

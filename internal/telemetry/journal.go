@@ -8,8 +8,9 @@
 //   - a structured run journal (Journal): one JSONL record per run —
 //     config, per-stage wall/alloc, warnings, accuracy — so long
 //     experiment campaigns stay greppable after the fact
-//   - slog construction and the shared CLI flag set (Flags/Session)
-//     behind -listen, -log-format, and -journal
+//   - the CLIs' one run lifecycle (Flags/Session): the shared flag
+//     set, Start (profiles, slog, observer, faults, -timeout, journal,
+//     debug server, signals), and Finish (report, trace, journal)
 //
 // Like the obs package it builds on, every exported method is safe on a
 // nil receiver: a CLI that sets none of the flags pays a nil check per

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -95,8 +96,11 @@ func TestJournalNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s *Session
-	s.AddRun(nil)
+	s.EnableDrift(nil)
 	s.Journal(Record{})
+	if err := s.Finish("run", Record{}); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
 	if s.Addr() != "" {
 		t.Fatal("nil session must have no address")
@@ -137,37 +141,37 @@ func TestFlagsSession(t *testing.T) {
 	var f Flags
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f.Register(fs)
-	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "j.jsonl")
+	report := filepath.Join(dir, "r.json")
+	trace := filepath.Join(dir, "t.json")
 	err := fs.Parse([]string{
 		"-listen", "127.0.0.1:0",
 		"-log-format", "json",
 		"-journal", journal,
+		"-report", report,
+		"-tracejson", trace,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.NeedsObserver() {
-		t.Fatal("listen+journal must need an observer")
-	}
 
-	o := obs.New()
-	o.Start("mine").End()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ses, err := f.Start(ctx, "dfpc-test", o, false)
+	_, ses, err := f.Start("dfpc-test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ses.Close()
-	if ses.Log == nil || ses.RunID == "" {
-		t.Fatalf("session missing logger or run id: %+v", ses)
+	if ses.Log == nil || ses.RunID == "" || ses.Obs == nil {
+		t.Fatalf("session missing logger, run id or observer: %+v", ses)
 	}
 	if ses.Addr() == "" {
 		t.Fatal("session with -listen must expose a bound address")
 	}
-	rep := o.Report("run")
-	ses.AddRun(rep)
-	ses.Journal(Record{Kind: "cv", Stages: StagesFromReport(rep)})
+	ses.Obs.Start("mine").End()
+	audit := map[string]any{"mmrfs": []int{3, 1}}
+	if err := ses.Finish("run", Record{Kind: "cv", Audits: audit}); err != nil {
+		t.Fatal(err)
+	}
 
 	code, body := httpGet(t, "http://"+ses.Addr()+"/runs")
 	if code != 200 || !strings.Contains(body, `"name": "run"`) {
@@ -175,40 +179,67 @@ func TestFlagsSession(t *testing.T) {
 	}
 
 	ses.Close()
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
+	ses.Close() // idempotent
+	var rep obs.RunReport
+	readJSON(t, report, &rep)
+	if rep.Name != "run" || len(rep.Spans) == 0 || rep.Audits["mmrfs"] == nil {
+		t.Fatalf("report incomplete: %+v", rep)
+	}
+	var tr struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	readJSON(t, trace, &tr)
+	if len(tr.TraceEvents) == 0 {
+		t.Fatal("trace has no events")
 	}
 	var rec Record
-	if err := json.Unmarshal([]byte(strings.TrimSpace(string(data))), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Kind != "cv" || rec.Component != "dfpc-test" || len(rec.Stages) == 0 {
+	readJSON(t, journal, &rec)
+	if rec.Kind != "cv" || rec.Component != "dfpc-test" || len(rec.Stages) == 0 || rec.Audits["mmrfs"] == nil {
 		t.Fatalf("journal record incomplete: %+v", rec)
 	}
 }
 
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
+
 func TestFlagsBadFormat(t *testing.T) {
-	f := Flags{LogFormat: "yaml"}
-	if _, err := f.Start(context.Background(), "x", nil, false); err == nil {
-		t.Fatal("unknown -log-format must error")
+	for _, f := range []Flags{
+		{LogFormat: "yaml"},
+		{FaultSpec: "no.such.point:1"},
+	} {
+		if _, ses, err := f.Start("x"); err == nil {
+			ses.Close()
+			t.Fatalf("%+v: Start must fail", f)
+		}
 	}
 }
 
 func TestFlagsDefaultSession(t *testing.T) {
-	// No flags set: session still provides a logger, everything else
-	// inert.
-	var f *Flags
-	if f.NeedsObserver() {
-		t.Fatal("nil flags must not need an observer")
-	}
-	ses, err := (&Flags{}).Start(context.Background(), "dfpc", nil, true)
+	// No flags but -timeout set: the session still provides a logger,
+	// everything else is inert, and the timeout bounds the context.
+	ctx, ses, err := (&Flags{Timeout: time.Millisecond}).Start("dfpc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ses.Close()
-	if ses.Log == nil || ses.Addr() != "" {
-		t.Fatal("flagless session must log but not listen")
+	if ses.Log == nil || ses.Addr() != "" || ses.Obs != nil || ses.Faults != nil {
+		t.Fatal("flagless session must log but not listen, observe, or inject faults")
 	}
 	ses.Journal(Record{Kind: "noop"}) // disabled journal: must not panic
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("-timeout did not cancel the run context")
+	}
+	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		t.Fatalf("ctx.Err() = %v, want DeadlineExceeded", ctx.Err())
+	}
 }

@@ -14,13 +14,13 @@ import (
 //
 //   - the first signal cancels the returned context — the run winds down
 //     gracefully, reporting partial statistics, flushing the journal,
-//     and leaving checkpoints behind for -resume
+//     and leaving checkpoints behind for a rerun with -checkpoint
 //   - a second signal hard-exits with status 130, for runs wedged in a
 //     stage that ignores cancellation
 //
 // The returned stop function releases the signal handler and the
-// watcher goroutine; call it once the run is past the point where
-// graceful cancellation matters (typically via defer).
+// watcher goroutine; Session.Close calls it once the run is past the
+// point where graceful cancellation matters.
 func HandleSignals(parent context.Context, log *slog.Logger) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(parent)
 	ch := make(chan os.Signal, 2)
