@@ -2,6 +2,8 @@ package dfpc
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -70,4 +72,18 @@ func TestCLIRunArtifacts(t *testing.T) {
 			}
 		})
 	}
+	// -faults reaches the -dump-csv writer: a failed create exits 1
+	// and leaves no file behind.
+	t.Run("dfpc-dump-csv-faults", func(t *testing.T) {
+		csv := filepath.Join(t.TempDir(), "x.csv")
+		cmd := exec.Command(filepath.Join(bin, "dfpc"), "-dataset", "labor", "-dump-csv", csv, "-faults", "fs.create:1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("dfpc -dump-csv under fs.create:1: err %v, want exit 1\n%s", err, out)
+		}
+		if _, err := os.Stat(csv); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s exists after the failed write (stat err %v)", csv, err)
+		}
+	})
 }

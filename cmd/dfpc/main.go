@@ -84,7 +84,7 @@ func main() {
 	}
 
 	if *dumpCSV != "" {
-		if err := durable.WriteAtomic(*dumpCSV, nil, func(w io.Writer) error {
+		if err := durable.WriteAtomic(*dumpCSV, ses.Faults, func(w io.Writer) error {
 			return dfpc.SaveCSV(w, d)
 		}); err != nil {
 			ses.Fail(err)

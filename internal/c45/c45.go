@@ -336,24 +336,10 @@ func prune(nd *node, cf float64) float64 {
 	return subtreeErr
 }
 
-// Predict returns the predicted class for one sparse binary row.
-func (m *Model) Predict(x []int32) int {
-	nd := m.root
-	for nd.feature >= 0 {
-		if hasFeature(x, nd.feature) {
-			nd = nd.present
-		} else {
-			nd = nd.absent
-		}
-	}
-	return nd.class
-}
-
-// PredictConf returns the predicted class together with the leaf's
-// purity — the fraction of training rows at the deciding leaf that
-// carry the predicted class. Empty leaves (possible only on
-// degenerate trees) report confidence 0. The prediction is identical
-// to Predict's.
+// PredictConf returns the predicted class for one sparse binary row
+// together with the leaf's purity — the fraction of training rows at
+// the deciding leaf that carry the predicted class. Empty leaves
+// (possible only on degenerate trees) report confidence 0.
 func (m *Model) PredictConf(x []int32) (int, float64) {
 	nd := m.root
 	for nd.feature >= 0 {
@@ -369,13 +355,10 @@ func (m *Model) PredictConf(x []int32) (int, float64) {
 	return nd.class, float64(nd.counts[nd.class]) / float64(nd.n)
 }
 
-// PredictAll predicts every row.
-func (m *Model) PredictAll(x [][]int32) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
+// Predict returns PredictConf's class.
+func (m *Model) Predict(x []int32) int {
+	cls, _ := m.PredictConf(x)
+	return cls
 }
 
 // Size returns the number of nodes in the tree.

@@ -14,7 +14,7 @@ type PathStep struct {
 
 // PathResult is the full decision path of one prediction.
 type PathResult struct {
-	// Class is the predicted class (identical to Predict's return).
+	// Class is the predicted class (identical to PredictConf's).
 	Class int `json:"class"`
 	// Steps lists the tests from the root to the leaf, in order. Empty
 	// when the tree is a single leaf.
@@ -25,8 +25,8 @@ type PathResult struct {
 	LeafTotal  int   `json:"leaf_total"`
 }
 
-// PredictPath classifies one sparse binary row exactly like Predict
-// while recording the decision path.
+// PredictPath classifies one sparse binary row exactly like
+// PredictConf while recording the decision path.
 func (m *Model) PredictPath(x []int32) *PathResult {
 	res := &PathResult{}
 	nd := m.root

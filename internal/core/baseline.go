@@ -47,10 +47,10 @@ func (p *Pipeline) computeBaseline(b *dataset.Binary, x [][]int32) {
 		}
 		bl.FireRate = featsel.FireRates(cands, n)
 	}
-	sc := p.newRowScorer()
+	score := p.scorer()
 	confs := make([]int64, 0, n)
 	for _, fv := range x {
-		cls, conf := sc.predictConf(fv)
+		cls, conf := score(fv)
 		if cls >= 0 && cls < len(bl.PredMix) {
 			bl.PredMix[cls]++
 		}
@@ -62,7 +62,6 @@ func (p *Pipeline) computeBaseline(b *dataset.Binary, x [][]int32) {
 	for c := range bl.PredMix {
 		bl.PredMix[c] /= float64(n)
 	}
-	bl.HasConf = true
 	sort.Slice(confs, func(i, j int) bool { return confs[i] < confs[j] })
 	bl.LowConfCut = confs[(n-1)/10]
 	below := 0

@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"encoding"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -172,12 +173,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// predictor is the common contract every learner's trained model
-// satisfies.
-type predictor interface {
-	Predict(x []int32) int
-}
-
 // Pipeline is one configured train/predict pipeline. It implements
 // eval.Pipeline (FitContext, PredictBatch). The zero value is
 // unusable; construct with New or one of the model-family helpers.
@@ -188,10 +183,10 @@ type Pipeline struct {
 	disc     *discretize.Discretizer
 	space    *dataset.Space
 	numItems int
-	patterns []mining.Pattern  // selected pattern features, id = numItems + index
-	matcher  *patmatch.Matcher // compiled trie over p.patterns; nil iff no patterns
-	model    predictor
-	itemKept []bool // non-nil for Item_FS: which items stay in the space
+	patterns []mining.Pattern         // selected pattern features, id = numItems + index
+	matcher  *patmatch.Matcher        // compiled trie over p.patterns; nil iff no patterns
+	model    encoding.BinaryMarshaler // *svm.Model or *c45.Model
+	itemKept []bool                   // non-nil for Item_FS: which items stay in the space
 	report   []FeatureReport
 	baseline *modelobs.Baseline // training reference for drift scoring
 
@@ -738,7 +733,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 	numFeatures := p.numItems + len(p.patterns)
 	g := p.stageGuard(ctx)
 	var (
-		m   predictor
+		m   encoding.BinaryMarshaler
 		err error
 	)
 	switch p.cfg.Learner {

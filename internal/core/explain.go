@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"dfpc/internal/c45"
 	"dfpc/internal/dataset"
@@ -52,83 +51,67 @@ type PredictionExplanation struct {
 	Tree *c45.PathResult `json:"tree,omitempty"`
 }
 
-// PredictExplain classifies the given rows exactly like PredictContext
-// while recording, per row, the fired pattern features and the
-// learner's decision evidence. It is introspection-only: the returned
-// Class values are identical to PredictContext's at any worker count.
+// PredictExplain classifies the given rows exactly like PredictInto —
+// through the same row loop, so under the same guard, fault point and
+// schema check — while recording, per row, the fired pattern features
+// and the learner's decision evidence. It is introspection-only: the
+// returned Class values are PredictInto's at any worker count, and
+// the rows are not streamed into a drift tracker.
 func (p *Pipeline) PredictExplain(ctx context.Context, d *dataset.Dataset, rows []int) ([]PredictionExplanation, error) {
-	if p.model == nil {
-		return nil, errors.New("core: PredictExplain before Fit")
-	}
-	g := p.stageGuard(ctx)
-	if err := g.CheckNow(); err != nil {
-		return nil, err
-	}
-	sp := p.cfg.Obs.Start("predict-explain").Attr("rows", len(rows))
-	defer sp.End()
 	bp, err := p.NewBatchPredictor()
 	if err != nil {
 		return nil, err
 	}
-	if err := bp.coder.checkSchema(d); err != nil {
+	out := make([]PredictionExplanation, len(rows))
+	if err := bp.predictRows(ctx, "predict-explain", d, rows, nil, nil, out); err != nil {
 		return nil, err
 	}
-	out := make([]PredictionExplanation, len(rows))
-	lim := int32(p.numItems)
-	for i, r := range rows {
-		if err := g.Check(); err != nil {
-			return nil, err
-		}
-		// The feature vector comes from the same compiled-matcher path
-		// Predict scores, so the fired set below can never disagree
-		// with the prediction: both are one trie walk's accept set.
-		fv, err := bp.featureVector(d.Rows[r], r)
-		if err != nil {
-			return nil, err
-		}
-		ex := PredictionExplanation{Row: r}
-		var fired []int // pattern indices, ascending (matcher accept order)
-		for _, f := range fv {
-			if f < lim {
-				ex.Items = append(ex.Items, f)
-				// The item space survives Fit but not Save/Load; loaded
-				// pipelines explain by ID only.
-				if p.space != nil {
-					ex.ItemNames = append(ex.ItemNames, p.space.ItemName(int(f)))
-				}
-			} else {
-				fired = append(fired, int(f)-p.numItems)
-			}
-		}
-		switch m := p.model.(type) {
-		case *svm.Model:
-			se := m.ExplainPredict(fv)
-			ex.Class = se.Class
-			ex.SVM = se
-		case *c45.Model:
-			tp := m.PredictPath(fv)
-			ex.Class = tp.Class
-			ex.Tree = tp
-		}
-		if ex.Class >= 0 && ex.Class < len(d.Classes) {
-			ex.ClassName = d.Classes[ex.Class]
-		}
-		for _, j := range fired {
-			fp := FiredPattern{FeatureID: p.numItems + j}
-			// p.report parallels p.patterns (both in SortPatterns order);
-			// it is nil only for pattern-free pipelines, which never fire.
-			if j < len(p.report) {
-				r := p.report[j]
-				fp.Name, fp.Items, fp.Support, fp.InfoGain = r.Name, r.Items, r.Support, r.InfoGain
-			} else if j < len(p.patterns) {
-				fp.Items = p.patterns[j].Items
-			}
-			if ex.SVM != nil {
-				fp.Weight = ex.SVM.FeatureWeights[int32(p.numItems+j)]
-			}
-			ex.Fired = append(ex.Fired, fp)
-		}
-		out[i] = ex
-	}
 	return out, nil
+}
+
+// explainRow builds row r's explanation from its fitted-space feature
+// vector fv and its scored class. fv is the vector the class was
+// scored from, so the fired set can never disagree with the
+// prediction: both are one trie walk's accept set.
+func (p *Pipeline) explainRow(r, cls int, fv []int32, classes []string) PredictionExplanation {
+	ex := PredictionExplanation{Row: r, Class: cls}
+	if cls >= 0 && cls < len(classes) {
+		ex.ClassName = classes[cls]
+	}
+	lim := int32(p.numItems)
+	var fired []int // pattern indices, ascending (matcher accept order)
+	for _, f := range fv {
+		if f < lim {
+			ex.Items = append(ex.Items, f)
+			// The item space survives Fit but not Save/Load; loaded
+			// pipelines explain by ID only.
+			if p.space != nil {
+				ex.ItemNames = append(ex.ItemNames, p.space.ItemName(int(f)))
+			}
+		} else {
+			fired = append(fired, int(f)-p.numItems)
+		}
+	}
+	switch m := p.model.(type) {
+	case *svm.Model:
+		ex.SVM = m.ExplainPredict(fv)
+	case *c45.Model:
+		ex.Tree = m.PredictPath(fv)
+	}
+	for _, j := range fired {
+		fp := FiredPattern{FeatureID: p.numItems + j}
+		// p.report parallels p.patterns (both in SortPatterns order);
+		// it is nil only for pattern-free pipelines, which never fire.
+		if j < len(p.report) {
+			r := p.report[j]
+			fp.Name, fp.Items, fp.Support, fp.InfoGain = r.Name, r.Items, r.Support, r.InfoGain
+		} else if j < len(p.patterns) {
+			fp.Items = p.patterns[j].Items
+		}
+		if ex.SVM != nil {
+			fp.Weight = ex.SVM.FeatureWeights[int32(p.numItems+j)]
+		}
+		ex.Fired = append(ex.Fired, fp)
+	}
+	return ex
 }

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
+	"dfpc/internal/datagen"
+	"dfpc/internal/dataset"
+	"dfpc/internal/modelobs"
 	"dfpc/internal/obs"
 )
 
@@ -164,6 +169,73 @@ func TestPredictExplainAfterLoad(t *testing.T) {
 		}
 		if len(ex.Items) != len(orig[i].Items) {
 			t.Fatalf("row %d: item IDs drifted after load", i)
+		}
+	}
+}
+
+// TestPredictExplainAgreesWithPredictInto runs every learner on
+// Item_All and Pat_FS through the one predict row loop three ways:
+// PredictInto without a drift tracker, PredictInto with one, and
+// PredictExplain. All three must return the same classes; the tracked
+// run must observe every row and the explained one none.
+func TestPredictExplainAgreesWithPredictInto(t *testing.T) {
+	austral, err := datagen.ByName("austral", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := []struct {
+		name string
+		new  func(l Learner, minSup float64) *Pipeline
+	}{
+		{"Item_All", func(l Learner, _ float64) *Pipeline { return NewItemAll(l) }},
+		{"Pat_FS", NewPatFS},
+	}
+	for _, d := range []struct {
+		d      *dataset.Dataset
+		minSup float64
+	}{{xorDataset(80), 0.2}, {austral, 0.15}} {
+		rows := allRows(d.d.NumRows())
+		for _, l := range []Learner{SVMLinear, SVMRBF, C45Tree} {
+			for _, f := range families {
+				t.Run(fmt.Sprintf("%s/%s/%s", d.d.Name, l, f.name), func(t *testing.T) {
+					p := f.new(l, d.minSup)
+					if err := p.Fit(d.d, rows); err != nil {
+						t.Fatal(err)
+					}
+					ctx := context.Background()
+					plain := make([]int, len(rows))
+					if err := p.PredictBatch(ctx, d.d, rows, plain); err != nil {
+						t.Fatal(err)
+					}
+					tr := modelobs.NewTracker(modelobs.TrackerConfig{WindowSize: 16})
+					p.SetDriftTracker(tr)
+					tracked := make([]int, len(rows))
+					if err := p.PredictBatch(ctx, d.d, rows, tracked); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(tracked, plain) {
+						t.Fatal("PredictInto classes change when a drift tracker is installed")
+					}
+					if got := tr.SketchSnapshot().Total; got != int64(len(rows)) {
+						t.Fatalf("tracker observed %d rows, want %d", got, len(rows))
+					}
+					exps, err := p.PredictExplain(ctx, d.d, rows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, ex := range exps {
+						if ex.Class != plain[i] {
+							t.Fatalf("row %d: explained class %d, PredictInto %d", i, ex.Class, plain[i])
+						}
+						if (ex.SVM != nil) == (l == C45Tree) || (ex.Tree != nil) != (l == C45Tree) {
+							t.Fatalf("row %d: %v evidence svm=%v tree=%v", i, l, ex.SVM != nil, ex.Tree != nil)
+						}
+					}
+					if got := tr.SketchSnapshot().Total; got != int64(len(rows)) {
+						t.Fatalf("PredictExplain streamed into drift: %d observations, want %d", got, len(rows))
+					}
+				})
+			}
 		}
 	}
 }

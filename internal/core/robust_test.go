@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dfpc/internal/faults"
 	"dfpc/internal/guard"
 	"dfpc/internal/mining"
 	"dfpc/internal/parallel"
@@ -68,6 +69,26 @@ func TestPredictContextPreCanceled(t *testing.T) {
 	cancel()
 	if err := p.PredictBatch(ctx, d, rows, make([]int, len(rows))); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("err = %v, want guard.ErrCanceled", err)
+	}
+	if _, err := p.PredictExplain(ctx, d, rows); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("PredictExplain err = %v, want guard.ErrCanceled", err)
+	}
+}
+
+// TestPredictExplainFaultPoint: PredictExplain runs the predict row
+// loop, so it passes the core.predict fault point like PredictInto.
+func TestPredictExplainFaultPoint(t *testing.T) {
+	d := xorDataset(80)
+	p := NewPatFS(SVMLinear, 0.2)
+	rows := allRows(d.NumRows())
+	if err := p.Fit(d, rows); err != nil {
+		t.Fatal(err)
+	}
+	r := faults.New(1)
+	r.Arm(faults.CorePredict, 1, faults.ErrInjected)
+	p.SetFaults(r)
+	if _, err := p.PredictExplain(context.Background(), d, rows); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("err = %v, want faults.ErrInjected", err)
 	}
 }
 

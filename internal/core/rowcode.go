@@ -115,32 +115,15 @@ func (rc *rowCoder) encode(row []float64, rowIdx int) ([]int32, error) {
 	return tx, nil
 }
 
-// rowScorer scores fitted-space feature vectors with reusable scratch.
-// predictConf additionally reports the learner's native confidence
-// (SVM margin, C4.5 leaf purity); the class is always identical to
-// predict's.
-type rowScorer interface {
-	predict(fv []int32) int
-	predictConf(fv []int32) (cls int, conf float64)
-}
-
-type svmScorer struct{ s *svm.Scorer }
-
-func (s svmScorer) predict(fv []int32) int                { return s.s.Predict(fv) }
-func (s svmScorer) predictConf(fv []int32) (int, float64) { return s.s.PredictMargin(fv) }
-
-type c45Scorer struct{ m *c45.Model }
-
-func (s c45Scorer) predict(fv []int32) int                { return s.m.Predict(fv) }
-func (s c45Scorer) predictConf(fv []int32) (int, float64) { return s.m.PredictConf(fv) }
-
-// newRowScorer wraps the fitted model, an SVM or a C4.5 tree (the only
-// models learn trains and Load accepts), in its scorer.
-func (p *Pipeline) newRowScorer() rowScorer {
+// scorer returns the fitted learner's one scoring call: the class of
+// a fitted-space feature vector and the learner's native confidence
+// (SVM margin, C4.5 leaf purity). The SVM call carries its own voting
+// scratch, so each caller takes its own scorer.
+func (p *Pipeline) scorer() func(fv []int32) (cls int, conf float64) {
 	if m, ok := p.model.(*svm.Model); ok {
-		return svmScorer{s: m.NewScorer()}
+		return m.NewScorer().PredictMargin
 	}
-	return c45Scorer{m: p.model.(*c45.Model)}
+	return p.model.(*c45.Model).PredictConf
 }
 
 // BatchPredictor is a reusable, single-goroutine prediction context
@@ -151,11 +134,11 @@ func (p *Pipeline) newRowScorer() rowScorer {
 // per request batch; one-shot callers can use Pipeline.PredictBatch,
 // which wraps construction and a single PredictInto.
 type BatchPredictor struct {
-	p      *Pipeline
-	coder  *rowCoder
-	scorer rowScorer
-	ms     patmatch.Scratch
-	fv     []int32
+	p     *Pipeline
+	coder *rowCoder
+	score func(fv []int32) (cls int, conf float64)
+	ms    patmatch.Scratch
+	fv    []int32
 }
 
 // NewBatchPredictor builds a predictor over the fitted state. It
@@ -163,32 +146,20 @@ type BatchPredictor struct {
 // inconsistent.
 func (p *Pipeline) NewBatchPredictor() (*BatchPredictor, error) {
 	if p.model == nil {
-		return nil, errors.New("core: NewBatchPredictor before Fit")
+		return nil, errors.New("core: predict before Fit")
 	}
 	coder, err := p.newRowCoder()
 	if err != nil {
 		return nil, err
 	}
 	bp := &BatchPredictor{
-		p:      p,
-		coder:  coder,
-		scorer: p.newRowScorer(),
-		fv:     make([]int32, 0, len(coder.attrs)+len(p.patterns)),
+		p:     p,
+		coder: coder,
+		score: p.scorer(),
+		fv:    make([]int32, 0, len(coder.attrs)+len(p.patterns)),
 	}
 	bp.ms.Grow(p.matcher)
 	return bp, nil
-}
-
-// featureVector encodes one raw row and maps it into the fitted
-// feature space. The returned slice aliases the predictor's scratch
-// and is valid until the next call.
-func (b *BatchPredictor) featureVector(row []float64, rowIdx int) ([]int32, error) {
-	tx, err := b.coder.encode(row, rowIdx)
-	if err != nil {
-		return nil, err
-	}
-	b.fv = b.p.featureVectorInto(b.fv[:0], tx, &b.ms)
-	return b.fv, nil
 }
 
 // PredictInto classifies the given rows of d into out, which must have
@@ -198,10 +169,27 @@ func (b *BatchPredictor) featureVector(row []float64, rowIdx int) ([]int32, erro
 // is additionally streamed into the drift sketch; either way the
 // marginal cost per row is zero allocations.
 func (b *BatchPredictor) PredictInto(ctx context.Context, d *dataset.Dataset, rows []int, out []int) error {
-	p := b.p
 	if len(out) != len(rows) {
 		return fmt.Errorf("core: PredictInto: out has %d slots for %d rows", len(out), len(rows))
 	}
+	t := b.p.cfg.Drift
+	if !b.p.baseline.Valid() {
+		t = nil // a pre-baseline model has nothing to score drift against
+	}
+	return b.predictRows(ctx, "predict", d, rows, t, out, nil)
+}
+
+// predictRows is the one predict row loop, under PredictInto and
+// PredictExplain alike: it polls the guard, passes the core.predict
+// fault point and checks the schema, then encodes, featurizes and
+// scores each row. The class goes to out[i], or with ex non-nil to
+// ex[i] together with the row's evidence. t (nil = no drift) is bound
+// to the fit-time baseline once and then observes every row;
+// ObserveRow is allocation-free, so the marginal cost of a row is zero
+// allocations with drift on or off.
+func (b *BatchPredictor) predictRows(ctx context.Context, span string, d *dataset.Dataset, rows []int,
+	t *modelobs.Tracker, out []int, ex []PredictionExplanation) error {
+	p := b.p
 	g := p.stageGuard(ctx)
 	if err := g.CheckNow(); err != nil {
 		return err
@@ -209,41 +197,29 @@ func (b *BatchPredictor) PredictInto(ctx context.Context, d *dataset.Dataset, ro
 	if err := p.cfg.Faults.Hit(faults.CorePredict); err != nil {
 		return fmt.Errorf("core: predict: %w", err)
 	}
-	sp := p.cfg.Obs.Start("predict").Attr("rows", len(rows))
+	sp := p.cfg.Obs.Start(span).Attr("rows", len(rows))
 	defer sp.End()
 	if err := b.coder.checkSchema(d); err != nil {
 		return err
 	}
-	if t := p.cfg.Drift; t != nil && p.baseline.Valid() {
-		// Tracked path: score each row with its confidence and stream
-		// it into the drift sketch. The tracker's ObserveRow is
-		// allocation-free by contract (buffers bind once at Bind), so
-		// the drift-on marginal cost matches the plain loop's.
-		t.Bind(p.baseline)
-		lim := int32(p.numItems)
-		for i, r := range rows {
-			if err := g.Check(); err != nil {
-				return err
-			}
-			fv, err := b.featureVector(d.Rows[r], r)
-			if err != nil {
-				return err
-			}
-			cls, conf := b.scorer.predictConf(fv)
-			out[i] = cls
-			t.ObserveRow(cls, modelobs.ConfMicro(conf), true, fv, lim)
-		}
-		return nil
-	}
+	t.Bind(p.baseline)
+	lim := int32(p.numItems)
 	for i, r := range rows {
 		if err := g.Check(); err != nil {
 			return err
 		}
-		fv, err := b.featureVector(d.Rows[r], r)
+		tx, err := b.coder.encode(d.Rows[r], r)
 		if err != nil {
 			return err
 		}
-		out[i] = b.scorer.predict(fv)
+		b.fv = p.featureVectorInto(b.fv[:0], tx, &b.ms)
+		cls, conf := b.score(b.fv)
+		t.ObserveRow(cls, modelobs.ConfMicro(conf), b.fv, lim)
+		if ex != nil {
+			ex[i] = p.explainRow(r, cls, b.fv, d.Classes)
+		} else {
+			out[i] = cls
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -111,12 +112,7 @@ func (p *Pipeline) Save(w io.Writer) error {
 	if snap.Disc, err = p.disc.MarshalBinary(); err != nil {
 		return err
 	}
-	type marshaler interface{ MarshalBinary() ([]byte, error) }
-	m, ok := p.model.(marshaler)
-	if !ok {
-		return fmt.Errorf("core: model %T is not serializable", p.model)
-	}
-	if snap.Model, err = m.MarshalBinary(); err != nil {
+	if snap.Model, err = p.model.MarshalBinary(); err != nil {
 		return err
 	}
 	var payload bytes.Buffer
@@ -186,7 +182,8 @@ func Load(r io.Reader) (p *Pipeline, err error) {
 		return nil, fmt.Errorf("core: load: %w: discretizer: %v", durable.ErrCorruptArtifact, err)
 	}
 	var m interface {
-		UnmarshalBinary([]byte) error
+		encoding.BinaryMarshaler
+		encoding.BinaryUnmarshaler
 	}
 	switch snap.Learner {
 	case SVMLinear, SVMRBF:
@@ -203,6 +200,6 @@ func Load(r io.Reader) (p *Pipeline, err error) {
 	if err := m.UnmarshalBinary(snap.Model); err != nil {
 		return nil, fmt.Errorf("core: load: %w: %T: %v", durable.ErrCorruptArtifact, m, err)
 	}
-	p.model = m.(predictor)
+	p.model = m
 	return p, nil
 }

@@ -198,8 +198,9 @@ func (p *variantPipeline) PredictBatch(_ context.Context, d *dataset.Dataset, ro
 		return err
 	}
 	var ms patmatch.Scratch
+	sc := p.model.NewScorer()
 	for i := range rows {
-		out[i] = p.model.Predict(p.fv(b.Rows[i], &ms))
+		out[i], _ = sc.PredictMargin(p.fv(b.Rows[i], &ms))
 	}
 	return nil
 }

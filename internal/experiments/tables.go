@@ -415,30 +415,32 @@ func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRo
 		if err != nil {
 			return rows, err
 		}
-		row.SVMAcc = accuracyPct(svmModel.PredictAll(xTest), tb.Labels)
+		row.SVMAcc = accuracyPct(svmModel.NewScorer().PredictMargin, xTest, tb.Labels)
 
 		treeModel, err := c45Train(xTrain, b.Labels, b.NumClasses(), g)
 		if err != nil {
 			return rows, err
 		}
-		row.C45Acc = accuracyPct(treeModel.PredictAll(xTest), tb.Labels)
+		row.C45Acc = accuracyPct(treeModel.PredictConf, xTest, tb.Labels)
 
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func accuracyPct(pred, truth []int) float64 {
-	if len(pred) == 0 {
+// accuracyPct scores every row of x and returns the percentage whose
+// class matches truth.
+func accuracyPct(score func([]int32) (int, float64), x [][]int32, truth []int) float64 {
+	if len(x) == 0 {
 		return 0
 	}
 	c := 0
-	for i := range pred {
-		if pred[i] == truth[i] {
+	for i, row := range x {
+		if cls, _ := score(row); cls == truth[i] {
 			c++
 		}
 	}
-	return 100 * float64(c) / float64(len(pred))
+	return 100 * float64(c) / float64(len(x))
 }
 
 // WriteScalability renders a Tables 3–5 style report.

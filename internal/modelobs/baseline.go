@@ -24,16 +24,11 @@ type Baseline struct {
 	// training rows its coverage bitset fires on (featsel.FireRates).
 	FireRate []float64
 	// ConfHist is the log2 histogram of training confidences in
-	// micro-units (SVM margin or C4.5 leaf purity). All-zero when the
-	// learner exposes no confidence.
+	// micro-units (SVM margin or C4.5 leaf purity).
 	ConfHist []int64
 	// DensityHist is the log2 histogram of feature-vector lengths
 	// (items kept + patterns fired) over the training rows.
 	DensityHist []int64
-	// HasConf reports whether the learner exposes a confidence
-	// (SVM margin / C4.5 leaf purity); when false the confidence and
-	// low-confidence dimensions are inert.
-	HasConf bool
 	// LowConfCut is the p10 of the training confidence in micro-units:
 	// live predictions at or below it count as "low confidence". The
 	// cut is self-calibrating — ~10% of training rows sit at or below

@@ -91,7 +91,7 @@ func TestSketchWindowAdvance(t *testing.T) {
 	advances := 0
 	for i := 0; i < 8; i++ {
 		s.MarkFire(0)
-		if s.Observe(i%2, 3, 0, false, false) {
+		if s.Observe(i%2, 3, 0, false) {
 			advances++
 		}
 	}
@@ -105,7 +105,7 @@ func TestSketchWindowAdvance(t *testing.T) {
 	fire := make([]int64, 1)
 	conf := make([]int64, obs.NumHistBuckets)
 	density := make([]int64, obs.NumHistBuckets)
-	n, _, _ := s.AggregateInto(classes, fire, conf, density)
+	n, _ := s.AggregateInto(classes, fire, conf, density)
 	// Each advance resets the window it enters, so after the ring
 	// wraps the aggregate holds the last full window (the first 4
 	// observations were discarded when the ring came back around).
@@ -120,12 +120,12 @@ func TestSketchWindowAdvance(t *testing.T) {
 func TestSketchRingDiscardsOldest(t *testing.T) {
 	s := NewSketch(2, 2, 1, 0)
 	for i := 0; i < 6; i++ {
-		s.Observe(0, 1, 0, false, false)
+		s.Observe(0, 1, 0, false)
 	}
 	classes := make([]int64, 1)
 	conf := make([]int64, obs.NumHistBuckets)
 	density := make([]int64, obs.NumHistBuckets)
-	n, _, _ := s.AggregateInto(classes, nil, conf, density)
+	n, _ := s.AggregateInto(classes, nil, conf, density)
 	// Capacity is 4; after 6 observations the ring holds at most 4
 	// (2 full windows; the current one was just reset).
 	if n > 4 {
@@ -139,7 +139,7 @@ func TestSketchRingDiscardsOldest(t *testing.T) {
 func TestSketchNilSafe(t *testing.T) {
 	var s *Sketch
 	s.MarkFire(0)
-	if s.Observe(0, 1, 0, false, false) {
+	if s.Observe(0, 1, 0, false) {
 		t.Error("nil sketch Observe returned true")
 	}
 	if s.Total() != 0 || s.Advanced() != 0 || s.Capacity() != 0 {
@@ -148,7 +148,7 @@ func TestSketchNilSafe(t *testing.T) {
 	if snap := s.Snapshot(); snap.Total != 0 {
 		t.Error("nil sketch Snapshot not zero")
 	}
-	n, _, _ := s.AggregateInto(nil, nil, nil, nil)
+	n, _ := s.AggregateInto(nil, nil, nil, nil)
 	if n != 0 {
 		t.Error("nil sketch AggregateInto not zero")
 	}
@@ -163,7 +163,6 @@ func testBaseline() *Baseline {
 		FireRate:    []float64{0.4, 0.1},
 		ConfHist:    mkHist(map[int]int64{20: 50, 21: 50}),
 		DensityHist: mkHist(map[int]int64{3: 100}),
-		HasConf:     true,
 		LowConfCut:  500_000,
 		LowConfRate: 0.1,
 	}
@@ -197,7 +196,7 @@ func TestTrackerObserveAndReport(t *testing.T) {
 	// fires (baseline 0.4), confidence far below the cut.
 	fv := []int32{1, 2, 11} // numItems=10: pattern index 1 fires
 	for i := 0; i < 16; i++ {
-		tr.ObserveRow(1, 100, true, fv, 10)
+		tr.ObserveRow(1, 100, fv, 10)
 	}
 	if tr.Warnings() == 0 {
 		t.Error("shifted stream crossed no WarnPSI windows")
@@ -242,7 +241,7 @@ func TestTrackerReportDeterministicBytes(t *testing.T) {
 		tr := NewTracker(TrackerConfig{WindowSize: 4, Windows: 4})
 		tr.Bind(testBaseline())
 		for i := 0; i < 10; i++ {
-			tr.ObserveRow(i%2, int64(400_000+i), true, []int32{1, 10}, 10)
+			tr.ObserveRow(i%2, int64(400_000+i), []int32{1, 10}, 10)
 		}
 		rep, err := tr.Report()
 		if err != nil {
@@ -262,7 +261,7 @@ func TestTrackerReportDeterministicBytes(t *testing.T) {
 
 func TestTrackerUnboundAndNil(t *testing.T) {
 	var nilT *Tracker
-	nilT.ObserveRow(0, 0, false, nil, 0)
+	nilT.ObserveRow(0, 0, nil, 0)
 	nilT.Bind(testBaseline())
 	nilT.SetFaults(nil)
 	if nilT.Bound() || nilT.Warnings() != 0 {
@@ -274,7 +273,7 @@ func TestTrackerUnboundAndNil(t *testing.T) {
 	}
 
 	tr := NewTracker(TrackerConfig{})
-	tr.ObserveRow(0, 0, false, nil, 0) // unbound: dropped, no panic
+	tr.ObserveRow(0, 0, nil, 0) // unbound: dropped, no panic
 	rep, err = tr.Report()
 	if err != nil {
 		t.Fatalf("unbound Report: %v", err)
@@ -341,7 +340,7 @@ func TestTrackerGaugesPublished(t *testing.T) {
 	tr := NewTracker(TrackerConfig{WindowSize: 2, Windows: 2, Obs: o})
 	tr.Bind(testBaseline())
 	for i := 0; i < 4; i++ {
-		tr.ObserveRow(1, 100, true, []int32{1}, 10)
+		tr.ObserveRow(1, 100, []int32{1}, 10)
 	}
 	rep := o.Report("test")
 	if rep.Counters["drift.predictions"] != 4 {

@@ -31,12 +31,11 @@ type window struct {
 	fire    []int64
 	conf    []int64 // log2 buckets of confidence micro-units
 	density []int64 // log2 buckets of feature-vector length
-	hasConf int64   // observations that carried a confidence
 	lowConf int64   // observations at or below the baseline cut
 }
 
 func (w *window) reset() {
-	w.n, w.hasConf, w.lowConf = 0, 0, 0
+	w.n, w.lowConf = 0, 0
 	clearInt64(w.classes)
 	clearInt64(w.fire)
 	clearInt64(w.conf)
@@ -96,19 +95,16 @@ func (s *Sketch) MarkFire(j int) {
 // Observe records one prediction into the current window and reports
 // whether the window filled and the ring advanced (the caller
 // re-scores drift on that edge). Nil-safe, allocation-free.
-func (s *Sketch) Observe(class, density int, confMicro int64, hasConf, lowConf bool) bool {
+func (s *Sketch) Observe(class, density int, confMicro int64, lowConf bool) bool {
 	if s == nil || class < 0 || class >= s.numClasses {
 		return false
 	}
 	w := &s.windows[s.cur]
 	w.classes[class]++
 	w.density[obs.BucketIndex(int64(density))]++
-	if hasConf {
-		w.hasConf++
-		w.conf[obs.BucketIndex(confMicro)]++
-		if lowConf {
-			w.lowConf++
-		}
+	w.conf[obs.BucketIndex(confMicro)]++
+	if lowConf {
+		w.lowConf++
 	}
 	w.n++
 	s.total++
@@ -123,18 +119,16 @@ func (s *Sketch) Observe(class, density int, confMicro int64, hasConf, lowConf b
 
 // AggregateInto sums the ring into the caller-owned buffers (each
 // must be at least numClasses / numPatterns / obs.NumHistBuckets
-// long; the caller zeroes them) and returns the observation,
-// with-confidence, and low-confidence totals. Allocation-free so the
-// window-boundary re-score can run inside the Predict hot path.
-// Nil-safe.
-func (s *Sketch) AggregateInto(classes, fire, conf, density []int64) (n, hasConf, lowConf int64) {
+// long; the caller zeroes them) and returns the observation and
+// low-confidence totals. Allocation-free so the window-boundary
+// re-score can run inside the Predict hot path. Nil-safe.
+func (s *Sketch) AggregateInto(classes, fire, conf, density []int64) (n, lowConf int64) {
 	if s == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	for i := range s.windows {
 		w := &s.windows[i]
 		n += w.n
-		hasConf += w.hasConf
 		lowConf += w.lowConf
 		for j, c := range w.classes {
 			classes[j] += c
@@ -149,7 +143,7 @@ func (s *Sketch) AggregateInto(classes, fire, conf, density []int64) (n, hasConf
 			density[j] += c
 		}
 	}
-	return n, hasConf, lowConf
+	return n, lowConf
 }
 
 // Total returns the lifetime observation count. Nil-safe.
@@ -189,7 +183,6 @@ type SketchSnapshot struct {
 	Fire       []int64
 	Conf       []int64
 	Density    []int64
-	HasConf    int64
 	LowConf    int64
 }
 
@@ -209,7 +202,6 @@ func (s *Sketch) Snapshot() SketchSnapshot {
 		Conf:       make([]int64, obs.NumHistBuckets),
 		Density:    make([]int64, obs.NumHistBuckets),
 	}
-	_, hc, lc := s.AggregateInto(snap.Classes, snap.Fire, snap.Conf, snap.Density)
-	snap.HasConf, snap.LowConf = hc, lc
+	_, snap.LowConf = s.AggregateInto(snap.Classes, snap.Fire, snap.Conf, snap.Density)
 	return snap
 }

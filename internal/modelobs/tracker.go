@@ -136,7 +136,6 @@ type Tracker struct {
 	maxPSI     float64
 	warnings   int64
 	aggN       int64 // totals behind the last scoreLocked pass
-	aggHasConf int64
 	aggLowConf int64
 
 	// Telemetry handles resolved once at Bind (obs types are
@@ -217,11 +216,10 @@ func (t *Tracker) Bound() bool {
 }
 
 // ObserveRow records one prediction: its class, confidence
-// (micro-units; hasConf false for learners without one), and the
-// row's feature vector (fv) whose tail ≥ numItems holds the fired
-// pattern features. Allocation-free; called per row from the Predict
-// hot path. Nil-safe.
-func (t *Tracker) ObserveRow(class int, confMicro int64, hasConf bool, fv []int32, numItems int32) {
+// (micro-units), and the row's feature vector (fv) whose tail ≥
+// numItems holds the fired pattern features. Allocation-free; called
+// per row from the Predict hot path. Nil-safe.
+func (t *Tracker) ObserveRow(class int, confMicro int64, fv []int32, numItems int32) {
 	if t == nil {
 		return
 	}
@@ -233,9 +231,8 @@ func (t *Tracker) ObserveRow(class int, confMicro int64, hasConf bool, fv []int3
 	for j := len(fv) - 1; j >= 0 && fv[j] >= numItems; j-- {
 		t.sketch.MarkFire(int(fv[j] - numItems))
 	}
-	low := hasConf && t.base.HasConf && confMicro <= t.base.LowConfCut
 	t.cPredictions.Inc()
-	if t.sketch.Observe(class, len(fv), confMicro, hasConf, low) {
+	if t.sketch.Observe(class, len(fv), confMicro, confMicro <= t.base.LowConfCut) {
 		t.advanceLocked()
 	}
 	t.mu.Unlock()
@@ -274,8 +271,8 @@ func (t *Tracker) scoreLocked() {
 	clearInt64(t.aggFire)
 	clearInt64(t.aggConf)
 	clearInt64(t.aggDensity)
-	n, hasConf, lowConf := t.sketch.AggregateInto(t.aggClasses, t.aggFire, t.aggConf, t.aggDensity)
-	t.aggN, t.aggHasConf, t.aggLowConf = n, hasConf, lowConf
+	n, lowConf := t.sketch.AggregateInto(t.aggClasses, t.aggFire, t.aggConf, t.aggDensity)
+	t.aggN, t.aggLowConf = n, lowConf
 
 	// class_mix: live predicted-class distribution vs the baseline's
 	// training-time predicted mix.
@@ -309,8 +306,8 @@ func (t *Tracker) scoreLocked() {
 	s = &t.scores[2]
 	s.Name = DimConfidence
 	s.PSI, s.Chi2, s.DF = 0, 0, 0
-	if t.base.HasConf && t.baseConfProp != nil {
-		s.PSI = PSI(t.baseConfProp, t.aggConf, hasConf)
+	if t.baseConfProp != nil {
+		s.PSI = PSI(t.baseConfProp, t.aggConf, n)
 		s.Chi2, s.DF = ChiSquare(t.aggConf, t.baseConfProp)
 	}
 	s.PValue = ChiSquarePValue(s.Chi2, s.DF)
@@ -329,10 +326,10 @@ func (t *Tracker) scoreLocked() {
 	s = &t.scores[4]
 	s.Name = DimLowConf
 	s.PSI, s.Chi2, s.DF = 0, 0, 0
-	if t.base.HasConf && hasConf > 0 {
-		live := float64(lowConf) / float64(hasConf)
+	if n > 0 {
+		live := float64(lowConf) / float64(n)
 		s.PSI = PSIBinary(t.base.LowConfRate, live)
-		s.Chi2, s.DF = ChiSquareBinary(lowConf, hasConf, t.base.LowConfRate)
+		s.Chi2, s.DF = ChiSquareBinary(lowConf, n, t.base.LowConfRate)
 	}
 	s.PValue = ChiSquarePValue(s.Chi2, s.DF)
 
@@ -405,8 +402,8 @@ func (t *Tracker) Report() (*DriftReport, error) {
 		}
 	}
 	rep.LowConfBase = t.base.LowConfRate
-	if t.base.HasConf && t.aggHasConf > 0 {
-		rep.LowConfLive = float64(t.aggLowConf) / float64(t.aggHasConf)
+	if t.aggN > 0 {
+		rep.LowConfLive = float64(t.aggLowConf) / float64(t.aggN)
 	}
 	rep.TopPatterns = t.topPatternsLocked(t.aggN)
 	return rep, nil

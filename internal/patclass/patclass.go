@@ -205,7 +205,8 @@ func (m *Model[I, P]) Predict(inst I) (int, error) {
 	if m == nil {
 		return 0, ErrNotFitted
 	}
-	return m.svm.Predict(m.featureVector(inst)), nil
+	cls, _ := m.svm.NewScorer().PredictMargin(m.featureVector(inst))
+	return cls, nil
 }
 
 // PredictAll classifies every instance.
@@ -214,8 +215,9 @@ func (m *Model[I, P]) PredictAll(db []I) ([]int, error) {
 		return nil, ErrNotFitted
 	}
 	out := make([]int, len(db))
+	sc := m.svm.NewScorer()
 	for i, inst := range db {
-		out[i] = m.svm.Predict(m.featureVector(inst))
+		out[i], _ = sc.PredictMargin(m.featureVector(inst))
 	}
 	return out, nil
 }

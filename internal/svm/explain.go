@@ -24,9 +24,9 @@ type PairDecision struct {
 	FeatureContrib map[int32]float64 `json:"feature_contrib,omitempty"`
 }
 
-// Explanation is the full evidence behind one Predict call.
+// Explanation is the full evidence behind one prediction.
 type Explanation struct {
-	// Class is the predicted class (identical to Predict's return).
+	// Class is the predicted class (identical to Scorer.PredictMargin's).
 	Class int `json:"class"`
 	// Votes counts one-vs-one votes per class (nil for degenerate
 	// single-class models).
@@ -41,9 +41,9 @@ type Explanation struct {
 	FeatureWeights map[int32]float64 `json:"feature_weights,omitempty"`
 }
 
-// ExplainPredict classifies one sparse binary row exactly like Predict
-// while recording the per-pair decisions and, for linear kernels, the
-// per-feature weight contributions.
+// ExplainPredict classifies one sparse binary row exactly like
+// Scorer.PredictMargin while recording the per-pair decisions and, for
+// linear kernels, the per-feature weight contributions.
 func (m *Model) ExplainPredict(x []int32) *Explanation {
 	if m.singleClass >= 0 {
 		return &Explanation{Class: m.singleClass}

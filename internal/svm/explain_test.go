@@ -25,7 +25,7 @@ func TestExplainPredictMatchesPredict(t *testing.T) {
 	}
 	for i, row := range x {
 		ex := m.ExplainPredict(row)
-		if want := m.Predict(row); ex.Class != want {
+		if want := predict(m, row); ex.Class != want {
 			t.Fatalf("row %d: ExplainPredict class %d, Predict %d", i, ex.Class, want)
 		}
 		if ex.Class != y[i] {
@@ -101,7 +101,7 @@ func TestExplainThreeClass(t *testing.T) {
 	}
 	for i, row := range x {
 		ex := m.ExplainPredict(row)
-		if want := m.Predict(row); ex.Class != want {
+		if want := predict(m, row); ex.Class != want {
 			t.Fatalf("row %d: explain class %d != predict %d", i, ex.Class, want)
 		}
 		if len(ex.Pairs) != 3 {
@@ -134,7 +134,7 @@ func TestExplainRBFNoContrib(t *testing.T) {
 	if ex.FeatureWeights != nil {
 		t.Fatal("RBF explanation must have nil FeatureWeights")
 	}
-	if want := m.Predict(x[0]); ex.Class != want {
+	if want := predict(m, x[0]); ex.Class != want {
 		t.Fatalf("explain class %d != predict %d", ex.Class, want)
 	}
 }

@@ -77,7 +77,7 @@ type Model struct {
 	pairs     []*binaryModel
 	pairClass [][2]int
 	// singleClass >= 0 marks a degenerate training set with only one
-	// class: Predict always returns it.
+	// class: every prediction is it.
 	singleClass int
 }
 
@@ -290,38 +290,13 @@ func (m *Model) margin(best int, votes []int, score []float64) float64 {
 	return margin
 }
 
-// Predict returns the predicted class for a sparse binary row.
-func (m *Model) Predict(x []int32) int {
-	if m.singleClass >= 0 {
-		return m.singleClass
-	}
-	votes := make([]int, m.numClasses)
-	score := make([]float64, m.numClasses) // tie-break by summed |decision|
-	return m.vote(x, votes, score)
-}
-
-// PredictMargin returns the predicted class together with a
-// confidence margin: the winner's summed |decision| minus the
-// runner-up's. For binary problems this is |f(x)| of the single
-// decision function; for one-vs-one multiclass it is the summed-score
-// gap between the top two classes. Degenerate single-class models
-// report margin 0. The prediction is identical to Predict's.
-func (m *Model) PredictMargin(x []int32) (int, float64) {
-	if m.singleClass >= 0 {
-		return m.singleClass, 0
-	}
-	votes := make([]int, m.numClasses)
-	score := make([]float64, m.numClasses)
-	best := m.vote(x, votes, score)
-	return best, m.margin(best, votes, score)
-}
-
 // Scorer scores rows against a fixed model through preallocated voting
 // scratch, so repeated prediction costs zero allocations per row —
 // the serving-loop contract core's batch predictor builds on. A Scorer
 // is single-goroutine; concurrent scorers share the Model and carry
-// one Scorer each. Predictions and margins are identical to the
-// Model's own Predict/PredictMargin.
+// one Scorer each. PredictMargin is the model's one scoring call;
+// Predict is its class alone, and ExplainPredict reports the same
+// class with its per-pair evidence.
 type Scorer struct {
 	m     *Model
 	votes []int
@@ -337,16 +312,12 @@ func (m *Model) NewScorer() *Scorer {
 	}
 }
 
-// Predict returns the predicted class for a sparse binary row.
-func (s *Scorer) Predict(x []int32) int {
-	if s.m.singleClass >= 0 {
-		return s.m.singleClass
-	}
-	return s.m.vote(x, s.votes, s.score)
-}
-
-// PredictMargin returns the predicted class and confidence margin,
-// identical to Model.PredictMargin.
+// PredictMargin returns the predicted class for a sparse binary row
+// together with a confidence margin: the winner's summed |decision|
+// minus the runner-up's. For binary problems this is |f(x)| of the
+// single decision function; for one-vs-one multiclass it is the
+// summed-score gap between the top two classes. Degenerate
+// single-class models report margin 0.
 func (s *Scorer) PredictMargin(x []int32) (int, float64) {
 	if s.m.singleClass >= 0 {
 		return s.m.singleClass, 0
@@ -355,11 +326,8 @@ func (s *Scorer) PredictMargin(x []int32) (int, float64) {
 	return best, s.m.margin(best, s.votes, s.score)
 }
 
-// PredictAll predicts every row.
-func (m *Model) PredictAll(x [][]int32) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
+// Predict returns PredictMargin's class.
+func (s *Scorer) Predict(x []int32) int {
+	cls, _ := s.PredictMargin(x)
+	return cls
 }

@@ -54,7 +54,7 @@ func TestMaxIterReturnsUsableModelAndFlagsNonConvergence(t *testing.T) {
 	// The truncated model must still predict on every row without
 	// panicking and produce in-range labels.
 	for i, row := range x {
-		if got := m.Predict(row); got != 0 && got != 1 {
+		if got := predict(m, row); got != 0 && got != 1 {
 			t.Fatalf("row %d: prediction %d out of range", i, got)
 		}
 	}

@@ -14,6 +14,12 @@ import (
 // its floating-point operations.
 func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
 
+// predict is PredictMargin's class on a fresh scorer.
+func predict(m *Model, x []int32) int {
+	cls, _ := m.NewScorer().PredictMargin(x)
+	return cls
+}
+
 // sep2D builds a linearly separable binary problem over two indicator
 // features: class 0 rows contain feature 0, class 1 rows feature 1.
 func sep2D(n int) (x [][]int32, y []int) {
@@ -85,7 +91,7 @@ func TestLinearSeparable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, row := range x {
-		if got := m.Predict(row); got != y[i] {
+		if got := predict(m, row); got != y[i] {
 			t.Fatalf("row %d predicted %d, want %d", i, got, y[i])
 		}
 	}
@@ -103,7 +109,7 @@ func TestXORNeedsNonlinearKernel(t *testing.T) {
 	}
 	correct := 0
 	for i, row := range x {
-		if rbf.Predict(row) == y[i] {
+		if predict(rbf, row) == y[i] {
 			correct++
 		}
 	}
@@ -123,7 +129,7 @@ func TestXORLinearWithProductFeature(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, row := range x {
-		if got := m.Predict(row); got != y[i] {
+		if got := predict(m, row); got != y[i] {
 			t.Fatalf("row %d predicted %d, want %d", i, got, y[i])
 		}
 	}
@@ -146,7 +152,7 @@ func TestMulticlassOneVsOne(t *testing.T) {
 		t.Fatalf("pairs = %d, want 3", len(m.pairs))
 	}
 	for i, row := range x {
-		if got := m.Predict(row); got != y[i] {
+		if got := predict(m, row); got != y[i] {
 			t.Fatalf("row %d predicted %d, want %d", i, got, y[i])
 		}
 	}
@@ -159,7 +165,7 @@ func TestSingleClassDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Predict([]int32{2}); got != 1 {
+	if got := predict(m, []int32{2}); got != 1 {
 		t.Fatalf("degenerate predict = %d, want 1", got)
 	}
 }
@@ -237,7 +243,7 @@ func TestNoisyDataRespectsC(t *testing.T) {
 	}
 	correct := 0
 	for i, row := range x {
-		if m.Predict(row) == y[i] {
+		if predict(m, row) == y[i] {
 			correct++
 		}
 	}
@@ -285,13 +291,23 @@ func TestDecisionMarginSeparable(t *testing.T) {
 	}
 }
 
+// TestPredictAll scores every row through one held Scorer: its reused
+// scratch must give each row a fresh scorer's class and margin, and
+// Predict must be PredictMargin's class.
 func TestPredictAll(t *testing.T) {
 	x, y := sep2D(10)
 	m, _ := Train(x, y, 2, Config{NumFeatures: 2})
-	got := m.PredictAll(x)
-	for i := range got {
-		if got[i] != y[i] {
-			t.Fatalf("PredictAll[%d] = %d, want %d", i, got[i], y[i])
+	sc := m.NewScorer()
+	for i, row := range x {
+		cls, margin := sc.PredictMargin(row)
+		if cls != y[i] {
+			t.Fatalf("row %d: class %d, want %d", i, cls, y[i])
+		}
+		if fresh, fm := m.NewScorer().PredictMargin(row); fresh != cls || !approx(fm, margin) {
+			t.Fatalf("row %d: held scorer (%d, %v), fresh scorer (%d, %v)", i, cls, margin, fresh, fm)
+		}
+		if got := sc.Predict(row); got != cls {
+			t.Fatalf("row %d: Predict %d, PredictMargin %d", i, got, cls)
 		}
 	}
 }
