@@ -118,7 +118,7 @@ func TestChaosSentinelSweep(t *testing.T) {
 			if point == faults.C45Build {
 				learner = C45
 			}
-			r := faults.New(1)
+			r := faults.New()
 			r.Arm(point, 1, faults.ErrInjected)
 			err := chaosRun(t, r, learner)
 			if r.Hits(point) == 0 {
@@ -150,7 +150,7 @@ func TestChaosKindsMapToGuardSentinels(t *testing.T) {
 		{"deadline", ErrDeadline},
 	}
 	for _, tc := range cases {
-		r := faults.New(1)
+		r := faults.New()
 		if err := r.ArmKind(faults.CoreMine, 1, tc.kind); err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestChaosPanicInjectionIsCaptured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := faults.New(1)
+	r := faults.New()
 	r.ArmPanic(faults.EvalFold, 1, "injected chaos panic")
 	clf := NewClassifier(PatFS, SVM, WithMinSupport(0.3), WithCoverage(2))
 	_, err = CrossValidateContext(context.Background(), clf, d, 2, 1, CVOptions{
@@ -237,7 +237,7 @@ func TestChaosTornWriteLoop(t *testing.T) {
 		faults.FSRename, faults.FSClose}
 	for _, point := range fsPoints {
 		for nth := uint64(1); nth <= 3; nth++ {
-			r := faults.New(int64(nth))
+			r := faults.New()
 			r.Arm(point, nth, faults.ErrInjected)
 			err := saveModelAtomic(path, clf, r)
 			if r.Hits(point) < nth {

@@ -86,4 +86,27 @@ func TestCLIRunArtifacts(t *testing.T) {
 			t.Fatalf("%s exists after the failed write (stat err %v)", csv, err)
 		}
 	})
+	// -explain with -load streams nothing into drift tracking, so the
+	// drift flags are refused up front instead of silently writing no
+	// report.
+	t.Run("dfpc-load-explain-drift", func(t *testing.T) {
+		dir := t.TempDir()
+		model := filepath.Join(dir, "m.dfpc")
+		if out, err := exec.Command(filepath.Join(bin, "dfpc"), "-dataset", "labor", "-folds", "2", "-minsup", "0.3", "-save", model).CombinedOutput(); err != nil {
+			t.Fatalf("dfpc -save: %v\n%s", err, out)
+		}
+		report := filepath.Join(dir, "d.json")
+		cmd := exec.Command(filepath.Join(bin, "dfpc"), "-load", model, "-dataset", "labor", "-explain", "2", "-drift-window", "64", "-drift-report", report)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("dfpc -load -explain with drift flags: err %v, want exit 1\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "-drift-report") {
+			t.Fatalf("message does not name the drift flags:\n%s", out)
+		}
+		if _, err := os.Stat(report); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s exists after the refused run (stat err %v)", report, err)
+		}
+	})
 }

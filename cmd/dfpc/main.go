@@ -77,6 +77,11 @@ func main() {
 	}
 	defer ses.Close()
 	drift := driftConfig{warn: *driftWarn, window: *driftWindow, path: *driftTo}
+	if *loadFrom != "" && *explain > 0 && drift != (driftConfig{}) {
+		// PredictExplain streams nothing into the tracker, so the run
+		// would end without a drift report.
+		ses.Fail("-load with -explain tracks no drift; drop -drift-warn, -drift-window and -drift-report")
+	}
 
 	d, err := loadData(*dataPath, *bundled, *seed)
 	if err != nil {
@@ -297,9 +302,10 @@ func (c driftConfig) attach(clf *dfpc.Classifier, ses *telemetry.Session) *model
 // dataset row. With explainN > 0 it instead prints per-prediction
 // explanations for the first N rows, one JSON object per line: the
 // fired patterns with their measures and SVM weight contributions (or
-// the C4.5 decision path). The drift flags score the prediction stream
-// against the model's fit-time baseline: live on /drift when -listen is
-// set, as a journal record, and as a JSON file via -drift-report.
+// the C4.5 decision path). Without it, the drift flags score the
+// prediction stream against the model's fit-time baseline: live on
+// /drift when -listen is set, as a journal record, and as a JSON file
+// via -drift-report.
 func predictOnly(ctx context.Context, path string, d *dfpc.Dataset, explainN int,
 	ses *telemetry.Session, drift driftConfig) error {
 	f, err := os.Open(path)
@@ -319,7 +325,6 @@ func predictOnly(ctx context.Context, path string, d *dfpc.Dataset, explainN int
 		ses.Log.Warn("loaded model carries no baseline (saved by a pre-drift build); drift tracking disabled")
 		drift = driftConfig{}
 	}
-	tracker := drift.attach(clf, ses)
 	if explainN > 0 {
 		if explainN > d.NumRows() {
 			explainN = d.NumRows()
@@ -340,6 +345,7 @@ func predictOnly(ctx context.Context, path string, d *dfpc.Dataset, explainN int
 		}
 		return nil
 	}
+	tracker := drift.attach(clf, ses)
 	rows := make([]int, d.NumRows())
 	for i := range rows {
 		rows[i] = i
@@ -429,20 +435,13 @@ func loadData(path, bundled string, seed int64) (*dfpc.Dataset, error) {
 }
 
 func parseFamily(s string) (dfpc.Family, error) {
-	switch strings.ToLower(s) {
-	case "item_all", "itemall":
-		return dfpc.ItemAll, nil
-	case "item_fs", "itemfs":
-		return dfpc.ItemFS, nil
-	case "item_rbf", "itemrbf":
-		return dfpc.ItemRBF, nil
-	case "pat_all", "patall":
-		return dfpc.PatAll, nil
-	case "pat_fs", "patfs":
-		return dfpc.PatFS, nil
-	default:
-		return 0, fmt.Errorf("unknown family %q", s)
+	for f := dfpc.ItemAll; f <= dfpc.PatFS; f++ {
+		name := f.String()
+		if strings.EqualFold(s, name) || strings.EqualFold(s, strings.ReplaceAll(name, "_", "")) {
+			return f, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown family %q", s)
 }
 
 func parseLearner(s string) (dfpc.Learner, error) {

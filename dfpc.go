@@ -93,39 +93,22 @@ type PatternStat = core.PatternStat
 type BoundPoint = core.BoundPoint
 
 // Family selects one of the paper's model families (Tables 1–2).
-type Family int
+type Family = core.Family
 
 const (
 	// ItemAll uses all single features.
-	ItemAll Family = iota
+	ItemAll = core.ItemAll
 	// ItemFS uses MMRFS-selected single features.
-	ItemFS
+	ItemFS = core.ItemFS
 	// ItemRBF uses all single features under an RBF-kernel SVM.
-	ItemRBF
+	ItemRBF = core.ItemRBF
 	// PatAll uses all single features plus every closed frequent
 	// pattern (no selection).
-	PatAll
+	PatAll = core.PatAll
 	// PatFS uses all single features plus MMRFS-selected closed
 	// frequent patterns — the paper's proposed configuration.
-	PatFS
+	PatFS = core.PatFS
 )
-
-func (f Family) String() string {
-	switch f {
-	case ItemAll:
-		return "Item_All"
-	case ItemFS:
-		return "Item_FS"
-	case ItemRBF:
-		return "Item_RBF"
-	case PatAll:
-		return "Pat_All"
-	case PatFS:
-		return "Pat_FS"
-	default:
-		return fmt.Sprintf("Family(%d)", int(f))
-	}
-}
 
 // Learner selects the model-learning algorithm.
 type Learner int
@@ -276,28 +259,10 @@ func NewClassifier(f Family, l Learner, opts ...Option) *Classifier {
 	case C45:
 		cfg.Learner = core.C45Tree
 	}
-	switch f {
-	case ItemFS:
-		cfg.SelectItems = true
-	case ItemRBF:
-		cfg.Learner = core.SVMRBF
-	case PatAll:
-		cfg.UsePatterns = true
-	case PatFS:
-		cfg.UsePatterns = true
-		cfg.SelectPatterns = true
-	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	p, err := core.New(cfg)
-	if err != nil {
-		// The only construction error is the mutually exclusive
-		// SelectItems/UsePatterns combination, which the Family switch
-		// above cannot produce.
-		panic(err)
-	}
-	return p
+	return core.NewFamily(f, cfg)
 }
 
 // LoadCSV reads a dataset from CSV: header row, class label in the last

@@ -24,24 +24,18 @@ type Config struct {
 	// Confidence is the pruning confidence factor CF (default 0.25,
 	// J48's default); a negative value disables pruning.
 	Confidence float64
-	// MaxDepth optionally caps tree depth; 0 means unbounded.
-	MaxDepth int
 	// Guard, when non-nil, bounds tree growth; Train aborts with an
 	// error satisfying errors.Is(err, guard.ErrCanceled) (or
-	// guard.ErrDeadline). The caller builds it; nil costs nothing, and
-	// the type gob-encodes as nothing so Config stays serializable.
+	// guard.ErrDeadline). The caller builds it; nil costs nothing.
 	Guard *guard.Guard
 	// Obs, when non-nil, records node-count and depth metrics per Train
 	// call. Nil disables recording.
 	Obs *obs.Observer
-	// Log, when it wraps a non-nil logger, receives one structured
-	// DEBUG record per Train call (tree size and depth). The zero
-	// handle disables logging; the handle (not a bare *slog.Logger)
-	// keeps Config gob-encodable for model serialization.
-	Log obs.LogHandle
+	// Log, when non-nil, receives one structured DEBUG record per Train
+	// call (tree size and depth). Nil disables logging.
+	Log *slog.Logger
 	// Faults, when non-nil, enables deterministic fault injection at
-	// the start of tree induction (point c45.build). Nil is free, and
-	// the type gob-encodes as nothing so Config stays serializable.
+	// the start of tree induction (point c45.build). Nil is free.
 	Faults *faults.Registry
 }
 
@@ -101,7 +95,7 @@ func Train(x [][]int32, y []int, numClasses int, cfg Config) (*Model, error) {
 	for i := range rows {
 		rows[i] = i
 	}
-	root := b.grow(rows, 0)
+	root := b.grow(rows)
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -113,7 +107,7 @@ func Train(x [][]int32, y []int, numClasses int, cfg Config) (*Model, error) {
 		cfg.Obs.Counter("c45.nodes").Add(int64(m.Size()))
 		cfg.Obs.Gauge("c45.depth").Set(float64(m.Depth()))
 	}
-	if cfg.Log.Logger != nil {
+	if cfg.Log != nil {
 		cfg.Log.Debug("C4.5 tree trained",
 			slog.Int("nodes", m.Size()),
 			slog.Int("depth", m.Depth()))
@@ -242,7 +236,7 @@ func (b *builder) bestSplit(rows []int, counts []int) (feature int32, ok bool) {
 	return cands[0].feature, true
 }
 
-func (b *builder) grow(rows []int, depth int) *node {
+func (b *builder) grow(rows []int) *node {
 	counts, major, errs := b.histogram(rows)
 	nd := &node{feature: -1, class: major, counts: counts, n: len(rows), errorsAsLeaf: errs}
 	// Cooperative cancellation at every recursion entry; collapsing to a
@@ -255,9 +249,6 @@ func (b *builder) grow(rows []int, depth int) *node {
 		return nd
 	}
 	if errs == 0 || len(rows) < 2*b.cfg.MinLeaf {
-		return nd
-	}
-	if b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth {
 		return nd
 	}
 	f, ok := b.bestSplit(rows, counts)
@@ -273,8 +264,8 @@ func (b *builder) grow(rows []int, depth int) *node {
 		}
 	}
 	nd.feature = f
-	nd.present = b.grow(presentRows, depth+1)
-	nd.absent = b.grow(absentRows, depth+1)
+	nd.present = b.grow(presentRows)
+	nd.absent = b.grow(absentRows)
 	return nd
 }
 

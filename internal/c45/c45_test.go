@@ -147,22 +147,6 @@ func TestPruningShrinksNoisyTree(t *testing.T) {
 	}
 }
 
-func TestMaxDepth(t *testing.T) {
-	var x [][]int32
-	var y []int
-	for rep := 0; rep < 5; rep++ {
-		x = append(x, []int32{}, []int32{0}, []int32{1}, []int32{0, 1})
-		y = append(y, 0, 1, 1, 0)
-	}
-	m, err := Train(x, y, 2, Config{MaxDepth: 1, Confidence: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Depth() > 1 {
-		t.Fatalf("depth = %d, want <= 1", m.Depth())
-	}
-}
-
 func TestTrainErrors(t *testing.T) {
 	if _, err := Train(nil, nil, 2, Config{}); err == nil {
 		t.Fatal("empty set should error")

@@ -30,7 +30,7 @@ func fitXORPipeline(tb testing.TB) (*Pipeline, []int, int) {
 	for i := range rows {
 		rows[i] = i
 	}
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	if err := p.Fit(d, rows); err != nil {
 		tb.Fatal(err)
 	}
@@ -72,18 +72,10 @@ func runPredictAllocTable(t *testing.T, drift bool) {
 		{xorDataset(80), 0.2, 80},
 		{austral, 0.15, 32},
 	}
-	type family struct {
-		name string
-		new  func(l Learner, minSup float64) *Pipeline
-	}
-	families := []family{
-		{"Item_All", func(l Learner, _ float64) *Pipeline { return NewItemAll(l) }},
-		{"Item_FS", func(l Learner, _ float64) *Pipeline { return NewItemFS(l) }},
-		{"Pat_FS", NewPatFS},
-	}
+	families := []Family{ItemAll, ItemFS, PatFS}
 	type budgetCase struct {
 		learner Learner
-		family  family
+		family  Family
 	}
 	var cases []budgetCase
 	for _, l := range []Learner{SVMLinear, C45Tree} {
@@ -99,8 +91,8 @@ func runPredictAllocTable(t *testing.T, drift bool) {
 			all[i] = i
 		}
 		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/%s/%s", ds.d.Name, c.learner, c.family.name), func(t *testing.T) {
-				p := c.family.new(c.learner, ds.minSup)
+			t.Run(fmt.Sprintf("%s/%s/%s", ds.d.Name, c.learner, c.family), func(t *testing.T) {
+				p := NewFamily(c.family, Config{Learner: c.learner, MinSupport: ds.minSup})
 				if err := p.Fit(ds.d, all); err != nil {
 					t.Fatal(err)
 				}

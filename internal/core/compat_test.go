@@ -252,7 +252,7 @@ func TestLoadPlattEraArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := allRows(d.NumRows())
-	fresh := NewPatFS(SVMLinear, 0.3)
+	fresh := NewFamily(PatFS, Config{MinSupport: 0.3})
 	if err := fresh.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}

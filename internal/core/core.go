@@ -56,7 +56,63 @@ func (l Learner) String() string {
 	}
 }
 
-// Config configures a Pipeline.
+// Family selects one of the model families of Tables 1–2.
+type Family int
+
+const (
+	// ItemAll classifies on all single features.
+	ItemAll Family = iota
+	// ItemFS classifies on the MMRFS-selected single features.
+	ItemFS
+	// ItemRBF classifies on all single features with an RBF-kernel SVM.
+	ItemRBF
+	// PatAll classifies on I ∪ F: all single features plus every
+	// closed frequent pattern.
+	PatAll
+	// PatFS classifies on I ∪ Fs: all single features plus the
+	// MMRFS-selected closed frequent patterns (the paper's proposal).
+	PatFS
+)
+
+func (f Family) String() string {
+	switch f {
+	case ItemAll:
+		return "Item_All"
+	case ItemFS:
+		return "Item_FS"
+	case ItemRBF:
+		return "Item_RBF"
+	case PatAll:
+		return "Pat_All"
+	case PatFS:
+		return "Pat_FS"
+	default:
+		return fmt.Sprintf("Family(%d)", int(f))
+	}
+}
+
+// NewFamily builds a pipeline of family f: it sets cfg's three feature
+// switches from f, and the RBF learner for ItemRBF whatever cfg.Learner
+// says, then applies the defaults. An out-of-range family builds
+// ItemAll's feature space.
+func NewFamily(f Family, cfg Config) *Pipeline {
+	cfg.SelectItems, cfg.UsePatterns, cfg.SelectPatterns = false, false, false
+	switch f {
+	case ItemFS:
+		cfg.SelectItems = true
+	case ItemRBF:
+		cfg.Learner = SVMRBF
+	case PatAll:
+		cfg.UsePatterns = true
+	case PatFS:
+		cfg.UsePatterns = true
+		cfg.SelectPatterns = true
+	}
+	return &Pipeline{cfg: cfg.withDefaults()}
+}
+
+// Config configures a Pipeline. NewFamily sets its three feature
+// switches; they are fields only because saved models carry them.
 type Config struct {
 	// UsePatterns enables feature generation: closed frequent patterns
 	// are mined per class and added to the feature space.
@@ -66,8 +122,7 @@ type Config struct {
 	// I ∪ F (Pat_All).
 	SelectPatterns bool
 	// SelectItems applies MMRFS to the single items and restricts the
-	// feature space to the selected items (Item_FS). Mutually exclusive
-	// with UsePatterns.
+	// feature space to the selected items (Item_FS).
 	SelectItems bool
 
 	// MinSupport is the relative min_sup θ0 for per-class mining. When
@@ -175,7 +230,7 @@ func (c Config) withDefaults() Config {
 
 // Pipeline is one configured train/predict pipeline. It implements
 // eval.Pipeline (FitContext, PredictBatch). The zero value is
-// unusable; construct with New or one of the model-family helpers.
+// unusable; construct with NewFamily.
 type Pipeline struct {
 	cfg Config
 
@@ -244,49 +299,6 @@ type FeatureReport struct {
 	Fisher        float64
 	MajorityClass string
 	Confidence    float64 // P(majority class | pattern present)
-}
-
-// New builds a pipeline from a config.
-func New(cfg Config) (*Pipeline, error) {
-	if cfg.UsePatterns && cfg.SelectItems {
-		return nil, errors.New("core: SelectItems and UsePatterns are mutually exclusive")
-	}
-	return &Pipeline{cfg: cfg.withDefaults()}, nil
-}
-
-// The model families of Tables 1–2.
-
-// NewItemAll classifies on all single features.
-func NewItemAll(l Learner) *Pipeline {
-	p, _ := New(Config{Learner: l})
-	return p
-}
-
-// NewItemFS classifies on MMRFS-selected single features.
-func NewItemFS(l Learner) *Pipeline {
-	p, _ := New(Config{Learner: l, SelectItems: true})
-	return p
-}
-
-// NewItemRBF classifies on all single features with an RBF-kernel SVM.
-func NewItemRBF(gamma float64) *Pipeline {
-	p, _ := New(Config{Learner: SVMRBF, RBFGamma: gamma})
-	return p
-}
-
-// NewPatAll classifies on I ∪ F: all single features plus all closed
-// frequent patterns at the given relative min_sup (<= 0 derives it from
-// the IG-threshold strategy).
-func NewPatAll(l Learner, minSup float64) *Pipeline {
-	p, _ := New(Config{Learner: l, UsePatterns: true, MinSupport: minSup})
-	return p
-}
-
-// NewPatFS classifies on I ∪ Fs: all single features plus the
-// MMRFS-selected closed frequent patterns.
-func NewPatFS(l Learner, minSup float64) *Pipeline {
-	p, _ := New(Config{Learner: l, UsePatterns: true, SelectPatterns: true, MinSupport: minSup})
-	return p
 }
 
 // resolveMinSupport applies the Section 3.2 strategy when no explicit
@@ -525,9 +537,6 @@ func (p *Pipeline) SetFaults(r *faults.Registry) { p.cfg.Faults = r }
 // tracked Predict.
 func (p *Pipeline) SetDriftTracker(t *modelobs.Tracker) { p.cfg.Drift = t }
 
-// DriftTracker returns the installed drift tracker (nil = disabled).
-func (p *Pipeline) DriftTracker() *modelobs.Tracker { return p.cfg.Drift }
-
 // Baseline returns the training reference distribution computed by
 // the last Fit, or nil before Fit and for models loaded from
 // pre-baseline (v1) artifacts.
@@ -537,10 +546,6 @@ func (p *Pipeline) Baseline() *modelobs.Baseline { return p.baseline }
 // receives this pipeline's stage records and degradation warnings.
 // Equivalent to configuring Config.Log at construction time.
 func (p *Pipeline) SetLogger(l *slog.Logger) { p.cfg.Log = obs.Log(l) }
-
-// Logger returns the currently installed structured logger (nil when
-// logging is off).
-func (p *Pipeline) Logger() *slog.Logger { return p.cfg.Log.Logger }
 
 // selectItems runs MMRFS over the single items (Item_FS).
 func (p *Pipeline) selectItems(ctx context.Context, b *dataset.Binary) error {
@@ -740,7 +745,7 @@ func (p *Pipeline) learn(ctx context.Context, x [][]int32, y []int, numClasses i
 	case C45Tree:
 		m, err = c45.Train(x, y, numClasses, c45.Config{
 			Obs:    p.cfg.Obs,
-			Log:    obs.Log(obs.StageLogger(p.cfg.Log.Logger, "learn")),
+			Log:    obs.StageLogger(p.cfg.Log.Logger, "learn"),
 			Guard:  g,
 			Faults: p.cfg.Faults,
 		})

@@ -29,7 +29,7 @@ func predict(p *Pipeline, d *dataset.Dataset, rows []int) ([]int, error) {
 func TestFitRejectsUnknownLearner(t *testing.T) {
 	d := xorDataset(40)
 	for _, l := range []Learner{-1, 3, 4, 7} {
-		p := NewPatFS(l, 0.2)
+		p := NewFamily(PatFS, Config{Learner: l, MinSupport: 0.2})
 		err := p.Fit(d, allRows(d.NumRows()))
 		if err == nil || !strings.Contains(err.Error(), l.String()) {
 			t.Fatalf("Fit with %v: err = %v, want one naming the learner", l, err)
@@ -54,7 +54,7 @@ func TestLearnerStringers(t *testing.T) {
 
 func TestExplainReportsSelectedPatterns(t *testing.T) {
 	d := xorDataset(80)
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	if err := p.Fit(d, allRows(d.NumRows())); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExplainReportsSelectedPatterns(t *testing.T) {
 
 func TestExplainEmptyForItemModels(t *testing.T) {
 	d := xorDataset(40)
-	p := NewItemAll(SVMLinear)
+	p := NewFamily(ItemAll, Config{})
 	if err := p.Fit(d, allRows(d.NumRows())); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFitDeterminism(t *testing.T) {
 	}
 	rows := allRows(d.NumRows())
 	run := func() []int {
-		p := NewPatFS(SVMLinear, 0.3)
+		p := NewFamily(PatFS, Config{MinSupport: 0.3})
 		if err := p.Fit(d, rows); err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func xorDataset(n int) *dataset.Dataset {
 
 func TestPatternPipelineSolvesXOR(t *testing.T) {
 	d := xorDataset(80)
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	rows := make([]int, d.NumRows())
 	for i := range rows {
 		rows[i] = i
@@ -58,7 +58,7 @@ func TestPatternPipelineSolvesXOR(t *testing.T) {
 
 func TestItemOnlyFailsXOR(t *testing.T) {
 	d := xorDataset(80)
-	p := NewItemAll(SVMLinear)
+	p := NewFamily(ItemAll, Config{})
 	rows := make([]int, d.NumRows())
 	for i := range rows {
 		rows[i] = i
@@ -76,21 +76,53 @@ func TestItemOnlyFailsXOR(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{UsePatterns: true, SelectItems: true}); err == nil {
-		t.Fatal("UsePatterns+SelectItems should error")
+// TestNewFamily pins the one family table: the three feature switches
+// and the learner NewFamily sets for every family and learner. Item_RBF
+// takes the RBF SVM whatever the learner, and an out-of-range family
+// gets Item_All's feature space.
+func TestNewFamily(t *testing.T) {
+	type want struct{ selectItems, usePatterns, selectPatterns bool }
+	for _, tc := range []struct {
+		f    Family
+		want want
+	}{
+		{ItemAll, want{}},
+		{ItemFS, want{selectItems: true}},
+		{ItemRBF, want{}},
+		{PatAll, want{usePatterns: true}},
+		{PatFS, want{usePatterns: true, selectPatterns: true}},
+		{Family(5), want{}},
+	} {
+		for _, l := range []Learner{SVMLinear, SVMRBF, C45Tree} {
+			// Switches already set in the config must not survive.
+			cfg := NewFamily(tc.f, Config{Learner: l, SelectItems: true, UsePatterns: true, SelectPatterns: true}).cfg
+			got := want{cfg.SelectItems, cfg.UsePatterns, cfg.SelectPatterns}
+			if got != tc.want {
+				t.Errorf("%v/%v: switches %+v, want %+v", tc.f, l, got, tc.want)
+			}
+			wantLearner := l
+			if tc.f == ItemRBF {
+				wantLearner = SVMRBF
+			}
+			if cfg.Learner != wantLearner {
+				t.Errorf("%v/%v: learner %v, want %v", tc.f, l, cfg.Learner, wantLearner)
+			}
+		}
+	}
+	if got := Family(5).String(); got != "Family(5)" {
+		t.Errorf("Family(5).String() = %q", got)
 	}
 }
 
 func TestPredictBeforeFit(t *testing.T) {
-	p := NewItemAll(SVMLinear)
+	p := NewFamily(ItemAll, Config{})
 	if _, err := predict(p, xorDataset(8), []int{0}); err == nil {
 		t.Fatal("Predict before Fit should error")
 	}
 }
 
 func TestFitEmptyRows(t *testing.T) {
-	p := NewItemAll(SVMLinear)
+	p := NewFamily(ItemAll, Config{})
 	if err := p.Fit(xorDataset(8), nil); err == nil {
 		t.Fatal("empty training rows should error")
 	}
@@ -102,13 +134,13 @@ func TestAllFamiliesCrossValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	fams := map[string]*Pipeline{
-		"Item_All": NewItemAll(SVMLinear),
-		"Item_FS":  NewItemFS(SVMLinear),
-		"Item_RBF": NewItemRBF(0),
-		"Pat_All":  NewPatAll(SVMLinear, 0.3),
-		"Pat_FS":   NewPatFS(SVMLinear, 0.3),
-		"C45_All":  NewItemAll(C45Tree),
-		"C45_Pat":  NewPatFS(C45Tree, 0.3),
+		"Item_All": NewFamily(ItemAll, Config{}),
+		"Item_FS":  NewFamily(ItemFS, Config{}),
+		"Item_RBF": NewFamily(ItemRBF, Config{}),
+		"Pat_All":  NewFamily(PatAll, Config{MinSupport: 0.3}),
+		"Pat_FS":   NewFamily(PatFS, Config{MinSupport: 0.3}),
+		"C45_All":  NewFamily(ItemAll, Config{Learner: C45Tree}),
+		"C45_Pat":  NewFamily(PatFS, Config{Learner: C45Tree, MinSupport: 0.3}),
 	}
 	for name, p := range fams {
 		res, err := eval.CrossValidateContext(context.Background(), p, d, 3, 7, eval.CVOptions{})
@@ -129,11 +161,11 @@ func TestPatFSBeatsItemAllOnPatternedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	itemAll, err := eval.CrossValidateContext(context.Background(), NewItemAll(SVMLinear), d, 5, 3, eval.CVOptions{})
+	itemAll, err := eval.CrossValidateContext(context.Background(), NewFamily(ItemAll, Config{}), d, 5, 3, eval.CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	patFS, err := eval.CrossValidateContext(context.Background(), NewPatFS(SVMLinear, 0.1), d, 5, 3, eval.CVOptions{})
+	patFS, err := eval.CrossValidateContext(context.Background(), NewFamily(PatFS, Config{MinSupport: 0.1}), d, 5, 3, eval.CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +176,7 @@ func TestPatFSBeatsItemAllOnPatternedData(t *testing.T) {
 
 func TestMinSupportStrategyResolves(t *testing.T) {
 	d := xorDataset(100)
-	p := NewPatFS(SVMLinear, 0) // min_sup <= 0 → derive from IG0
+	p := NewFamily(PatFS, Config{}) // min_sup <= 0 → derive from IG0
 	rows := make([]int, d.NumRows())
 	for i := range rows {
 		rows[i] = i
@@ -162,7 +194,7 @@ func TestItemFSRestrictsSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewItemFS(SVMLinear)
+	p := NewFamily(ItemFS, Config{})
 	rows := make([]int, d.NumRows())
 	for i := range rows {
 		rows[i] = i
@@ -181,7 +213,7 @@ func TestNumericPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eval.CrossValidateContext(context.Background(), NewPatFS(SVMLinear, 0.15), d, 3, 1, eval.CVOptions{})
+	res, err := eval.CrossValidateContext(context.Background(), NewFamily(PatFS, Config{MinSupport: 0.15}), d, 3, 1, eval.CVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

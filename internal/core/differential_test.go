@@ -93,7 +93,7 @@ func TestDifferentialBundledDatasets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range []*Pipeline{NewPatFS(SVMLinear, 0.15), NewPatAll(SVMLinear, 0.3)} {
+			for _, p := range []*Pipeline{NewFamily(PatFS, Config{MinSupport: 0.15}), NewFamily(PatAll, Config{MinSupport: 0.3})} {
 				if err := p.Fit(d, allRows(d.NumRows())); err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +137,7 @@ func TestDifferentialRandomized(t *testing.T) {
 			d.Rows = append(d.Rows, row)
 			d.Labels = append(d.Labels, rng.Intn(2))
 		}
-		p := NewPatFS(SVMLinear, 0.1+rng.Float64()*0.2)
+		p := NewFamily(PatFS, Config{MinSupport: 0.1 + rng.Float64()*0.2})
 		if err := p.Fit(d, allRows(nRows)); err != nil {
 			t.Fatalf("trial %d: fit: %v", trial, err)
 		}

@@ -17,7 +17,7 @@ import (
 func fitXOR(t *testing.T, l Learner) (*Pipeline, []int, *Pipeline) {
 	t.Helper()
 	d := xorDataset(80)
-	p := NewPatFS(l, 0.2)
+	p := NewFamily(PatFS, Config{Learner: l, MinSupport: 0.2})
 	rows := make([]int, d.NumRows())
 	for i := range rows {
 		rows[i] = i
@@ -183,22 +183,15 @@ func TestPredictExplainAgreesWithPredictInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	families := []struct {
-		name string
-		new  func(l Learner, minSup float64) *Pipeline
-	}{
-		{"Item_All", func(l Learner, _ float64) *Pipeline { return NewItemAll(l) }},
-		{"Pat_FS", NewPatFS},
-	}
 	for _, d := range []struct {
 		d      *dataset.Dataset
 		minSup float64
 	}{{xorDataset(80), 0.2}, {austral, 0.15}} {
 		rows := allRows(d.d.NumRows())
 		for _, l := range []Learner{SVMLinear, SVMRBF, C45Tree} {
-			for _, f := range families {
-				t.Run(fmt.Sprintf("%s/%s/%s", d.d.Name, l, f.name), func(t *testing.T) {
-					p := f.new(l, d.minSup)
+			for _, f := range []Family{ItemAll, PatFS} {
+				t.Run(fmt.Sprintf("%s/%s/%s", d.d.Name, l, f), func(t *testing.T) {
+					p := NewFamily(f, Config{Learner: l, MinSupport: d.minSup})
 					if err := p.Fit(d.d, rows); err != nil {
 						t.Fatal(err)
 					}
@@ -241,7 +234,7 @@ func TestPredictExplainAgreesWithPredictInto(t *testing.T) {
 }
 
 func TestPredictExplainBeforeFit(t *testing.T) {
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	if _, err := p.PredictExplain(context.Background(), xorDataset(8), []int{0}); err == nil {
 		t.Fatal("PredictExplain before Fit must error")
 	}
@@ -251,7 +244,7 @@ func TestPredictExplainBeforeFit(t *testing.T) {
 // observer attaches the MMRFS decision trail to Stats.
 func TestFitRecordsSelectionAudit(t *testing.T) {
 	d := xorDataset(80)
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	p.SetObserver(obs.New())
 	rows := make([]int, d.NumRows())
 	for i := range rows {

@@ -19,7 +19,7 @@ func savedModelBytes(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p := NewPatFS(SVMLinear, 0.3)
+	p := NewFamily(PatFS, Config{MinSupport: 0.3})
 	if err := p.Fit(d, allRows(d.NumRows())); err != nil {
 		tb.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestFitRecordsStageSpansAndCounters(t *testing.T) {
 		rows[i] = i
 	}
 	o := obs.New()
-	p := NewPatFS(SVMLinear, 0.15)
+	p := NewFamily(PatFS, Config{MinSupport: 0.15})
 	p.SetObserver(o)
 	if p.Observer() != o {
 		t.Fatal("Observer() did not return the installed observer")
@@ -84,7 +84,7 @@ func TestC45ObserverCounters(t *testing.T) {
 		rows[i] = i
 	}
 	o := obs.New()
-	p := NewPatFS(C45Tree, 0.15)
+	p := NewFamily(PatFS, Config{Learner: C45Tree, MinSupport: 0.15})
 	p.SetObserver(o)
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestSaveWithObserverInstalled(t *testing.T) {
 		rows[i] = i
 	}
 	o := obs.New()
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	p.SetObserver(o)
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)

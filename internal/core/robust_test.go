@@ -20,17 +20,12 @@ func TestFitBudgetFailPolicy(t *testing.T) {
 	d := xorDataset(80)
 	var first string
 	for _, w := range []parallel.Workers{1, 2, 8} {
-		p, err := New(Config{
-			Learner:     SVMLinear,
-			UsePatterns: true,
+		p := NewFamily(PatAll, Config{
 			MinSupport:  0.05,
 			MaxPatterns: 2, // tiny budget: mining must trip it
 			Workers:     w,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = p.Fit(d, allRows(d.NumRows()))
+		err := p.Fit(d, allRows(d.NumRows()))
 		if !errors.Is(err, mining.ErrPatternBudget) {
 			t.Fatalf("workers %d: err = %v, want mining.ErrPatternBudget", w, err)
 		}
@@ -50,7 +45,7 @@ func TestFitBudgetFailPolicy(t *testing.T) {
 
 func TestFitContextPreCanceled(t *testing.T) {
 	d := xorDataset(80)
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := p.FitContext(ctx, d, allRows(d.NumRows())); !errors.Is(err, guard.ErrCanceled) {
@@ -60,7 +55,7 @@ func TestFitContextPreCanceled(t *testing.T) {
 
 func TestPredictContextPreCanceled(t *testing.T) {
 	d := xorDataset(80)
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	rows := allRows(d.NumRows())
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
@@ -79,12 +74,12 @@ func TestPredictContextPreCanceled(t *testing.T) {
 // loop, so it passes the core.predict fault point like PredictInto.
 func TestPredictExplainFaultPoint(t *testing.T) {
 	d := xorDataset(80)
-	p := NewPatFS(SVMLinear, 0.2)
+	p := NewFamily(PatFS, Config{MinSupport: 0.2})
 	rows := allRows(d.NumRows())
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
-	r := faults.New(1)
+	r := faults.New()
 	r.Arm(faults.CorePredict, 1, faults.ErrInjected)
 	p.SetFaults(r)
 	if _, err := p.PredictExplain(context.Background(), d, rows); !errors.Is(err, faults.ErrInjected) {
@@ -94,16 +89,11 @@ func TestPredictExplainFaultPoint(t *testing.T) {
 
 func TestStageTimeoutAlreadyExpired(t *testing.T) {
 	d := xorDataset(80)
-	p, err := New(Config{
-		Learner:      SVMLinear,
-		UsePatterns:  true,
+	p := NewFamily(PatAll, Config{
 		MinSupport:   0.2,
 		StageTimeout: 1, // 1ns: every stage deadline is already past
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.Fit(d, allRows(d.NumRows()))
+	err := p.Fit(d, allRows(d.NumRows()))
 	if !errors.Is(err, guard.ErrDeadline) {
 		t.Fatalf("err = %v, want guard.ErrDeadline", err)
 	}

@@ -33,7 +33,7 @@ func TestSaveLoadAllLearners(t *testing.T) {
 	}
 	rows := allRows(d.NumRows())
 	for _, l := range []Learner{SVMLinear, SVMRBF, C45Tree} {
-		p := NewPatFS(l, 0.3)
+		p := NewFamily(PatFS, Config{Learner: l, MinSupport: 0.3})
 		if err := p.Fit(d, rows); err != nil {
 			t.Fatalf("%v: %v", l, err)
 		}
@@ -62,7 +62,7 @@ func TestSaveLoadAllLearners(t *testing.T) {
 }
 
 func TestSaveBeforeFit(t *testing.T) {
-	p := NewItemAll(SVMLinear)
+	p := NewFamily(ItemAll, Config{})
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err == nil {
 		t.Fatal("Save before Fit should error")
@@ -81,7 +81,7 @@ func TestLoadedPipelineCanRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := allRows(d.NumRows())
-	p := NewPatFS(SVMLinear, 0.3)
+	p := NewFamily(PatFS, Config{MinSupport: 0.3})
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSaveHistoryChild(t *testing.T) {
 	d := xorDataset(80)
 	rows := allRows(d.NumRows())
 	if args[1] == "svm-first" {
-		p := NewPatFS(SVMLinear, 0.2)
+		p := NewFamily(PatFS, Config{MinSupport: 0.2})
 		if err := p.Fit(d, rows); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSaveHistoryChild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := NewPatFS(C45Tree, 0.2)
+	p := NewFamily(PatFS, Config{Learner: C45Tree, MinSupport: 0.2})
 	if err := p.Fit(d, rows); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestWriteAtomicFailureLeavesOldFile(t *testing.T) {
 			if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			r := faults.New(1)
+			r := faults.New()
 			r.Arm(point, 1, faults.ErrInjected)
 			err := WriteAtomic(path, r, func(w io.Writer) error {
 				_, err := w.Write([]byte("new content"))

@@ -108,7 +108,7 @@ func TestResumeSkipsCheckpointedFolds(t *testing.T) {
 
 		// First run: injected cancellation at fold 3 interrupts the run
 		// after two folds checkpointed.
-		fr := faults.New(1)
+		fr := faults.New()
 		fr.Arm(faults.EvalFold, 3, errors.New("simulated crash"))
 		p1 := &fitCountingPipeline{}
 		_, err := CrossValidateContext(context.Background(), p1, d, k, seed, CVOptions{
@@ -164,7 +164,7 @@ func TestResumeSkipsCheckpointedFolds(t *testing.T) {
 // silently dropped.
 func TestCheckpointWriteFaultDegradesFold(t *testing.T) {
 	d := skewedDS(40)
-	fr := faults.New(1)
+	fr := faults.New()
 	fr.Arm(faults.CheckpointWrite, 1, faults.ErrInjected)
 	ck, _ := NewCheckpointer(t.TempDir(), "k", fr)
 	_, err := CrossValidateContext(context.Background(), oraclePipeline{}, d, 4, 1, CVOptions{

@@ -1,6 +1,6 @@
 // Package eval provides the experimental protocol of the paper's
-// Section 4: accuracy, stratified cross-validation over a pluggable
-// train/predict pipeline, and a paired t-test between two CV runs.
+// Section 4: accuracy, and stratified cross-validation and hold-out
+// evaluation over a pluggable train/predict pipeline.
 package eval
 
 import (

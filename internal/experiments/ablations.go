@@ -39,10 +39,7 @@ func WriteAblation(w io.Writer, title string, rows []AblationRow) {
 // pool-kind and selector ablations, and returns its accuracy in
 // percent.
 func runPatFS(ctx context.Context, d *dataset.Dataset, minSup float64, proto Protocol) (*core.Pipeline, float64, error) {
-	p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: minSup, Coverage: 3, Workers: proto.Workers}.withDefaults())
-	if err != nil {
-		return nil, 0, err
-	}
+	p := core.NewFamily(core.PatFS, core.Config{MinSupport: minSup, Workers: proto.Workers})
 	acc, err := cvProto(ctx, p, d, proto)
 	return p, acc, err
 }
@@ -217,11 +214,7 @@ func RunAblationRelevance(ctx context.Context, name string, minSup float64, prot
 	}
 	var rows []AblationRow
 	for _, rel := range []featsel.Relevance{featsel.InfoGain, featsel.Fisher} {
-		cfg := core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup, Relevance: rel, Workers: proto.Workers}
-		p, err := mk(func() (*core.Pipeline, error) { return core.New(cfg) })
-		if err != nil {
-			return rows, fmt.Errorf("relevance ablation %s/%v: %w", name, rel, err)
-		}
+		p := core.NewFamily(core.PatFS, core.Config{MinSupport: minSup, Relevance: rel, Workers: proto.Workers})
 		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("relevance ablation %s/%v: %w", name, rel, err)
@@ -242,11 +235,7 @@ func RunAblationCoverage(ctx context.Context, name string, minSup float64, delta
 	}
 	var rows []AblationRow
 	for _, delta := range deltas {
-		cfg := core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup, Coverage: delta, Workers: proto.Workers}
-		p, err := mk(func() (*core.Pipeline, error) { return core.New(cfg) })
-		if err != nil {
-			return rows, fmt.Errorf("coverage ablation %s/δ=%d: %w", name, delta, err)
-		}
+		p := core.NewFamily(core.PatFS, core.Config{MinSupport: minSup, Coverage: delta, Workers: proto.Workers})
 		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("coverage ablation %s/δ=%d: %w", name, delta, err)
@@ -269,12 +258,7 @@ func RunAblationMinSupStrategy(ctx context.Context, name string, handSet []float
 	if proto.Folds <= 0 {
 		proto.Folds = 5
 	}
-	auto, err := mk(func() (*core.Pipeline, error) {
-		return core.New(core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: -1, Workers: proto.Workers})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("strategy ablation %s auto: %w", name, err)
-	}
+	auto := core.NewFamily(core.PatFS, core.Config{MinSupport: -1, Workers: proto.Workers})
 	acc, err := cvProto(ctx, auto, d, proto)
 	if err != nil {
 		return nil, fmt.Errorf("strategy ablation %s auto: %w", name, err)
@@ -285,10 +269,7 @@ func RunAblationMinSupStrategy(ctx context.Context, name string, handSet []float
 		Features: auto.Stats.FeatureCount, Accuracy: acc,
 	}}
 	for _, ms := range handSet {
-		p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: ms, Workers: proto.Workers}.withDefaults())
-		if err != nil {
-			return rows, fmt.Errorf("strategy ablation %s/%v: %w", name, ms, err)
-		}
+		p := core.NewFamily(core.PatFS, core.Config{MinSupport: ms, Workers: proto.Workers})
 		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("strategy ablation %s/%v: %w", name, ms, err)

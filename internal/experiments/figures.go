@@ -221,10 +221,7 @@ func RunMinSupSweep(ctx context.Context, name string, minSups []float64, proto P
 	}
 	var rows []MinSupSweepRow
 	for _, ms := range minSups {
-		p, err := pipelineFor("Pat_FS", core.SVMLinear, Protocol{MinSupport: ms, Workers: proto.Workers}.withDefaults())
-		if err != nil {
-			return rows, fmt.Errorf("minsup sweep %s@%v: %w", name, ms, err)
-		}
+		p := core.NewFamily(core.PatFS, core.Config{MinSupport: ms, Workers: proto.Workers})
 		acc, err := cvProto(ctx, p, d, proto)
 		if err != nil {
 			return rows, fmt.Errorf("minsup sweep %s@%v: %w", name, ms, err)

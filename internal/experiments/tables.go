@@ -61,8 +61,6 @@ type Protocol struct {
 	Folds int
 	// MinSupport <= 0 uses the automatic θ*(IG0) strategy per fold.
 	MinSupport float64
-	// Coverage is MMRFS's δ.
-	Coverage int
 	// StageTimeout bounds each pipeline stage within every fit
 	// (0 = unbounded).
 	StageTimeout time.Duration
@@ -82,9 +80,6 @@ type Protocol struct {
 func (p Protocol) withDefaults() Protocol {
 	if p.Folds <= 0 {
 		p.Folds = 10
-	}
-	if p.Coverage <= 0 {
-		p.Coverage = 3
 	}
 	return p
 }
@@ -129,40 +124,16 @@ func cvProto(ctx context.Context, p eval.Pipeline, d *dataset.Dataset, proto Pro
 	return 100 * res.Mean, nil
 }
 
-// mk wraps a pipeline constructor, annotating its error. Callers must
-// propagate the error; a bad configuration fails the experiment row
-// instead of panicking the whole sweep.
-func mk(f func() (*core.Pipeline, error)) (*core.Pipeline, error) {
-	p, err := f()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: build pipeline: %w", err)
-	}
-	return p, nil
-}
-
 // pipelineFor builds one model-family pipeline with the protocol's
 // parameters.
-func pipelineFor(family string, learner core.Learner, proto Protocol) (*core.Pipeline, error) {
-	cfg := core.Config{
+func pipelineFor(f core.Family, learner core.Learner, proto Protocol) *core.Pipeline {
+	return core.NewFamily(f, core.Config{
 		Learner:      learner,
-		Coverage:     proto.Coverage,
 		MinSupport:   proto.MinSupport,
 		StageTimeout: proto.StageTimeout,
 		Log:          obs.Log(proto.Log),
 		Workers:      proto.Workers,
-	}
-	switch family {
-	case "Item_FS":
-		cfg.SelectItems = true
-	case "Item_RBF":
-		cfg.Learner = core.SVMRBF
-	case "Pat_All":
-		cfg.UsePatterns = true
-	case "Pat_FS":
-		cfg.UsePatterns = true
-		cfg.SelectPatterns = true
-	}
-	return mk(func() (*core.Pipeline, error) { return core.New(cfg) })
+	})
 }
 
 // RunTable1 reproduces Table 1: SVM accuracy of the five model
@@ -180,22 +151,18 @@ func RunTable1(ctx context.Context, names []string, proto Protocol) ([]Table1Row
 		dsProto := proto
 		dsProto.MinSupport = minSupFor(name, proto)
 		for _, fam := range []struct {
-			name string
-			dst  *float64
+			f   core.Family
+			dst *float64
 		}{
-			{"Item_All", &row.ItemAll},
-			{"Item_FS", &row.ItemFS},
-			{"Item_RBF", &row.ItemRBF},
-			{"Pat_All", &row.PatAll},
-			{"Pat_FS", &row.PatFS},
+			{core.ItemAll, &row.ItemAll},
+			{core.ItemFS, &row.ItemFS},
+			{core.ItemRBF, &row.ItemRBF},
+			{core.PatAll, &row.PatAll},
+			{core.PatFS, &row.PatFS},
 		} {
-			p, err := pipelineFor(fam.name, core.SVMLinear, dsProto)
+			acc, err := cvProto(ctx, pipelineFor(fam.f, core.SVMLinear, dsProto), d, dsProto)
 			if err != nil {
-				return rows, fmt.Errorf("table1 %s/%s: %w", name, fam.name, err)
-			}
-			acc, err := cvProto(ctx, p, d, dsProto)
-			if err != nil {
-				return rows, fmt.Errorf("table1 %s/%s: %w", name, fam.name, err)
+				return rows, fmt.Errorf("table1 %s/%s: %w", name, fam.f, err)
 			}
 			*fam.dst = acc
 		}
@@ -219,21 +186,17 @@ func RunTable2(ctx context.Context, names []string, proto Protocol) ([]Table2Row
 		dsProto := proto
 		dsProto.MinSupport = minSupFor(name, proto)
 		for _, fam := range []struct {
-			name string
-			dst  *float64
+			f   core.Family
+			dst *float64
 		}{
-			{"Item_All", &row.ItemAll},
-			{"Item_FS", &row.ItemFS},
-			{"Pat_All", &row.PatAll},
-			{"Pat_FS", &row.PatFS},
+			{core.ItemAll, &row.ItemAll},
+			{core.ItemFS, &row.ItemFS},
+			{core.PatAll, &row.PatAll},
+			{core.PatFS, &row.PatFS},
 		} {
-			p, err := pipelineFor(fam.name, core.C45Tree, dsProto)
+			acc, err := cvProto(ctx, pipelineFor(fam.f, core.C45Tree, dsProto), d, dsProto)
 			if err != nil {
-				return rows, fmt.Errorf("table2 %s/%s: %w", name, fam.name, err)
-			}
-			acc, err := cvProto(ctx, p, d, dsProto)
-			if err != nil {
-				return rows, fmt.Errorf("table2 %s/%s: %w", name, fam.name, err)
+				return rows, fmt.Errorf("table2 %s/%s: %w", name, fam.f, err)
 			}
 			*fam.dst = acc
 		}
@@ -284,36 +247,31 @@ type ScalabilityConfig struct {
 	// SampleRows optionally subsamples the dataset for faster runs
 	// (0 = full size).
 	SampleRows int
-	// TestFrac is the held-out fraction for the accuracy columns.
-	TestFrac float64
-	Coverage int
 	// MaxLen caps pattern length (0 = unlimited, matching the paper).
 	MaxLen int
-	// MaxMiningTime bounds each row's mining phase; exceeding it marks
-	// the row infeasible, like the paper's "cannot complete in days"
-	// note for min_sup = 1 (default 2 minutes).
-	MaxMiningTime time.Duration
 }
+
+// Every scalability table holds out scalabilityHoldOut of the rows for
+// its accuracy columns and selects with MMRFS δ = scalabilityCoverage.
+// A row whose mining runs past scalabilityMiningTime is marked
+// infeasible, like the paper's "cannot complete in days" note for
+// min_sup = 1.
+const (
+	scalabilityHoldOut    = 0.1
+	scalabilityCoverage   = 3
+	scalabilityMiningTime = 2 * time.Minute
+)
 
 func (c ScalabilityConfig) withDefaults() ScalabilityConfig {
 	if c.MaxPatterns <= 0 {
 		c.MaxPatterns = 2_000_000
-	}
-	if c.TestFrac <= 0 {
-		c.TestFrac = 0.1
-	}
-	if c.Coverage <= 0 {
-		c.Coverage = 3
-	}
-	if c.MaxMiningTime <= 0 {
-		c.MaxMiningTime = 2 * time.Minute
 	}
 	return c
 }
 
 // RunScalability reproduces one of Tables 3–5: per min_sup, the closed
 // pattern count, mining+selection time, and SVM/C4.5 accuracy on the
-// pattern-based feature space. Unlike the per-row MaxMiningTime, a
+// pattern-based feature space. Unlike the per-row mining bound, a
 // canceled ctx aborts the whole sweep.
 func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRow, error) {
 	cfg = cfg.withDefaults()
@@ -329,7 +287,7 @@ func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRo
 		}
 		d = d.Subset(tr)
 	}
-	trainRows, testRows, err := dataset.StratifiedSplit(d.Labels, d.NumClasses(), cfg.TestFrac, Seed)
+	trainRows, testRows, err := dataset.StratifiedSplit(d.Labels, d.NumClasses(), scalabilityHoldOut, Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +314,7 @@ func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRo
 			MaxPatterns: cfg.MaxPatterns,
 			MaxLen:      cfg.MaxLen,
 			MinLen:      2,
-			Guard:       guard.New(ctx, guard.Limits{Timeout: cfg.MaxMiningTime}),
+			Guard:       guard.New(ctx, guard.Limits{Timeout: scalabilityMiningTime}),
 		})
 		if err != nil && ctx.Err() != nil {
 			// Run-level cancellation, not a per-row infeasibility.
@@ -381,7 +339,7 @@ func RunScalability(ctx context.Context, cfg ScalabilityConfig) ([]ScalabilityRo
 		// Selection and both learners poll one guard on ctx, so a
 		// canceled run stops mid-row instead of after it.
 		g := guard.New(ctx, guard.Limits{})
-		sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: cfg.Coverage, Guard: g})
+		sel, err := featsel.MMRFS(cands, b.ClassMasks, b.Labels, featsel.Options{Coverage: scalabilityCoverage, Guard: g})
 		if err != nil {
 			return rows, err
 		}
@@ -487,12 +445,7 @@ func RunHarmonyComparison(ctx context.Context, name string, minSup float64, samp
 	}
 	row := HarmonyRow{Dataset: name}
 
-	patFS, err := mk(func() (*core.Pipeline, error) {
-		return core.New(core.Config{UsePatterns: true, SelectPatterns: true, MinSupport: minSup})
-	})
-	if err != nil {
-		return HarmonyRow{}, fmt.Errorf("harmony %s Pat_FS: %w", name, err)
-	}
+	patFS := core.NewFamily(core.PatFS, core.Config{MinSupport: minSup})
 	acc, err := eval.HoldOut(ctx, patFS, d, trainRows, testRows)
 	if err != nil {
 		return HarmonyRow{}, fmt.Errorf("harmony %s Pat_FS: %w", name, err)

@@ -1,4 +1,4 @@
-// Package faults is a deterministic, seeded fault injector for the
+// Package faults is a deterministic fault injector for the
 // pattern-classification pipeline. Production code declares named
 // injection points ("fs.rename", "eval.fold", ...) and calls
 // Registry.Hit at each one; a test or a CLI -faults flag arms a point
@@ -6,10 +6,9 @@
 // nil *Registry every Hit is a single nil-receiver check — the
 // disabled path is free, exactly like a nil *obs.Observer.
 //
-// Determinism: arms trigger on exact hit ordinals, and the optional
-// probabilistic mode draws from a PRNG seeded at construction, so a
-// given (seed, arm set, execution order) always injects at the same
-// sites. Under internal/parallel's ascending-claim contract the
+// Determinism: every arm triggers once, on an exact hit ordinal, so a
+// given (arm set, execution order) always injects at the same sites.
+// Under internal/parallel's ascending-claim contract the
 // per-point hit ordinals are stable for Workers(1) and exercised
 // concurrently (but still sentinel-bounded) at higher counts.
 package faults
@@ -17,7 +16,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,12 +137,9 @@ type Event struct {
 }
 
 type arm struct {
-	nth      uint64 // trigger on this 1-based hit; 0 with Prob>0 = probabilistic
-	prob     float64
+	nth      uint64 // trigger on this 1-based hit
 	err      error
 	panicVal any
-	once     bool // consumed after first trigger
-	spent    bool
 }
 
 // Registry is a set of armed injection points. The zero value is not
@@ -152,27 +147,24 @@ type arm struct {
 // injector: Hit returns nil after one pointer compare.
 type Registry struct {
 	mu     sync.Mutex
-	rng    *rand.Rand
 	arms   map[string][]*arm
 	counts map[string]uint64
 	events []Event
 }
 
-// New returns an empty registry whose probabilistic arms draw from a
-// PRNG seeded with seed (so a chaos run is reproducible end to end).
-func New(seed int64) *Registry {
+// New returns an empty registry.
+func New() *Registry {
 	return &Registry{
-		rng:    rand.New(rand.NewSource(seed)),
 		arms:   map[string][]*arm{},
 		counts: map[string]uint64{},
 	}
 }
 
 // Arm schedules err to be returned by the nth (1-based) Hit of point.
-// The arm triggers once and is then spent. Unknown points panic — an
-// armed typo would otherwise silently never fire.
+// Hit ordinals only grow, so the arm triggers once. Unknown points
+// panic — an armed typo would otherwise silently never fire.
 func (r *Registry) Arm(point string, nth uint64, err error) {
-	r.arm(point, &arm{nth: nth, err: err, once: true})
+	r.arm(point, &arm{nth: nth, err: err})
 }
 
 // ArmKind is Arm with a named error kind ("error", "canceled",
@@ -189,13 +181,7 @@ func (r *Registry) ArmKind(point string, nth uint64, kind string) error {
 // ArmPanic schedules the nth Hit of point to panic with val, modeling
 // a worker crash inside internal/parallel's pool.
 func (r *Registry) ArmPanic(point string, nth uint64, val any) {
-	r.arm(point, &arm{nth: nth, panicVal: val, once: true})
-}
-
-// ArmProb schedules point to fail with err on each hit independently
-// with probability p, drawn from the registry's seeded PRNG.
-func (r *Registry) ArmProb(point string, p float64, err error) {
-	r.arm(point, &arm{prob: p, err: err})
+	r.arm(point, &arm{nth: nth, panicVal: val})
 }
 
 func (r *Registry) arm(point string, a *arm) {
@@ -219,22 +205,8 @@ func (r *Registry) Hit(point string) error {
 	r.counts[point]++
 	n := r.counts[point]
 	for _, a := range r.arms[point] {
-		if a.spent {
+		if a.nth != n {
 			continue
-		}
-		trigger := false
-		switch {
-		case a.nth > 0:
-			trigger = a.nth == n
-		case a.prob > 0:
-			//vet:ignore nondeterm r.rng is seeded from the registry config; draws replay identically run to run
-			trigger = r.rng.Float64() < a.prob
-		}
-		if !trigger {
-			continue
-		}
-		if a.once {
-			a.spent = true
 		}
 		if a.panicVal != nil {
 			r.events = append(r.events, Event{Point: point, Hit: n, Panicked: true})

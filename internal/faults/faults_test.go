@@ -21,7 +21,7 @@ func TestNilRegistryIsFree(t *testing.T) {
 }
 
 func TestArmNthTriggersExactlyOnce(t *testing.T) {
-	r := New(1)
+	r := New()
 	r.Arm(CoreMine, 3, ErrInjected)
 	for i := 1; i <= 5; i++ {
 		err := r.Hit(CoreMine)
@@ -55,7 +55,7 @@ func TestKindsMapToGuardSentinels(t *testing.T) {
 		{KindTransient, ErrTransient},
 	}
 	for _, c := range cases {
-		r := New(1)
+		r := New()
 		if err := r.ArmKind(EvalFold, 1, c.kind); err != nil {
 			t.Fatalf("ArmKind(%s): %v", c.kind, err)
 		}
@@ -67,13 +67,13 @@ func TestKindsMapToGuardSentinels(t *testing.T) {
 			t.Errorf("kind %s: err = %v does not wrap ErrInjected", c.kind, err)
 		}
 	}
-	if err := New(1).ArmKind(EvalFold, 1, "bogus"); err == nil {
+	if err := New().ArmKind(EvalFold, 1, "bogus"); err == nil {
 		t.Fatal("ArmKind(bogus) accepted")
 	}
 }
 
 func TestArmPanic(t *testing.T) {
-	r := New(1)
+	r := New()
 	r.ArmPanic(SVMSolve, 2, "boom")
 	if err := r.Hit(SVMSolve); err != nil {
 		t.Fatalf("hit 1: %v", err)
@@ -91,43 +91,17 @@ func TestArmPanic(t *testing.T) {
 	t.Fatal("hit 2 did not panic")
 }
 
-func TestArmProbDeterministicUnderSeed(t *testing.T) {
-	run := func(seed int64) []uint64 {
-		r := New(seed)
-		r.ArmProb(FSWrite, 0.3, ErrInjected)
-		var fired []uint64
-		for i := 0; i < 200; i++ {
-			if r.Hit(FSWrite) != nil {
-				fired = append(fired, r.Hits(FSWrite))
-			}
-		}
-		return fired
-	}
-	a, b := run(42), run(42)
-	if len(a) == 0 {
-		t.Fatal("p=0.3 over 200 hits fired zero times")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different firing counts: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different firing ordinals at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
 func TestArmUnknownPointPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("arming unknown point did not panic")
 		}
 	}()
-	New(1).Arm("no.such.point", 1, ErrInjected)
+	New().Arm("no.such.point", 1, ErrInjected)
 }
 
 func TestParse(t *testing.T) {
-	r := New(1)
+	r := New()
 	if err := r.Parse("eval.fold:2:canceled, fs.rename:1, mine.partition:1:transient"); err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +119,18 @@ func TestParse(t *testing.T) {
 	}
 
 	for _, bad := range []string{"eval.fold", "nope:1", "eval.fold:0", "eval.fold:x", "eval.fold:1:bogus"} {
-		if err := New(1).Parse(bad); err == nil {
+		if err := New().Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
 	}
 
 	// Empty and whitespace-only specs are no-ops.
-	if err := New(1).Parse(" , "); err != nil {
+	if err := New().Parse(" , "); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
 
 	// panic kind arms a panic.
-	rp := New(1)
+	rp := New()
 	if err := rp.Parse("svm.smo:1:panic"); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +154,7 @@ func TestKnownSortedAndComplete(t *testing.T) {
 }
 
 func TestGobTransparent(t *testing.T) {
-	r := New(7)
+	r := New()
 	r.Arm(EvalFold, 1, ErrInjected)
 	b, err := r.GobEncode()
 	if err != nil || b != nil {

@@ -189,9 +189,6 @@ func mmrfsEager(cands []Candidate, classMasks []*bitset.Bitset, labels []int, op
 			sp.End()
 			return nil, err
 		}
-		if opt.MaxFeatures > 0 && len(res.Selected) >= opt.MaxFeatures {
-			break
-		}
 		if fullyCovered >= coverable {
 			break
 		}

@@ -61,9 +61,6 @@ type Options struct {
 	// Coverage is δ: selection stops once every coverable training
 	// instance is correctly covered δ times (default 1).
 	Coverage int
-	// MaxFeatures optionally caps the number of selected features;
-	// 0 means unbounded (the coverage constraint decides).
-	MaxFeatures int
 	// Guard, when non-nil, bounds the greedy loop; selection aborts
 	// with an error satisfying errors.Is(err, guard.ErrCanceled) (or
 	// guard.ErrDeadline). The caller builds it; nil costs nothing.
@@ -363,9 +360,6 @@ func MMRFS(cands []Candidate, classMasks []*bitset.Bitset, labels []int, opt Opt
 		if err := g.Check(); err != nil {
 			sp.End()
 			return nil, err
-		}
-		if opt.MaxFeatures > 0 && len(res.Selected) >= opt.MaxFeatures {
-			break
 		}
 		if fullyCovered >= coverable || len(h.idx) == 0 {
 			break

@@ -110,22 +110,6 @@ func TestMMRFSHigherDeltaSelectsMore(t *testing.T) {
 	}
 }
 
-func TestMMRFSMaxFeatures(t *testing.T) {
-	labels, masks := fixture()
-	cands := []Candidate{
-		cand(8, 0, 1, 2, 3),
-		cand(8, 4, 5, 6, 7),
-		cand(8, 0, 1),
-	}
-	res, err := MMRFS(cands, masks, labels, Options{Coverage: 5, MaxFeatures: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Selected) != 1 {
-		t.Fatalf("Selected = %v, want 1", res.Selected)
-	}
-}
-
 func TestMMRFSSkipsUselessCoverage(t *testing.T) {
 	labels, masks := fixture()
 	// Candidate 1 covers only already-covered rows with the same class;

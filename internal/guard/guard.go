@@ -143,11 +143,3 @@ func (g *Guard) CheckNow() error {
 	}
 	return nil
 }
-
-// GobEncode makes a Guard transparent to gob: stage configs that get
-// saved with a model (c45.Config inside core.Config) serialize their
-// Guard field as nothing, mirroring obs.Observer and faults.Registry.
-func (g *Guard) GobEncode() ([]byte, error) { return nil, nil }
-
-// GobDecode restores the transparent encoding as a disabled guard.
-func (g *Guard) GobDecode([]byte) error { return nil }

@@ -1,9 +1,7 @@
 package guard
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"testing"
 	"time"
@@ -124,29 +122,5 @@ func BenchmarkCheckEnabled(b *testing.B) {
 		if err := g.Check(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestGobTransparent(t *testing.T) {
-	// A config carrying a live guard saves and loads without it.
-	type config struct {
-		N     int
-		Guard *Guard
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(config{N: 3, Guard: New(ctx, Limits{Timeout: time.Hour})}); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var got config
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.N != 3 {
-		t.Fatalf("N = %d, want 3", got.N)
-	}
-	if err := got.Guard.CheckNow(); err != nil {
-		t.Fatalf("decoded guard CheckNow = %v", err)
 	}
 }

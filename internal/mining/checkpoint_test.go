@@ -27,7 +27,7 @@ func TestPerClassCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := faults.New(1)
+	fr := faults.New()
 	fr.Arm(faults.MinePartition, 2, faults.ErrInjected)
 	iopt := opt
 	iopt.Checkpoint = ck

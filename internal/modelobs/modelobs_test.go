@@ -305,7 +305,7 @@ func TestTrackerFirstBaselineWins(t *testing.T) {
 }
 
 func TestTrackerReportFaultInjection(t *testing.T) {
-	r := faults.New(1)
+	r := faults.New()
 	r.Arm(faults.ModelobsSnapshot, 1, faults.ErrInjected)
 	tr := NewTracker(TrackerConfig{})
 	tr.SetFaults(r)

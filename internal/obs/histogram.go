@@ -169,14 +169,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 	return s.Buckets[len(s.Buckets)-1].UpperBound
 }
 
-// Mean returns the snapshot's average sample (0 with no samples).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Histogram returns the named histogram, creating it on first use; nil
 // — a valid no-op histogram — on a nil observer. Hot paths should look
 // the histogram up once and retain it.

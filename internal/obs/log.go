@@ -22,11 +22,11 @@ func StageLogger(l *slog.Logger, stage string) *slog.Logger {
 }
 
 // LogHandle wraps a possibly-nil *slog.Logger for storage inside
-// configs that gob-serialize with saved models (core.Config,
-// c45.Config): like *Observer, it implements GobEncoder/GobDecoder as
-// no-ops because loggers are per-process sinks, not model state. The
-// zero handle means logging off; the embedded pointer promotes the
-// full slog API, so sites guard with `if cfg.Log.Logger != nil`.
+// core.Config, which gob-serializes with saved models: like *Observer,
+// it implements GobEncoder/GobDecoder as no-ops because loggers are
+// per-process sinks, not model state. The zero handle means logging
+// off; the embedded pointer promotes the full slog API, so sites guard
+// with `if cfg.Log.Logger != nil`.
 type LogHandle struct{ *slog.Logger }
 
 // Log wraps a logger (or nil) in a LogHandle.

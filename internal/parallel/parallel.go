@@ -2,7 +2,7 @@
 // bounded worker pool over index ranges, built only on the stdlib.
 // Every compute stage that fans out — CV folds, per-class mining,
 // MMRFS relevance scoring, one-vs-one SVM subproblems — schedules
-// through ForEach/Map so the concurrency discipline lives in one place.
+// through ForEach so the concurrency discipline lives in one place.
 //
 // The layer's contract is determinism: for any worker count, the same
 // inputs produce the same outputs. The primitives make that easy to
@@ -156,24 +156,6 @@ func ForEach(w Workers, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return loErr
-}
-
-// Map runs fn over [0, n) under ForEach's scheduling and returns the
-// results in index order, or the first (index-ordered) error.
-func Map[T any](w Workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(w, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Chunks splits [0, n) into at most parts contiguous [start, end)

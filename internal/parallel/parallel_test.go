@@ -158,28 +158,6 @@ func TestForEachGuardCancellation(t *testing.T) {
 	}
 }
 
-func TestMapOrdersResults(t *testing.T) {
-	for _, w := range []Workers{1, 2, 8} {
-		out, err := Map(w, 64, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", w, i, v)
-			}
-		}
-	}
-	if _, err := Map(3, 5, func(i int) (int, error) {
-		if i >= 1 {
-			return 0, fmt.Errorf("e%d", i)
-		}
-		return 0, nil
-	}); err == nil || err.Error() != "e1" {
-		t.Errorf("Map error = %v, want e1", err)
-	}
-}
-
 func TestChunks(t *testing.T) {
 	cases := []struct{ n, parts, want int }{
 		{10, 3, 3}, {10, 1, 1}, {3, 8, 3}, {0, 4, 0}, {7, 7, 7},

@@ -16,9 +16,6 @@ type Config struct {
 	C float64
 	// Kernel selects the kernel (zero value = linear).
 	Kernel Kernel
-	// Eps is the KKT violation tolerance for SMO convergence
-	// (default 1e-3, LIBSVM's default).
-	Eps float64
 	// MaxIter caps SMO iterations per binary problem (default
 	// 100·n, at least 10000).
 	MaxIter int
@@ -54,9 +51,6 @@ type Config struct {
 func (c Config) withDefaults(n int) Config {
 	if c.C <= 0 {
 		c.C = 1
-	}
-	if c.Eps <= 0 {
-		c.Eps = 1e-3
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 100 * n
@@ -154,7 +148,7 @@ func Train(x [][]int32, y []int, numClasses int, cfg Config) (*Model, error) {
 		// its own fork of the stage guard.
 		bm, err := trainBinary(px, py, smoConfig{
 			c:       cfg.C,
-			eps:     cfg.Eps,
+			eps:     smoEps,
 			maxIter: cfg.MaxIter,
 			kernel:  cfg.Kernel,
 			gamma:   gamma,

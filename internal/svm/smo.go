@@ -7,6 +7,10 @@ import (
 	"dfpc/internal/guard"
 )
 
+// smoEps is the KKT violation tolerance at which Train's SMO solves
+// stop (LIBSVM's default).
+const smoEps = 1e-3
+
 // smoConfig parameterizes one binary SMO solve.
 type smoConfig struct {
 	c       float64

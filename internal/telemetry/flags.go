@@ -36,16 +36,15 @@ type Flags struct {
 	// Timeout bounds the whole run through Start's context; 0 is
 	// unbounded.
 	Timeout time.Duration
-	// FaultSpec and FaultSeed arm the session's fault registry.
+	// FaultSpec arms the session's fault registry.
 	FaultSpec string
-	FaultSeed int64
 	// Profile holds -cpuprofile, -memprofile and -trace.
 	Profile obs.ProfileFlags
 }
 
 // Register installs every flag the CLIs share: -listen, -log-format,
-// -journal, -verbose, -report, -tracejson, -timeout, -faults,
-// -fault-seed, and the profile trio.
+// -journal, -verbose, -report, -tracejson, -timeout, -faults, and the
+// profile trio.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	if f == nil {
 		return
@@ -58,7 +57,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.TraceJSON, "tracejson", "", "write a Chrome trace_event JSON timeline here (open in ui.perfetto.dev)")
 	fs.DurationVar(&f.Timeout, "timeout", 0, "whole-run wall-clock bound (0 = unbounded)")
 	fs.StringVar(&f.FaultSpec, "faults", "", "deterministic fault-injection spec: point:nth[:kind],... with kind error, canceled, deadline, transient or panic (testing aid)")
-	fs.Int64Var(&f.FaultSeed, "fault-seed", 1, "seed for probabilistic fault arms")
 	f.Profile.Register(fs)
 }
 
@@ -137,7 +135,7 @@ func (f *Flags) Start(component string) (context.Context, *Session, error) {
 		s.Obs.SetLogger(s.Log) // surface span-leak warnings
 	}
 	if f.FaultSpec != "" {
-		s.Faults = faults.New(f.FaultSeed)
+		s.Faults = faults.New()
 		if err := s.Faults.Parse(f.FaultSpec); err != nil {
 			return fail(err)
 		}

@@ -109,17 +109,11 @@ func TestDebugServerUnderLiveFit(t *testing.T) {
 	go func() {
 		defer close(done)
 		for iter := 0; iter < 3; iter++ {
-			p, err := core.New(core.Config{
-				Learner:        core.SVMLinear,
-				UsePatterns:    true,
-				SelectPatterns: true,
-				MinSupport:     0.3,
-				Workers:        parallel.Workers(4),
+			p := core.NewFamily(core.PatFS, core.Config{
+				Learner:    core.SVMLinear,
+				MinSupport: 0.3,
+				Workers:    parallel.Workers(4),
 			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			p.SetObserver(o)
 			if err := p.Fit(d, rows); err != nil {
 				t.Error(err)
